@@ -22,8 +22,8 @@ from .factors import (
     Factor,
     FactorSet,
     VefStep,
-    big_product,
     constant_factor,
+    contract,
     dump_factors,
     eliminate,
     factor_sets_equal,
@@ -95,4 +95,20 @@ from .webs import Assignment, dim, element_at, element_index, enumerate_web, ht,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "CostCounter", "DEFAULT_WEB_CAP", "DenoteContext", "MassReport", "Relation",
+    "collect_matrices", "denote", "joint_vector", "total_mass_check", "LveError", "ParseError",
+    "RewriteError", "TypeCheckError", "Factor", "FactorSet", "VefStep", "constant_factor",
+    "contract", "dump_factors", "eliminate", "factor_sets_equal", "factors_of",
+    "check_factor_vars", "marginal", "partition", "product", "relation_from_factors", "sum_out",
+    "load_network", "network_to_program", "elimination_candidates", "min_degree_order",
+    "random_order", "SourceProgram", "parse_program", "parse_term", "expr_str", "pattern_str",
+    "program_str", "term_str", "RULES", "RewriteStep", "SizeBound", "Trace", "apply_rule",
+    "eliminate_seq", "eliminate_term", "gather", "simplify", "size_bound_check", "swap_first",
+    "Arrow", "ArrowApp", "BOOL", "Bool", "Expr", "FreshNames", "Lam", "Let", "LetTerm", "MatApp",
+    "Pair", "PLeaf", "PPair", "Pattern", "StochasticMatrix", "Tensor", "Term", "Var", "Variable",
+    "alpha_eq", "canonicalize", "check_stochastic", "collect_names", "free_vars", "pattern_type",
+    "pattern_vars", "size", "type_str", "typecheck", "GeneratorConfig", "SuiteReport",
+    "brute_force_joint", "check_instance", "random_network", "run_suite", "Assignment", "dim",
+    "element_at", "element_index", "enumerate_web", "ht", "web_size",
+]

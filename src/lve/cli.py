@@ -196,6 +196,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "vel":
+        if free_vars(term) and not args.emit_term:
+            raise NotClosed("vel needs a closed program unless --emit-term is given")
         final, trace = eliminate_seq(term, order)
         if args.simplify:
             final = simplify(final)

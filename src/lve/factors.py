@@ -12,7 +12,10 @@ and summing the internal variables.
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,6 +31,7 @@ from .errors import (
 )
 from .syntax import (
     Expr,
+    FreshNames,
     LetTerm,
     Pattern,
     Variable,
@@ -40,11 +44,8 @@ from .syntax import (
 )
 from .webs import (
     Assignment,
-    VarSpace,
     check_web_cap,
     element_index,
-    pattern_digits,
-    pattern_index,
     sorted_vars,
 )
 
@@ -66,10 +67,6 @@ class Factor:
     @property
     def degree(self) -> int:
         return len(self.vars)
-
-    @property
-    def base(self) -> int:
-        return max((web_size(v.ty) for v in self.vars), default=1)
 
     def value(self, asg: Assignment) -> float:
         idx = tuple(element_index(v.ty, asg.get(v)) for v in self.vars)
@@ -116,15 +113,68 @@ class FactorSet:
 
 # ---------------------------------------------------------------- factor algebra
 
+_MAX_OPERANDS = 31
+"""Arrays per einsum call, as numpy 1.x takes 32 counting the output; a
+contraction over more factors runs in chunks."""
 
-def _merge_vars(a: tuple[Variable, ...], b: tuple[Variable, ...]) -> tuple[Variable, ...]:
-    byname: dict[str, Variable] = {v.name: v for v in a}
-    for v in b:
-        old = byname.get(v.name)
-        if old is not None and old.ty != v.ty:
-            raise SharedVarTypeMismatch(f"variable {v.name} carried two types")
-        byname[v.name] = v
-    return sorted_vars(byname.values())
+_MAX_LABELS = 52
+"""Integer sublists label einsum axes with range(52)."""
+
+
+def _web(vs: Iterable[Variable]) -> int:
+    return math.prod(web_size(v.ty) for v in vs)
+
+
+def contract(
+    factors: Sequence[Factor],
+    keep: Iterable[Variable],
+    counter: CostCounter | None = None,
+    cap: int = DEFAULT_WEB_CAP,
+) -> Factor:
+    """The product of the factors with every variable outside `keep` summed
+    out, by np.einsum without materializing the product; the empty product is
+    the scalar 1. Every kept variable must occur in some factor.
+
+    The cap applies to the result only. The counter is charged, from shapes,
+    what multiplying the factors pairwise in list order and then summing out
+    costs: each fold the web of the union so far, as multiply-adds and as a
+    table; the sum the product's web as multiply-adds and the result's web as
+    a table.
+    """
+    union: dict[str, Variable] = {}
+    webs: list[int] = []
+    size = 1
+    for f in factors:
+        for v, d in zip(f.vars, f.table.shape):
+            if v.name not in union:
+                union[v.name] = v
+                size *= d
+            elif union[v.name].ty != v.ty:
+                raise SharedVarTypeMismatch(f"variable {v.name} carried two types")
+        webs.append(size)
+    keep = set(keep)
+    out = sorted_vars(v for v in union.values() if v in keep)
+    if len(out) < len(keep):
+        raise UnknownVariable(f"kept variables {sorted(v.name for v in keep - set(out))} are in no factor")
+    out_size = _web(out)
+    check_web_cap(out_size, cap)
+    if len(union) > _MAX_LABELS:
+        raise WebCapExceeded(f"contraction over {len(union)} variables, einsum takes {_MAX_LABELS}")
+    label = {name: i for i, name in enumerate(union)}
+    operands = [(f.table, [label[v.name] for v in f.vars]) for f in factors]
+    out_labels = [label[v.name] for v in out]
+    while len(operands) > _MAX_OPERANDS:
+        head, operands = operands[:_MAX_OPERANDS], operands[_MAX_OPERANDS:]
+        later = set(out_labels).union(*(labels for _, labels in operands))
+        kept = sorted(set().union(*(labels for _, labels in head)) & later)
+        operands.insert(0, (np.einsum(*chain.from_iterable(head), kept), kept))
+    table = np.einsum(*chain.from_iterable(operands), out_labels) if operands else np.ones(())
+    if counter is not None:
+        for web in webs[1:]:
+            counter.count(muladds=web, table=web)
+        if len(out) < len(union):
+            counter.count(muladds=size, table=out_size)
+    return Factor(out, table)
 
 
 def product(
@@ -134,17 +184,7 @@ def product(
     cap: int = DEFAULT_WEB_CAP,
 ) -> Factor:
     """Pointwise product over the union of the variable sets."""
-    union = _merge_vars(f.vars, g.vars)
-    size = 1
-    for v in union:
-        size *= web_size(v.ty)
-    check_web_cap(size, cap)
-    fshape = tuple(web_size(v.ty) if v in f.vars else 1 for v in union)
-    gshape = tuple(web_size(v.ty) if v in g.vars else 1 for v in union)
-    table = f.table.reshape(fshape) * g.table.reshape(gshape)
-    if counter is not None:
-        counter.count(muladds=table.size, table=table.size)
-    return Factor(union, table)
+    return contract([f, g], f.vars + g.vars, counter, cap)
 
 
 def sum_out(
@@ -154,26 +194,8 @@ def sum_out(
     cap: int = DEFAULT_WEB_CAP,
 ) -> Factor:
     """Sum the given variables out of a factor; absent variables are ignored."""
-    drop = set(vs) & set(f.vars)
-    if not drop:
-        return f
-    axes = tuple(i for i, v in enumerate(f.vars) if v in drop)
-    table = f.table.sum(axis=axes)
-    if counter is not None:
-        counter.count(muladds=f.table.size, table=table.size)
-    return Factor(tuple(v for v in f.vars if v not in drop), table)
-
-
-def big_product(
-    factors: Sequence[Factor],
-    counter: CostCounter | None = None,
-    cap: int = DEFAULT_WEB_CAP,
-) -> Factor:
-    """Product of a multiset of factors; empty product is the scalar 1."""
-    acc = constant_factor((), 1.0) if not factors else factors[0]
-    for f in factors[1:]:
-        acc = product(acc, f, counter, cap)
-    return acc
+    drop = set(vs)
+    return f if drop.isdisjoint(f.vars) else contract([f], set(f.vars) - drop, counter, cap)
 
 
 def partition(factors: Sequence[Factor], vs: Iterable[Variable]) -> tuple[list[Factor], list[Factor]]:
@@ -182,42 +204,6 @@ def partition(factors: Sequence[Factor], vs: Iterable[Variable]) -> tuple[list[F
     hit = [f for f in factors if touch & set(f.vars)]
     miss = [f for f in factors if not (touch & set(f.vars))]
     return hit, miss
-
-
-def contract(
-    f: Factor,
-    g: Factor,
-    drop: Iterable[Variable],
-    counter: CostCounter | None = None,
-    cap: int = DEFAULT_WEB_CAP,
-) -> Factor:
-    """Product with the dropped variables summed out, without materializing
-    the product table. Arrow variable webs grow with the abstracted web, so
-    the cap applies to the result only; the multiply count still reflects
-    the full product."""
-    union = _merge_vars(f.vars, g.vars)
-    dropped = set(drop)
-    keep = tuple(v for v in union if v not in dropped)
-    out_size = conceptual = 1
-    for v in keep:
-        out_size *= web_size(v.ty)
-    for v in union:
-        conceptual *= web_size(v.ty)
-    check_web_cap(out_size, cap)
-    labels = {v.name: chr(ord("a") + i) for i, v in enumerate(union)}
-    if len(union) > 26:
-        raise WebCapExceeded(f"contraction over {len(union)} variables")
-    spec = (
-        "".join(labels[v.name] for v in f.vars)
-        + ","
-        + "".join(labels[v.name] for v in g.vars)
-        + "->"
-        + "".join(labels[v.name] for v in keep)
-    )
-    table = np.einsum(spec, f.table, g.table)
-    if counter is not None:
-        counter.count(muladds=conceptual, table=out_size)
-    return Factor(keep, table)
 
 
 # ---------------------------------------------------------------- factors of a let-term
@@ -240,14 +226,14 @@ def definition_factor(
             f"binder variables {sorted(v.name for v in fve & pv)} occur free in the definition"
         )
     rel = denote(bound, ctx)
-    union = sorted_vars(fve | pv)
-    space = VarSpace(union, cap=ctx.web_cap)
-    rowmap = space.restriction_map(ctx.space(rel.vars))
-    colmap = pattern_index(binder, {v.name: space.digit(v) for v in pattern_vars(binder)})
-    flat = rel.matrix[rowmap, colmap]
+    # A denotation's rows range over exactly the free variables, sorted, so
+    # the matrix reshapes to one axis per variable.
+    axes = rel.vars + pattern_vars(binder)
+    union = sorted_vars(axes)
+    table = rel.matrix.reshape([web_size(v.ty) for v in axes]).transpose([axes.index(v) for v in union])
     if counter is not None:
-        counter.count(table=flat.size)
-    return Factor(union, flat.reshape(tuple(web_size(v.ty) for v in union)))
+        counter.count(table=table.size)
+    return Factor(union, table)
 
 
 def _check_binder_convention(term: LetTerm) -> None:
@@ -284,7 +270,10 @@ def factors_of(term: LetTerm, ctx: DenoteContext | None = None) -> FactorSet:
                 raise NotCanonicalized(
                     f"arrow variable {arrow.name} consumed by {len(hit)} factors"
                 )
-            merged = contract(fac, hit[0], {arrow}, counter, ctx.web_cap)
+            # The fold charges its product's web once and peaks at its result.
+            union = set(fac.vars + hit[0].vars)
+            merged = contract([fac, hit[0]], union - {arrow}, None, ctx.web_cap)
+            counter.count(muladds=_web(union), table=merged.table.size)
             facts = [merged] + miss
         else:
             facts = [fac] + facts
@@ -321,31 +310,28 @@ def relation_from_factors(term: LetTerm, ctx: DenoteContext | None = None) -> Re
     if ctx is None:
         ctx = DenoteContext()
     fs = factors_of(term, ctx)
-    fv = free_vars(term)
-    out_vars = pattern_fv(term.output)
-    internal = fs.vars() - (fv | out_vars)
-    g = sum_out(big_product(fs.factors, fs.counter, ctx.web_cap), internal, fs.counter, ctx.web_cap)
-    assert set(g.vars) == set(fv | out_vars)
-
-    rspace = VarSpace(sorted_vars(fv), cap=ctx.web_cap)
-    out_ty = pattern_type(term.output)
-    n_cols = web_size(out_ty)
-    col_dig = pattern_digits(term.output, np.arange(n_cols))
-    gspace = VarSpace(g.vars, cap=ctx.web_cap)
-
-    gidx = np.zeros((rspace.size, n_cols), dtype=np.int64)
-    mask = np.ones((rspace.size, n_cols), dtype=bool)
-    for k, v in enumerate(gspace.vars):
-        if v in fv:
-            gidx += rspace.digit(v)[:, None] * gspace.strides[k]
-            if v in out_vars:
-                mask &= rspace.digit(v)[:, None] == col_dig[v.name][None, :]
-        else:
-            gidx += np.asarray(col_dig[v.name])[None, :] * gspace.strides[k]
-    matrix = g.flat()[gidx] * mask
+    rows = sorted_vars(free_vars(term))
+    matrix = _readout(fs, rows, term.output, ctx.web_cap)
     fs.counter.count(table=matrix.size)
     ctx.counter.merge(fs.counter)
-    return Relation(rspace.vars, out_ty, matrix)
+    return Relation(rows, pattern_type(term.output), matrix)
+
+
+def _readout(fs: FactorSet, rows: tuple[Variable, ...], output: Pattern, cap: int) -> np.ndarray:
+    """The factor product as a matrix from the rows' web to the output's web,
+    every other variable summed out, charged to fs.counter. A row variable
+    that is also in the output spans the diagonal: its output axis is a fresh
+    copy tied to it by an identity factor."""
+    cols = pattern_vars(output)
+    if len(fs.factors) > 1:
+        check_web_cap(_web(fs.vars()), cap)
+    g = contract(fs.factors, set(rows + cols), fs.counter, cap)
+    names = FreshNames(v.name for v in g.vars)
+    copies = {v: Variable(names.fresh(v.name), v.ty) for v in cols if v in rows}
+    eyes = [Factor((v, w), np.eye(web_size(v.ty))) for v, w in copies.items()]
+    axes = rows + tuple(copies.get(v, v) for v in cols)
+    h = contract([g] + eyes, axes, None, cap)
+    return h.table.transpose([h.vars.index(v) for v in axes]).reshape(_web(rows), -1)
 
 
 # ---------------------------------------------------------------- elimination
@@ -356,27 +342,37 @@ def eliminate(
     order: Sequence[Variable],
     cap: int = DEFAULT_WEB_CAP,
 ) -> FactorSet:
-    """Variable elimination on a factor set, one variable at a time.
+    """Bucket elimination, one variable at a time.
 
     Each step multiplies the factors mentioning the variable and sums it out;
-    the result set carries fresh counters and one cost record per step.
+    the result set carries fresh counters and one cost record per step. An
+    index from variables to factor keys finds each bucket; it keeps the keys
+    of consumed factors, which the lookup skips. A new factor's key is below
+    every older one, so the result lists factors newest first, then the
+    untouched input factors in input order.
     """
-    factors = list(fs.factors)
+    facts = dict(enumerate(fs.factors))
+    index: dict[Variable, set[int]] = defaultdict(set)
+    for k, f in facts.items():
+        for v in f.vars:
+            index[v].add(k)
     counter = CostCounter()
     steps: list[VefStep] = []
-    for v in order:
-        present = set()
-        for f in factors:
-            present.update(f.vars)
-        if v not in present:
+    for key, v in enumerate(order, start=1):
+        hit = [facts.pop(k) for k in sorted(index.pop(v, ())) if k in facts]
+        if not hit:
             raise UnknownVariable(f"variable {v.name} not present in the factor set")
-        hit, miss = partition(factors, {v})
+        keep = set(chain.from_iterable(f.vars for f in hit)) - {v}
+        size = _web(keep) * web_size(v.ty)
+        if len(hit) > 1:
+            check_web_cap(size, cap)
         before = counter.muladds
-        prod = big_product(hit, counter, cap)
-        summed = sum_out(prod, {v}, counter, cap)
-        steps.append(VefStep(v, len(hit), prod.table.size, counter.muladds - before))
-        factors = [summed] + miss
-    return FactorSet(factors, counter, steps)
+        summed = contract(hit, keep, counter, cap)
+        steps.append(VefStep(v, len(hit), size, counter.muladds - before))
+        facts[-key] = summed
+        for u in summed.vars:
+            index[u].add(-key)
+    return FactorSet([facts[k] for k in sorted(facts)], counter, steps)
 
 
 def marginal(
@@ -384,19 +380,9 @@ def marginal(
     output: Pattern,
     cap: int = DEFAULT_WEB_CAP,
 ) -> np.ndarray:
-    """Distribution over the output pattern's web read off a factor set."""
-    out_vars = pattern_fv(output)
-    g = sum_out(
-        big_product(fs.factors, fs.counter, cap), fs.vars() - out_vars, fs.counter, cap
-    )
-    assert set(g.vars) <= out_vars
-    n_cols = web_size(pattern_type(output))
-    col_dig = pattern_digits(output, np.arange(n_cols))
-    gspace = VarSpace(g.vars, cap=cap)
-    gidx = np.zeros(n_cols, dtype=np.int64)
-    for k, v in enumerate(gspace.vars):
-        gidx += np.asarray(col_dig[v.name]) * gspace.strides[k]
-    return g.flat()[gidx].copy()
+    """Distribution over the output pattern's web read off a factor set: the
+    factor product with every other variable summed out."""
+    return _readout(fs, (), output, cap).reshape(-1).copy()
 
 
 # ---------------------------------------------------------------- comparison and dumps

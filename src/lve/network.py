@@ -124,6 +124,8 @@ def _read_nodes(data: dict, names: list[str]) -> dict[str, tuple[list[str], list
         for row in cpt:
             if not isinstance(row, list) or len(row) != 2:
                 raise CptShapeMismatch(f"node {name}: each row needs two probabilities")
+            if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row):
+                raise NetworkFormatError(f"node {name}: CPT row {row!r} holds a non-number")
         nodes[name] = (parents, cpt)
     for name in names:
         if name not in nodes:

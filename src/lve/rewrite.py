@@ -34,6 +34,7 @@ from .errors import (
     NotDefined,
     NotPositive,
     OutputOverlap,
+    RewriteError,
     SideConditionViolated,
     TooFewDefinitions,
     UnknownVariable,
@@ -181,8 +182,10 @@ def apply_rule(
 
 
 def _subject_reduction(before: LetTerm, after: LetTerm, rule: str) -> LetTerm:
-    assert typecheck(after) == typecheck(before), f"{rule} changed the type"
-    assert free_vars(after) == free_vars(before), f"{rule} changed the free variables"
+    if typecheck(after) != typecheck(before):
+        raise RewriteError(f"{rule} changed the type")
+    if free_vars(after) != free_vars(before):
+        raise RewriteError(f"{rule} changed the free variables")
     return after
 
 

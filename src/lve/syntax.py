@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     ApplicationMismatch,
     ArrowSharing,
+    BinderCapture,
     InconsistentVariableTypes,
     InvalidPattern,
     NonPositiveLamParam,
@@ -240,6 +241,8 @@ class StochasticMatrix:
             raise TypeCheckError(
                 f"matrix {self.name}: table shape {arr.shape} != ({rows}, {web_size(self.out)})"
             )
+        if not np.isfinite(arr).all():
+            raise TypeCheckError(f"matrix {self.name}: non-finite entry")
         if (arr < 0).any():
             raise TypeCheckError(f"matrix {self.name}: negative entry")
         arr.flags.writeable = False
@@ -659,7 +662,7 @@ def _shadow(sub: dict[str, Variable], binder: Pattern) -> dict[str, Variable]:
     names = {v.name for v in pattern_vars(binder)}
     targets = {v.name for k, v in sub.items() if k not in names}
     if targets & names:
-        raise InvalidPattern(f"substitution would capture {sorted(targets & names)}")
+        raise BinderCapture(f"substitution would capture {sorted(targets & names)}")
     return {k: v for k, v in sub.items() if k not in names}
 
 

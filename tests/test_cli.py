@@ -257,3 +257,44 @@ def test_parse_error_exit_code(run, tmp_path):
     code, _, err = run("check", str(path))
     assert code == 2
     assert "error:" in err
+
+
+def test_vel_rejects_open_program_unless_emitting(run, tmp_path):
+    path = tmp_path / "open.lve"
+    path.write_text("matrix M : Bool -> Bool = [0.8, 0.2; 0.1, 0.9];\nx = M(a);\ny = M(x);\nin y")
+    code, _, err = run("vel", str(path))
+    assert code == 2
+    assert "closed" in err
+    code, out, _ = run("vel", "--emit-term", str(path))
+    assert code == 0
+    assert parse_program(out).term.output == parse_program(path.read_text()).term.output
+
+
+def test_vel_simplify_survives_inner_shadowing(run, tmp_path):
+    path = tmp_path / "shadow.lve"
+    path.write_text(
+        "matrix C : -> Bool = [0.3, 0.7];\n"
+        "matrix M : Bool -> Bool = [0.8, 0.2; 0.1, 0.9];\n"
+        "w = C;\n"
+        "(a, b) = let x = w in let w = M(x) in (w, w);\n"
+        "in (a, b)"
+    )
+    code, plain, _ = run("vel", "--order", "w", str(path))
+    assert code == 0
+    code, simplified, _ = run("vel", "--order", "w", "--simplify", str(path))
+    assert code == 0
+    assert simplified == plain
+    assert plain.splitlines()[-4:] == ["(t,t): 0.31", "(t,f): 0", "(f,t): 0", "(f,f): 0.69"]
+
+
+@pytest.mark.parametrize("cpt", ['[["x", 0.5]]', "[[NaN, 0.5]]"])
+def test_bad_cpt_entries_are_input_errors(run, tmp_path, cpt):
+    path = tmp_path / "net.json"
+    path.write_text(
+        '{"variables": [{"name": "a"}], "nodes": [{"var": "a", "parents": [], "cpt": %s}],'
+        ' "query": ["a"]}' % cpt
+    )
+    code, out, err = run("denote", "--no-stochastic-check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lve.cost import CostCounter
 from lve.denote import DenoteContext, denote
@@ -16,7 +17,6 @@ from lve.errors import (
 )
 from lve.factors import (
     Factor,
-    big_product,
     check_factor_vars,
     constant_factor,
     contract,
@@ -32,8 +32,10 @@ from lve.factors import (
     relation_from_factors,
     sum_out,
 )
-from lve.syntax import BOOL, LetTerm, MatApp, PLeaf, PPair, Var
-from lve.webs import enumerate_assignments
+from lve.network import network_to_program
+from lve.orderings import min_degree_order
+from lve.syntax import BOOL, LetTerm, MatApp, PLeaf, PPair, Tensor, Var, Variable, web_size
+from lve.webs import enumerate_assignments, sorted_vars
 from helpers import (
     SIXNODE_JOINT,
     SIXNODE_MAX_TABLE_FWD,
@@ -139,7 +141,7 @@ def test_contract_equals_product_then_sum():
     for _ in range(50):
         f = rng_factor(rng, [A, B])
         g = rng_factor(rng, [B, C])
-        direct = contract(f, g, [B])
+        direct = contract([f, g], [A, C])
         staged = sum_out(product(f, g), [B])
         assert direct.vars == staged.vars
         assert np.allclose(direct.table, staged.table, atol=1e-12)
@@ -151,19 +153,62 @@ def test_contract_caps_result_not_product():
     g = constant_factor(vs[1:])
     # The product web has 16 entries, above the cap, but the contracted
     # result (everything summed) is a scalar and passes.
-    out = contract(f, g, vs, cap=8)
+    out = contract([f, g], [], cap=8)
     assert out.vars == ()
     with pytest.raises(WebCapExceeded):
         product(f, g, cap=8)
 
 
-def test_big_product():
+def test_contract_keeping_everything_is_the_product():
     rng = np.random.default_rng(3)
     fs = [rng_factor(rng, [A]), rng_factor(rng, [B]), rng_factor(rng, [A, C])]
-    acc = big_product(fs)
+    acc = contract(fs, [A, B, C])
     assert acc.vars == (A, B, C)
-    empty = big_product([])
+    empty = contract([], [])
     assert empty.vars == () and empty.flat()[0] == 1.0
+
+
+POOL = (A, B, C, Variable("d", Tensor(BOOL, BOOL)), bvar("e"))
+
+
+@given(st.data())
+def test_contract_equals_product_then_sum_fold(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    subsets = st.lists(st.sampled_from(POOL), max_size=3, unique=True)
+    fs = [
+        Factor(vs, rng.random(tuple(web_size(v.ty) for v in vs)))
+        for vs in (sorted_vars(d) for d in data.draw(st.lists(subsets, max_size=5)))
+    ]
+    union = sorted_vars({v for f in fs for v in f.vars})
+    keep = data.draw(st.lists(st.sampled_from(union), unique=True)) if union else []
+    staged = constant_factor(())
+    for f in fs:
+        staged = product(staged, f)
+    staged = sum_out(staged, set(union) - set(keep))
+    direct = contract(fs, keep)
+    assert direct.vars == staged.vars
+    assert np.allclose(direct.table, staged.table, rtol=1e-12)
+
+
+def test_contract_rejects_kept_variable_outside_the_factors():
+    with pytest.raises(UnknownVariable):
+        contract([constant_factor([A])], [A, B])
+
+
+def test_star_past_einsum_operand_limit_matches_denote():
+    leaves = [f"y{i}" for i in range(1, 101)]
+    net = {
+        "variables": [{"name": v} for v in ["x"] + leaves],
+        "nodes": [{"var": "x", "parents": [], "cpt": [[0.3, 0.7]]}]
+        + [{"var": y, "parents": ["x"], "cpt": [[0.9, 0.1], [0.2, 0.8]]} for y in leaves],
+        "query": ["x"],
+    }
+    term = network_to_program(net).term
+    fs = eliminate(factors_of(term), min_degree_order(term))
+    assert len(fs) > 64
+    values = marginal(fs, term.output)
+    assert np.allclose(values, denote(term).matrix.reshape(-1), atol=1e-12)
+    assert np.allclose(values, [0.3, 0.7], atol=1e-12)
 
 
 def test_partition():

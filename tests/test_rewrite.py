@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import lve
 from lve.denote import denote, joint_vector
 from lve.errors import (
     InOutput,
@@ -456,3 +462,34 @@ def test_simplify_keeps_definition_structure(sixnode_term):
     assert cleaned.output == final.output
     assert_same_denotation(final, cleaned)
     assert simplify(cleaned) == cleaned
+
+
+def test_invariant_checks_survive_python_O():
+    # Under -O every assert is gone; these checks must raise all the same.
+    script = """
+from lve.errors import RewriteError, UnknownVariable
+from lve.factors import eliminate, factors_of, marginal
+from lve.parser import parse_program
+from lve.rewrite import _subject_reduction
+
+one = parse_program("matrix C : -> Bool = [0.3, 0.7];\\nx = C;\\nin x").term
+two = parse_program("matrix C : -> Bool = [0.3, 0.7];\\nx = C;\\ny = C;\\nin (x, y)").term
+try:
+    _subject_reduction(one, two, "mult")
+except RewriteError as err:
+    print("rewrite:", err)
+try:
+    marginal(eliminate(factors_of(one), list(one.defined_vars())), one.output)
+except UnknownVariable as err:
+    print("readout:", err)
+"""
+    src = pathlib.Path(lve.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "rewrite: mult changed the type",
+        "readout: kept variables ['x'] are in no factor",
+    ]
