@@ -21,7 +21,7 @@ import sys
 
 from .cost import DEFAULT_WEB_CAP
 from .denote import DenoteContext, collect_matrices, denote, joint_vector, total_mass_check
-from .errors import LveError, NotClosed, UnknownVariable
+from .errors import InOutput, LveError, NotClosed, UnknownVariable
 from .factors import dump_factors, eliminate, factors_of, marginal, relation_from_factors
 from .network import load_network
 from .orderings import min_degree_order, random_order
@@ -32,6 +32,7 @@ from .syntax import (
     LetTerm,
     Variable,
     free_vars,
+    pattern_fv,
     pattern_type,
     pattern_vars,
     type_str,
@@ -65,11 +66,14 @@ def _parse_order(term: LetTerm, names: str | None, ctx: DenoteContext) -> list[V
     if names is None:
         return min_degree_order(term, ctx)
     by_name = {v.name: v for v in term.defined_vars()}
+    output = pattern_fv(term.output)
     order = []
     for name in names.split(","):
         name = name.strip()
         if name not in by_name:
             raise UnknownVariable(f"--order names {name!r}, which is not defined in the term")
+        if by_name[name] in output:
+            raise InOutput(f"--order names {name!r}, which occurs in the output pattern")
         order.append(by_name[name])
     return order
 
@@ -121,11 +125,11 @@ def main(argv: list[str] | None = None) -> int:
     args = top.parse_args(argv)
     try:
         return _dispatch(args)
-    except LveError as err:
+    except (LveError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except RecursionError:
+        print("error: term nests too deeply for Python's recursion limit", file=sys.stderr)
         return 2
 
 
@@ -212,7 +216,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             _print_marginal(term, marginal(factors_of(final, ctx), term.output, args.web_cap))
         return 0
 
-    assert args.command == "compare"
+    # The one command left is compare.
     if free_vars(term):
         raise NotClosed("compare needs a closed program")
     cap = args.web_cap

@@ -30,13 +30,17 @@ from .syntax import (
     LetTerm,
     MatApp,
     Pair,
+    Pattern,
+    StochasticMatrix,
     Term,
     Tensor,
     Ty,
     Var,
     Variable,
     free_vars,
+    occurrences,
     pattern_fv,
+    pattern_to_expr,
     pattern_type,
     pattern_vars,
     typecheck,
@@ -90,8 +94,11 @@ def denote(t: Term, ctx: DenoteContext | None = None) -> Relation:
     if cached is not None:
         return cached
     typecheck(t)
-    e = t.to_expr() if isinstance(t, LetTerm) else t
-    rel = _denote(e, ctx)
+    if not isinstance(t, LetTerm):
+        return ctx.store(t, _denote(t, ctx))
+    rel = _denote(pattern_to_expr(t.output), ctx)
+    for binder, bound in reversed(t.defs):
+        rel = _let(binder, _denote(bound, ctx), rel, ctx)
     return ctx.store(t, rel)
 
 
@@ -168,29 +175,33 @@ def _denote(e: Expr, ctx: DenoteContext) -> Relation:
         )
 
     elif isinstance(e, Let):
-        rb = _denote(e.bound, ctx)
-        rk = _denote(e.body, ctx)
-        pv = pattern_fv(e.binder)
-        space = ctx.space(sorted_vars(set(rb.vars) | (set(rk.vars) - pv)))
-        kspace = ctx.space(rk.vars)
-        n_mid = web_size(rb.ty)
-        binder_dig = pattern_digits(e.binder, np.arange(n_mid))
-        rowbase = np.zeros(space.size, dtype=np.int64)
-        mid = np.zeros(n_mid, dtype=np.int64)
-        for k, v in enumerate(kspace.vars):
-            if v in pv:
-                mid += binder_dig[v.name] * kspace.strides[k]
-            else:
-                rowbase += space.digit(v) * kspace.strides[k]
-        a = rb.matrix[space.restriction_map(ctx.space(rb.vars))]
-        b = rk.matrix[rowbase[:, None] + mid[None, :]]
-        ctx.counter.count(muladds=space.size * n_mid * b.shape[2])
-        rel = _relation(ctx, space.vars, rk.ty, np.einsum("ak,akb->ab", a, b))
+        rel = _let(e.binder, _denote(e.bound, ctx), _denote(e.body, ctx), ctx)
 
     else:
         raise TypeError(f"not an expression: {e!r}")
 
     return ctx.store(e, rel)
+
+
+def _let(binder: Pattern, rb: Relation, rk: Relation, ctx: DenoteContext) -> Relation:
+    """`let binder = e in k` from the denotations of e and k: the bound value
+    summed over the binder's web."""
+    pv = pattern_fv(binder)
+    space = ctx.space(sorted_vars(set(rb.vars) | (set(rk.vars) - pv)))
+    kspace = ctx.space(rk.vars)
+    n_mid = web_size(rb.ty)
+    binder_dig = pattern_digits(binder, np.arange(n_mid))
+    rowbase = np.zeros(space.size, dtype=np.int64)
+    mid = np.zeros(n_mid, dtype=np.int64)
+    for k, v in enumerate(kspace.vars):
+        if v in pv:
+            mid += binder_dig[v.name] * kspace.strides[k]
+        else:
+            rowbase += space.digit(v) * kspace.strides[k]
+    a = rb.matrix[space.restriction_map(ctx.space(rb.vars))]
+    b = rk.matrix[rowbase[:, None] + mid[None, :]]
+    ctx.counter.count(muladds=space.size * n_mid * b.shape[2])
+    return _relation(ctx, space.vars, rk.ty, np.einsum("ak,akb->ab", a, b))
 
 
 def joint_vector(rel: Relation) -> np.ndarray:
@@ -224,21 +235,10 @@ def total_mass_check(t: Term, ctx: DenoteContext | None = None, tol: float = 1e-
     return MassReport(mass, expected, abs(mass - expected) <= tol)
 
 
-def collect_matrices(t: Term):
+def collect_matrices(t: Term) -> list[StochasticMatrix]:
     """All distinct matrices applied in a term, in first-use order."""
-    seen: dict[str, object] = {}
-
-    def walk(e: Expr) -> None:
-        if isinstance(e, MatApp):
-            seen.setdefault(e.matrix.name, e.matrix)
-        elif isinstance(e, Pair):
-            walk(e.fst)
-            walk(e.snd)
-        elif isinstance(e, Lam):
-            walk(e.body)
-        elif isinstance(e, Let):
-            walk(e.bound)
-            walk(e.body)
-
-    walk(t.to_expr() if isinstance(t, LetTerm) else t)
+    seen: dict[str, StochasticMatrix] = {}
+    for m in occurrences(t):
+        if isinstance(m, StochasticMatrix):
+            seen.setdefault(m.name, m)
     return list(seen.values())

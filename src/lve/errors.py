@@ -55,6 +55,10 @@ class WebCapExceeded(LveError):
     """A requested table would exceed the configured web-size cap."""
 
 
+class InvalidAxes(LveError):
+    """A factor's or variable space's axes are not sorted by name, or a factor's table does not fit its axes."""
+
+
 class SharedVarTypeMismatch(LveError):
     """Two factors disagree on the type of a shared variable."""
 

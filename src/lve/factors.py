@@ -24,6 +24,7 @@ from .cost import DEFAULT_WEB_CAP, CostCounter
 from .denote import DenoteContext, Relation, denote
 from .errors import (
     BinderCapture,
+    InvalidAxes,
     NotCanonicalized,
     SharedVarTypeMismatch,
     UnknownVariable,
@@ -58,9 +59,12 @@ class Factor:
     table: np.ndarray
 
     def __post_init__(self) -> None:
-        assert list(self.vars) == sorted(self.vars, key=lambda v: v.name)
+        if list(self.vars) != sorted(self.vars, key=lambda v: v.name):
+            raise InvalidAxes(f"factor axes {[v.name for v in self.vars]} are not sorted by name")
         arr = np.asarray(self.table, dtype=float)
-        assert arr.shape == tuple(web_size(v.ty) for v in self.vars)
+        dims = tuple(web_size(v.ty) for v in self.vars)
+        if arr.shape != dims:
+            raise InvalidAxes(f"factor table of shape {arr.shape} on axes of sizes {dims}")
         arr.flags.writeable = False
         object.__setattr__(self, "table", arr)
 

@@ -23,6 +23,7 @@ from .syntax import (
     Term,
     Var,
     Variable,
+    occurrences,
     type_str,
 )
 
@@ -88,46 +89,9 @@ def matrix_decl_str(m: StochasticMatrix) -> str:
 def _typed_vars(t: Term) -> list[Variable]:
     """Variables needing a declaration (non-Bool type), in first-use order."""
     seen: dict[str, Variable] = {}
-
-    def pat(p: Pattern) -> None:
-        if isinstance(p, PLeaf):
-            note(p.var)
-        else:
-            assert isinstance(p, PPair)
-            pat(p.left)
-            pat(p.right)
-
-    def note(v: Variable) -> None:
-        if v.ty != BOOL and v.name not in seen:
-            seen[v.name] = v
-
-    def walk(e: Expr) -> None:
-        if isinstance(e, Var):
-            note(e.var)
-        elif isinstance(e, MatApp):
-            for v in e.args:
-                note(v)
-        elif isinstance(e, ArrowApp):
-            note(e.fn)
-            pat(e.args)
-        elif isinstance(e, Pair):
-            walk(e.fst)
-            walk(e.snd)
-        elif isinstance(e, Lam):
-            pat(e.param)
-            walk(e.body)
-        elif isinstance(e, Let):
-            pat(e.binder)
-            walk(e.bound)
-            walk(e.body)
-
-    if isinstance(t, LetTerm):
-        for binder, bound in t.defs:
-            pat(binder)
-            walk(bound)
-        pat(t.output)
-    else:
-        walk(t)
+    for v in occurrences(t):
+        if isinstance(v, Variable) and v.ty != BOOL:
+            seen.setdefault(v.name, v)
     return list(seen.values())
 
 

@@ -39,7 +39,7 @@ from .errors import (
     TooFewDefinitions,
     UnknownVariable,
 )
-from .factors import factors_of, partition
+from .factors import Factor, factors_of
 from .syntax import (
     Arrow,
     ArrowApp,
@@ -65,6 +65,7 @@ from .syntax import (
     pattern_vars,
     size,
     subst_free_vars,
+    suffix_free_vars,
     typecheck,
 )
 
@@ -113,13 +114,13 @@ def apply_rule(
     fresh: FreshNames | None = None,
 ) -> LetTerm:
     """Apply one rule at a definition index; checks the side condition and
-    that type and free variables are preserved."""
+    that the rule preserves the type and free variables of the suffix from
+    that index (the definitions above it are untouched)."""
     n = len(term.defs)
     binary = rule in (SWAP1, SWAP2, SWAP3, MULT)
     if position < 0 or position >= n or (binary and position + 1 >= n):
         raise TooFewDefinitions(f"rule {rule} needs {'two definitions' if binary else 'a definition'} at index {position}")
 
-    before_defs = term.defs[:position]
     p1, e1 = term.defs[position]
 
     if rule == ELIM:
@@ -136,8 +137,7 @@ def apply_rule(
                 f"cannot drop {var.name}: the residual binder would be empty"
             )
         new_def = (residual, Let(p1, e1, pattern_to_expr(residual)))
-        result = LetTerm(before_defs + (new_def,) + term.defs[position + 1 :], term.output)
-        return _subject_reduction(term, result, rule)
+        return _checked(term, position, (new_def,) + term.defs[position + 1 :], rule)
 
     p2, e2 = term.defs[position + 1]
     after_defs = term.defs[position + 2 :]
@@ -177,8 +177,14 @@ def apply_rule(
     else:
         raise ValueError(f"unknown rule {rule!r}")
 
-    result = LetTerm(before_defs + mid + after_defs, term.output)
-    return _subject_reduction(term, result, rule)
+    return _checked(term, position, mid + after_defs, rule)
+
+
+def _checked(term: LetTerm, position: int, rewritten: tuple[tuple[Pattern, Expr], ...], rule: str) -> LetTerm:
+    """The term with its definitions from `position` on replaced, once the
+    replacement passes the subject-reduction check against the old suffix."""
+    _subject_reduction(_suffix(term, position), LetTerm(rewritten, term.output), rule)
+    return LetTerm(term.defs[:position] + rewritten, term.output)
 
 
 def _subject_reduction(before: LetTerm, after: LetTerm, rule: str) -> LetTerm:
@@ -192,32 +198,63 @@ def _subject_reduction(before: LetTerm, after: LetTerm, rule: str) -> LetTerm:
 # ---------------------------------------------------------------- guided application
 
 
+def _swap_rule(term: LetTerm, position: int) -> str:
+    """The swap rule that moves definition position + 1 above definition position."""
+    p1, _ = term.defs[position]
+    _, e2 = term.defs[position + 1]
+    shared = pattern_fv(p1) & free_vars(e2)
+    if not shared:
+        return SWAP1
+    return SWAP2 if all(not v.is_arrow for v in shared) else SWAP3
+
+
+Plan = list[tuple[int, str | None, Variable | None]]
+"""Rule applications in order: (position, rule or None for the applicable swap, elim variable)."""
+
+
+def _apply_plan(term: LetTerm, plan: Plan, fresh: FreshNames) -> tuple[LetTerm, list[RewriteStep]]:
+    steps = []
+    for position, rule, var in plan:
+        rule = rule or _swap_rule(term, position)
+        after = apply_rule(term, rule, position, var, fresh)
+        steps.append(RewriteStep(rule, position, var, term, after))
+        term = after
+    return term, steps
+
+
 def swap_first(term: LetTerm, fresh: FreshNames | None = None) -> tuple[LetTerm, RewriteStep]:
     """Move the second definition above the first with the applicable swap rule."""
     if len(term.defs) < 2:
         raise TooFewDefinitions("swapping needs two definitions")
-    p1, _ = term.defs[0]
-    _, e2 = term.defs[1]
-    shared = pattern_fv(p1) & free_vars(e2)
-    if not shared:
-        rule = SWAP1
-    elif all(not v.is_arrow for v in shared):
-        rule = SWAP2
-    else:
-        rule = SWAP3
+    rule = _swap_rule(term, 0)
     after = apply_rule(term, rule, 0, fresh=fresh)
     return after, RewriteStep(rule, 0, None, term, after)
 
 
-def _prepend(term: LetTerm, d: tuple[Pattern, Expr]) -> LetTerm:
-    return LetTerm((d,) + term.defs, term.output)
+def _gather_plan(term: LetTerm, start: int, targets: frozenset[Variable], fvs: list[frozenset[Variable]]) -> Plan:
+    """The rules that gather the targets into definition `start`, bottom-up.
 
-
-def _lift(steps: Sequence[RewriteStep], d: tuple[Pattern, Expr]) -> list[RewriteStep]:
-    return [
-        RewriteStep(s.rule, s.position + 1, s.var, _prepend(s.before, d), _prepend(s.after, d))
-        for s in steps
-    ]
+    Scanning down from `start`: a definition not using the targets is swapped
+    past the gathered one; one using them is merged with it (mult, or swap3
+    when it binds an arrow, which joins the targets) and the scan goes on
+    with the targets still free below it; the last definition using them is
+    the bottom. `fvs` holds the free variables of every suffix."""
+    plan: Plan = []
+    i = start
+    while targets:
+        binder, bound = term.defs[i]
+        if targets.isdisjoint(free_vars(bound)):
+            plan.append((i, None, None))
+        else:
+            arrow, _ = pattern_split(binder)
+            targets = targets & fvs[i + 1]
+            if arrow is not None:
+                targets = targets | {arrow}
+            elif not targets:
+                break
+            plan.append((i, MULT if arrow is None else SWAP3, None))
+        i += 1
+    return plan[::-1]
 
 
 def gather(
@@ -230,8 +267,9 @@ def gather(
     Targets must be free in the term and disjoint from the output variables.
     """
     targets = frozenset(targets)
-    if not targets <= free_vars(term):
-        missing = sorted(v.name for v in targets - free_vars(term))
+    fvs = suffix_free_vars(term)
+    if not targets <= fvs[0]:
+        missing = sorted(v.name for v in targets - fvs[0])
         raise UnknownVariable(f"gather targets not free in the term: {missing}")
     if targets & pattern_fv(term.output):
         raise OutputOverlap("gather targets meet the output pattern")
@@ -239,40 +277,18 @@ def gather(
         raise NotPositive("gathering is defined on positive terms")
     if fresh is None:
         fresh = FreshNames(collect_names(term))
-    return _gather(term, targets, fresh)
-
-
-def _gather(
-    term: LetTerm, targets: frozenset[Variable], fresh: FreshNames
-) -> tuple[LetTerm, list[RewriteStep]]:
-    if not targets:
-        return term, []
-    p1, e1 = term.defs[0]
-    tail = term.tail()
-    if not targets & free_vars(e1):
-        inner, steps = _gather(tail, targets, fresh)
-        lifted = _lift(steps, (p1, e1))
-        cur = _prepend(inner, (p1, e1))
-        after, step = swap_first(cur, fresh)
-        return after, lifted + [step]
-    arrow, _ = pattern_split(p1)
-    down = targets & free_vars(tail)
-    if arrow is not None:
-        down = down | {arrow}
-    elif not down:
-        return term, []
-    inner, steps = _gather(tail, down, fresh)
-    lifted = _lift(steps, (p1, e1))
-    cur = _prepend(inner, (p1, e1))
-    rule = MULT if arrow is None else SWAP3
-    after = apply_rule(cur, rule, 0, fresh=fresh)
-    return after, lifted + [RewriteStep(rule, 0, None, cur, after)]
+    return _apply_plan(term, _gather_plan(term, 0, targets, fvs), fresh)
 
 
 def eliminate_term(
     term: LetTerm, x: Variable, fresh: FreshNames | None = None
 ) -> tuple[LetTerm, list[RewriteStep]]:
-    """Make one defined positive variable local to its definition."""
+    """Make one defined positive variable local to its definition.
+
+    With k the first definition binding x: gather the definitions below k
+    that use x (or k's arrow variable) into definition k + 1, merge it into
+    k, drop x from k's binder, then swap the merged definition up past
+    definitions k - 1, ..., 0."""
     if not term.is_positive:
         raise NotPositive("elimination is defined on positive terms")
     if x.is_arrow:
@@ -283,31 +299,17 @@ def eliminate_term(
         raise InOutput(f"{x.name} occurs in the output pattern")
     if fresh is None:
         fresh = FreshNames(collect_names(term))
-    return _eliminate(term, x, fresh)
-
-
-def _eliminate(term: LetTerm, x: Variable, fresh: FreshNames) -> tuple[LetTerm, list[RewriteStep]]:
-    p1, e1 = term.defs[0]
-    tail = term.tail()
-    if x not in pattern_fv(p1):
-        inner, steps = _eliminate(tail, x, fresh)
-        lifted = _lift(steps, (p1, e1))
-        cur = _prepend(inner, (p1, e1))
-        after, step = swap_first(cur, fresh)
-        return after, lifted + [step]
-    if x not in free_vars(tail):
-        after = apply_rule(term, ELIM, 0, var=x)
-        return after, [RewriteStep(ELIM, 0, x, term, after)]
-    arrow, _ = pattern_split(p1)
-    targets = frozenset((x,)) if arrow is None else frozenset((x, arrow))
-    inner, steps = _gather(tail, targets, fresh)
-    lifted = _lift(steps, (p1, e1))
-    cur = _prepend(inner, (p1, e1))
-    rule = MULT if arrow is None else SWAP3
-    merged = apply_rule(cur, rule, 0, fresh=fresh)
-    steps2 = lifted + [RewriteStep(rule, 0, None, cur, merged)]
-    after = apply_rule(merged, ELIM, 0, var=x)
-    return after, steps2 + [RewriteStep(ELIM, 0, x, merged, after)]
+    k = next(i for i, (binder, _) in enumerate(term.defs) if x in pattern_fv(binder))
+    fvs = suffix_free_vars(term)
+    plan: Plan = []
+    if x in fvs[k + 1]:
+        arrow, _ = pattern_split(term.defs[k][0])
+        targets = frozenset((x,)) if arrow is None else frozenset((x, arrow))
+        plan = _gather_plan(term, k + 1, targets, fvs)
+        plan.append((k, MULT if arrow is None else SWAP3, None))
+    plan.append((k, ELIM, x))
+    plan.extend((j, None, None) for j in range(k - 1, -1, -1))
+    return _apply_plan(term, plan, fresh)
 
 
 def eliminate_seq(term: LetTerm, order: Sequence[Variable]) -> tuple[LetTerm, Trace]:
@@ -334,30 +336,39 @@ class SizeBound:
     step_limit: int
 
     @property
+    def size_ok(self) -> bool:
+        return self.size_after <= self.size_before + self.allowance
+
+    @property
+    def steps_ok(self) -> bool:
+        return self.steps <= self.step_limit
+
+    @property
     def ok(self) -> bool:
-        return (
-            self.size_after <= self.size_before + self.allowance
-            and self.steps <= self.step_limit
-        )
+        return self.size_ok and self.steps_ok
+
+
+def size_bound(before: LetTerm, factors: Sequence[Factor], x: Variable, after: LetTerm, steps: int) -> SizeBound:
+    """The guaranteed bounds on one elimination of x, given the factors of
+    `before`: at most one rewrite step per definition, and size growth at most
+    four per internal variable of the factors touching x."""
+    touched = [f.vars for f in factors if x in f.vars]
+    internal = set().union(*touched) - free_vars(before)
+    return SizeBound(
+        size_before=size(before),
+        size_after=size(after),
+        allowance=4 * len(internal),
+        steps=steps,
+        step_limit=len(before.defs),
+    )
 
 
 def size_bound_check(term: LetTerm, x: Variable) -> SizeBound:
     """Eliminate one variable and compare growth and step count against the
-    guaranteed bounds: at most one rewrite step per definition, and size growth
-    at most four per internal variable of the factors touching x."""
-    touched, _ = partition(factors_of(term).factors, {x})
-    internal: set[Variable] = set()
-    for f in touched:
-        internal.update(f.vars)
-    internal -= free_vars(term)
+    guaranteed bounds (see size_bound)."""
+    factors = factors_of(term).factors
     after, steps = eliminate_term(term, x)
-    return SizeBound(
-        size_before=size(term),
-        size_after=size(after),
-        allowance=4 * len(internal),
-        steps=len(steps),
-        step_limit=len(term.defs),
-    )
+    return size_bound(term, factors, x, after, len(steps))
 
 
 # ---------------------------------------------------------------- cleanup of administrative shapes

@@ -9,7 +9,8 @@ a context; a global consistency pass rejects one name used at two types.
 Terms are expressions: variables, matrix applications M(x...), arrow-variable
 applications f x..., pairs, lambdas over positive patterns, and lets binding a
 pattern. A let-term is the special shape "p1 = e1; ...; pn = en in out" used by
-factor extraction and rewriting; it converts to a nested expression on demand.
+factor extraction and rewriting: a flat tuple of definitions, which typing,
+scoping and every traversal walk directly, never as a nested let chain.
 
 Linearity discipline: positive variables may be shared, arrow variables are
 linear. Binary typing rules require the free arrow variables of their premises
@@ -20,7 +21,7 @@ in its body.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -331,6 +332,7 @@ class LetTerm:
     output: Pattern
 
     def to_expr(self) -> Expr:
+        """The same term as nested lets."""
         e = pattern_to_expr(self.output)
         for binder, bound in reversed(self.defs):
             e = Let(binder, bound, e)
@@ -358,7 +360,7 @@ Term = Expr | LetTerm
 
 def free_vars(t: Term) -> frozenset[Variable]:
     if isinstance(t, LetTerm):
-        return free_vars(t.to_expr())
+        return suffix_free_vars(t)[0]
     if isinstance(t, Var):
         return frozenset((t.var,))
     if isinstance(t, MatApp):
@@ -372,6 +374,16 @@ def free_vars(t: Term) -> frozenset[Variable]:
     if isinstance(t, Let):
         return free_vars(t.bound) | (free_vars(t.body) - pattern_fv(t.binder))
     raise TypeError(f"not a term: {t!r}")
+
+
+def suffix_free_vars(t: LetTerm) -> list[frozenset[Variable]]:
+    """Free variables of every suffix, by one pass from the back: entry i for
+    definitions i.. and the output, the last entry for the output alone."""
+    fvs = [pattern_fv(t.output)]
+    for binder, bound in reversed(t.defs):
+        fvs.append(free_vars(bound) | (fvs[-1] - pattern_fv(binder)))
+    fvs.reverse()
+    return fvs
 
 
 def free_arrow_vars(t: Term) -> frozenset[Variable]:
@@ -407,54 +419,60 @@ def size(t: Term) -> int:
     raise TypeError(f"not a term: {t!r}")
 
 
+# ---------------------------------------------------------------- occurrences
+
+
+def occurrences(t: Term) -> Iterator[Variable | StochasticMatrix]:
+    """Every variable occurrence, binders included, and every matrix
+    occurrence, in source order: a let or definition yields its binder, then
+    its bound expression, then its body. The walk keeps an explicit stack, so
+    nesting depth is not bounded by Python's recursion limit."""
+    stack: list = [t]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, (PLeaf, Var)):
+            yield e.var
+        elif isinstance(e, PPair):
+            stack += (e.right, e.left)
+        elif isinstance(e, MatApp):
+            yield e.matrix
+            yield from e.args
+        elif isinstance(e, Pair):
+            stack += (e.snd, e.fst)
+        elif isinstance(e, Let):
+            stack += (e.body, e.bound, e.binder)
+        elif isinstance(e, ArrowApp):
+            yield e.fn
+            stack.append(e.args)
+        elif isinstance(e, Lam):
+            stack += (e.body, e.param)
+        elif isinstance(e, LetTerm):
+            stack.append(e.output)
+            for binder, bound in reversed(e.defs):
+                stack += (bound, binder)
+        else:
+            raise TypeError(f"not a term: {e!r}")
+
+
+def _collect_types(t: Term) -> None:
+    """Reject one variable name used at two types."""
+    seen: dict[str, Ty] = {}
+    for v in occurrences(t):
+        if isinstance(v, Variable):
+            old = seen.setdefault(v.name, v.ty)
+            if old is not v.ty and old != v.ty:
+                raise InconsistentVariableTypes(
+                    f"variable {v.name} used at {type_str(old)} and {type_str(v.ty)}"
+                )
+
+
 # ---------------------------------------------------------------- type checking
 
 
-def _collect_types(t: Term, seen: dict[str, Ty]) -> None:
-    if isinstance(t, LetTerm):
-        for binder, bound in t.defs:
-            _collect_types(bound, seen)
-            for v in pattern_vars(binder):
-                _note_type(v, seen)
-        for v in pattern_vars(t.output):
-            _note_type(v, seen)
-        return
-    if isinstance(t, Var):
-        _note_type(t.var, seen)
-    elif isinstance(t, MatApp):
-        for v in t.args:
-            _note_type(v, seen)
-    elif isinstance(t, ArrowApp):
-        _note_type(t.fn, seen)
-        for v in pattern_vars(t.args):
-            _note_type(v, seen)
-    elif isinstance(t, Pair):
-        _collect_types(t.fst, seen)
-        _collect_types(t.snd, seen)
-    elif isinstance(t, Lam):
-        for v in pattern_vars(t.param):
-            _note_type(v, seen)
-        _collect_types(t.body, seen)
-    elif isinstance(t, Let):
-        _collect_types(t.bound, seen)
-        for v in pattern_vars(t.binder):
-            _note_type(v, seen)
-        _collect_types(t.body, seen)
-    else:
-        raise TypeError(f"not a term: {t!r}")
+Typing = tuple[Ty, frozenset[Variable], frozenset[Variable]]
 
 
-def _note_type(v: Variable, seen: dict[str, Ty]) -> None:
-    old = seen.get(v.name)
-    if old is None:
-        seen[v.name] = v.ty
-    elif old != v.ty:
-        raise InconsistentVariableTypes(
-            f"variable {v.name} used at {type_str(old)} and {type_str(v.ty)}"
-        )
-
-
-def _check(e: Expr) -> tuple[Ty, frozenset[Variable], frozenset[Variable]]:
+def _check(e: Expr) -> Typing:
     """Returns (type, free variables, free arrow variables)."""
     if isinstance(e, Var):
         fv = frozenset((e.var,))
@@ -501,32 +519,40 @@ def _check(e: Expr) -> tuple[Ty, frozenset[Variable], frozenset[Variable]]:
         pv = pattern_fv(e.param)
         return Arrow(pt, bt), fv - pv, fa - pv
     if isinstance(e, Let):
-        bt, bfv, bfa = _check(e.bound)
-        pt = pattern_type(e.binder)
-        if pt != bt:
-            raise PatternTypeMismatch(
-                f"binder has type {type_str(pt)}, bound expression has {type_str(bt)}"
-            )
-        yt, yfv, yfa = _check(e.body)
-        if bfa & yfa:
-            raise ArrowSharing(
-                f"arrow variables shared across a let: {sorted(v.name for v in bfa & yfa)}"
-            )
-        pv = pattern_fv(e.binder)
-        for v in pv:
-            if v.is_arrow and v not in yfa:
-                raise UnusedArrowBinder(f"bound arrow variable {v.name} unused in body")
-        return yt, bfv | (yfv - pv), bfa | (yfa - pv)
+        return _bind(e.binder, _check(e.bound), _check(e.body))
     raise TypeError(f"not an expression: {e!r}")
 
 
+def _bind(binder: Pattern, bound: Typing, body: Typing) -> Typing:
+    """The typing of `let binder = e in k` from the typings of e and k."""
+    bt, bfv, bfa = bound
+    pt = pattern_type(binder)
+    if pt != bt:
+        raise PatternTypeMismatch(
+            f"binder has type {type_str(pt)}, bound expression has {type_str(bt)}"
+        )
+    yt, yfv, yfa = body
+    if bfa & yfa:
+        raise ArrowSharing(
+            f"arrow variables shared across a let: {sorted(v.name for v in bfa & yfa)}"
+        )
+    pv = pattern_fv(binder)
+    for v in pv:
+        if v.is_arrow and v not in yfa:
+            raise UnusedArrowBinder(f"bound arrow variable {v.name} unused in body")
+    return yt, bfv | (yfv - pv), bfa | (yfa - pv)
+
+
 def typecheck(t: Term) -> Ty:
-    """Type of a term; raises a TypeCheckError subclass on failure."""
-    seen: dict[str, Ty] = {}
-    _collect_types(t, seen)
-    e = t.to_expr() if isinstance(t, LetTerm) else t
-    ty, _, _ = _check(e)
-    return ty
+    """Type of a term; raises a TypeCheckError subclass on failure. A let-term's
+    definitions are folded from the back, one `_bind` each."""
+    _collect_types(t)
+    if not isinstance(t, LetTerm):
+        return _check(t)[0]
+    typing = _check(pattern_to_expr(t.output))
+    for binder, bound in reversed(t.defs):
+        typing = _bind(binder, _check(bound), typing)
+    return typing[0]
 
 
 # ---------------------------------------------------------------- renaming
@@ -552,29 +578,7 @@ class FreshNames:
 
 def collect_names(t: Term) -> set[str]:
     """All variable names occurring in a term, free or bound."""
-    out: set[str] = set()
-
-    def walk(e: Expr) -> None:
-        if isinstance(e, Var):
-            out.add(e.var.name)
-        elif isinstance(e, MatApp):
-            out.update(v.name for v in e.args)
-        elif isinstance(e, ArrowApp):
-            out.add(e.fn.name)
-            out.update(v.name for v in pattern_vars(e.args))
-        elif isinstance(e, Pair):
-            walk(e.fst)
-            walk(e.snd)
-        elif isinstance(e, Lam):
-            out.update(v.name for v in pattern_vars(e.param))
-            walk(e.body)
-        elif isinstance(e, Let):
-            walk(e.bound)
-            out.update(v.name for v in pattern_vars(e.binder))
-            walk(e.body)
-
-    walk(t.to_expr() if isinstance(t, LetTerm) else t)
-    return out
+    return {v.name for v in occurrences(t) if isinstance(v, Variable)}
 
 
 def _rename_pattern(p: Pattern, env: dict[str, Variable], names: FreshNames) -> Pattern:
@@ -736,7 +740,18 @@ def _alpha_expr(a: Expr, b: Expr, env: _AlphaEnv) -> bool:
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
-    """Structural equality up to consistent renaming of bound variables."""
-    ea = a.to_expr() if isinstance(a, LetTerm) else a
-    eb = b.to_expr() if isinstance(b, LetTerm) else b
-    return _alpha_expr(ea, eb, _AlphaEnv())
+    """Structural equality up to consistent renaming of bound variables; a
+    let-term never equals a plain expression."""
+    env = _AlphaEnv()
+    if isinstance(a, LetTerm) != isinstance(b, LetTerm):
+        return False
+    if not isinstance(a, LetTerm):
+        return _alpha_expr(a, b, env)
+    if len(a.defs) != len(b.defs):
+        return False
+    # Each binder scopes over everything after it, so one environment grows
+    # definition by definition.
+    for (pa, ea), (pb, eb) in zip(a.defs, b.defs):
+        if not (_alpha_expr(ea, eb, env) and _alpha_pattern(pa, pb, env)):
+            return False
+    return _alpha_args(a.output, b.output, env)

@@ -23,13 +23,12 @@ from .factors import (
     factors_of,
     check_factor_vars,
     marginal,
-    partition,
     relation_from_factors,
 )
 from .network import network_to_program
 from .orderings import min_degree_order, random_order
 from .parser import SourceProgram
-from .rewrite import eliminate_term
+from .rewrite import eliminate_term, size_bound
 from .syntax import (
     Expr,
     FreshNames,
@@ -44,7 +43,6 @@ from .syntax import (
     pattern_fv,
     pattern_type,
     pattern_vars,
-    size,
     typecheck,
 )
 from .webs import (
@@ -281,30 +279,27 @@ def check_instance(
         fresh = FreshNames(collect_names(term))
         failed = False
         for x in order:
-            touched, _ = partition(cur_fs.factors, {x})
-            internal: set[Variable] = set()
-            for f in touched:
-                internal.update(f.vars)
-            internal -= free_vars(cur)
             try:
                 nxt, steps = eliminate_term(cur, x, fresh)
             except LveError as err:
                 fail(CheckFailure(instance, order_name, "rewrite", f"{x.name}: {err}"))
                 failed = True
                 break
-            if len(steps) > len(cur.defs):
+            bound = size_bound(cur, cur_fs.factors, x, nxt, len(steps))
+            if not bound.steps_ok:
                 fail(
                     CheckFailure(
-                        instance, order_name, "step-bound", f"{len(steps)} steps for {len(cur.defs)} definitions"
+                        instance, order_name, "step-bound", f"{bound.steps} steps for {bound.step_limit} definitions"
                     )
                 )
-            if size(nxt) > size(cur) + 4 * len(internal):
+            if not bound.size_ok:
                 fail(
                     CheckFailure(
                         instance,
                         order_name,
                         "size-bound",
-                        f"{size(cur)} grew to {size(nxt)} with {len(internal)} internal variables",
+                        f"{bound.size_before} grew to {bound.size_after}"
+                        f" with {bound.allowance // 4} internal variables",
                     )
                 )
             for s in steps:

@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .cost import DEFAULT_WEB_CAP
-from .errors import NotPositive, WebCapExceeded
+from .errors import InvalidAxes, NotPositive, WebCapExceeded
 from .syntax import (
     Arrow,
     Bool,
@@ -162,7 +162,8 @@ class VarSpace:
     """
 
     def __init__(self, vars: tuple[Variable, ...], cap: int = DEFAULT_WEB_CAP):
-        assert list(vars) == sorted(vars, key=lambda v: v.name), "VarSpace wants sorted vars"
+        if list(vars) != sorted(vars, key=lambda v: v.name):
+            raise InvalidAxes(f"VarSpace wants sorted vars, got {[v.name for v in vars]}")
         self.vars = vars
         self.dims = tuple(web_size(v.ty) for v in vars)
         size = 1

@@ -298,3 +298,22 @@ def test_bad_cpt_entries_are_input_errors(run, tmp_path, cpt):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["vef", "cost", "compare"])
+def test_order_rejects_output_variables(run, sixnode_path, command):
+    code, out, err = run(command, "--order", "x3,x1", sixnode_path)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --order names 'x3', which occurs in the output pattern\n"
+
+
+def test_deep_nesting_is_an_input_error(run, tmp_path):
+    depth = 3000
+    nested = "".join(f"let a{i} = {'C' if i == 1 else f'a{i - 1}'} in " for i in range(1, depth + 1))
+    path = tmp_path / "deep.lve"
+    path.write_text(f"matrix C : -> Bool = [0.3, 0.7];\ny = {nested}a{depth};\nin y")
+    code, out, err = run("check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: term nests too deeply")

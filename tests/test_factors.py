@@ -10,6 +10,7 @@ from lve.cost import CostCounter
 from lve.denote import DenoteContext, denote
 from lve.errors import (
     BinderCapture,
+    InvalidAxes,
     NotCanonicalized,
     SharedVarTypeMismatch,
     UnknownVariable,
@@ -66,9 +67,9 @@ def same_function(f: Factor, g: Factor, tol: float = 1e-9) -> bool:
 
 
 def test_factor_axes_must_be_sorted():
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidAxes):
         Factor((B, A), np.ones((2, 2)))
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidAxes):
         Factor((A,), np.ones(3))
 
 

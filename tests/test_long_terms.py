@@ -1,0 +1,60 @@
+"""Terms with thousands of definitions, under the default recursion limit."""
+
+from __future__ import annotations
+
+import json
+import sys
+
+import numpy as np
+
+from lve.cli import main
+from lve.denote import DenoteContext, denote, joint_vector
+from lve.factors import eliminate, factors_of, marginal
+from lve.network import network_to_program
+from lve.orderings import min_degree_order
+from lve.parser import parse_program
+from lve.printer import program_str
+from lve.syntax import free_vars, typecheck
+
+LENGTH = 2000
+
+
+def chain_network(n: int) -> dict:
+    """x1 -> x2 -> ... -> xn, querying xn; each row is [p, 1 - p] with p in 0.1..0.9."""
+    names = [f"x{i + 1}" for i in range(n)]
+    rows = [[round(0.1 + 0.8 * ((7 * i) % 11) / 10, 2)] for i in range(2 * n)]
+    nodes = [{"var": names[0], "parents": [], "cpt": [[rows[0][0], 1 - rows[0][0]]]}]
+    for i in range(1, n):
+        a, b = rows[2 * i][0], rows[2 * i + 1][0]
+        nodes.append({"var": names[i], "parents": [names[i - 1]], "cpt": [[a, 1 - a], [b, 1 - b]]})
+    return {"variables": [{"name": v} for v in names], "nodes": nodes, "query": [names[-1]]}
+
+
+def test_long_chain_runs_every_route_but_vel(tmp_path, capsys):
+    assert sys.getrecursionlimit() <= 1000
+    net = chain_network(LENGTH)
+    term = network_to_program(net).term
+    assert len(term.defs) == LENGTH
+
+    reparsed = parse_program(program_str(term)).term
+    assert len(reparsed.defs) == LENGTH
+    typecheck(reparsed)
+    assert free_vars(reparsed) == frozenset()
+
+    # The marginal of the last node, by one vector-matrix product per edge.
+    expected = np.array(net["nodes"][0]["cpt"][0])
+    for node in net["nodes"][1:]:
+        expected = expected @ np.array(node["cpt"])
+
+    assert np.allclose(joint_vector(denote(reparsed)), expected, atol=1e-9)
+    ctx = DenoteContext()
+    fs = eliminate(factors_of(reparsed, ctx), min_degree_order(reparsed, ctx))
+    assert np.allclose(marginal(fs, reparsed.output), expected, atol=1e-9)
+
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(net))
+    assert main(["vef", str(path)]) == 0
+    # Min-degree eliminates x1, x2, ... in turn: each step multiplies a
+    # one-variable message into a two-variable CPT (4 multiply-adds) and sums
+    # one variable out of the 4-entry product (4 more).
+    assert capsys.readouterr().out.splitlines()[-2:] == [f"muladds: {8 * (LENGTH - 1)}", "max_table: 4"]

@@ -467,8 +467,9 @@ def test_simplify_keeps_definition_structure(sixnode_term):
 def test_invariant_checks_survive_python_O():
     # Under -O every assert is gone; these checks must raise all the same.
     script = """
-from lve.errors import RewriteError, UnknownVariable
-from lve.factors import eliminate, factors_of, marginal
+import numpy as np
+from lve.errors import InvalidAxes, RewriteError, UnknownVariable
+from lve.factors import Factor, eliminate, factors_of, marginal
 from lve.parser import parse_program
 from lve.rewrite import _subject_reduction
 
@@ -482,6 +483,11 @@ try:
     marginal(eliminate(factors_of(one), list(one.defined_vars())), one.output)
 except UnknownVariable as err:
     print("readout:", err)
+x, y = sorted(two.defined_vars(), key=lambda v: v.name)
+try:
+    Factor((y, x), np.ones((2, 2)))
+except InvalidAxes as err:
+    print("axes:", err)
 """
     src = pathlib.Path(lve.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -492,4 +498,5 @@ except UnknownVariable as err:
     assert done.stdout.splitlines() == [
         "rewrite: mult changed the type",
         "readout: kept variables ['x'] are in no factor",
+        "axes: factor axes ['y', 'x'] are not sorted by name",
     ]

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from lve.errors import (
     ApplicationMismatch,
     ArrowSharing,
+    InconsistentVariableTypes,
     InvalidPattern,
     NonPositiveLamParam,
     TypeCheckError,
@@ -174,6 +175,36 @@ def test_typecheck_let_binder_mismatch():
     a, b = bvar("a"), bvar("b")
     with pytest.raises(TypeCheckError):
         typecheck(Let(PPair(PLeaf(a), PLeaf(b)), MatApp(m, ()), Var(a)))
+
+
+def test_typecheck_rejects_a_binder_used_at_another_type():
+    coin = matrix("C", 0, [[0.3, 0.7]])
+    x, y = bvar("x"), Variable("y", BB)
+    term = LetTerm(((PLeaf(x), MatApp(coin, ())), (PLeaf(y), Var(Variable("x", BB)))), PLeaf(y))
+    with pytest.raises(InconsistentVariableTypes, match=r"x used at Bool and \(Bool \* Bool\)"):
+        typecheck(term)
+
+
+def test_typecheck_rejects_a_lambda_parameter_at_another_type():
+    # x = C; p = (x, x); f = \x. C; y = f(p); in y, the lambda's x a pair.
+    coin = matrix("C", 0, [[0.3, 0.7]])
+    x, p, y = bvar("x"), Variable("p", BB), bvar("y")
+    f = Variable("f", Arrow(BB, BOOL))
+
+    def term(param: Variable) -> LetTerm:
+        return LetTerm(
+            (
+                (PLeaf(x), MatApp(coin, ())),
+                (PLeaf(p), Pair(Var(x), Var(x))),
+                (PLeaf(f), Lam(PLeaf(param), MatApp(coin, ()))),
+                (PLeaf(y), ArrowApp(f, PLeaf(p))),
+            ),
+            PLeaf(y),
+        )
+
+    assert typecheck(term(Variable("q", BB))) == BOOL
+    with pytest.raises(InconsistentVariableTypes, match=r"x used at Bool and \(Bool \* Bool\)"):
+        typecheck(term(Variable("x", BB)))
 
 
 def test_free_vars():

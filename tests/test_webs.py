@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lve.errors import NotPositive, WebCapExceeded
+from lve.errors import InvalidAxes, NotPositive, WebCapExceeded
 from lve.syntax import BOOL, Arrow, PLeaf, PPair, Tensor, Variable, web_size
 from lve.webs import (
     Assignment,
@@ -116,7 +116,7 @@ def test_varspace_round_trip():
 
 
 def test_varspace_requires_sorted():
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidAxes):
         VarSpace((bvar("b"), bvar("a")))
 
 
