@@ -108,6 +108,15 @@ class ParseError(LveError):
         self.col = col
 
 
+class NestingTooDeep(ParseError):
+    """A term nests deeper than the parser can follow under Python's recursion limit."""
+
+    def __init__(self, line: int, col: int):
+        LveError.__init__(self, f"term nests too deeply for Python's recursion limit (at {line}:{col})")
+        self.line = line
+        self.col = col
+
+
 class UndeclaredMatrix(LveError):
     """An applied capitalized name has no matrix declaration."""
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import random
 
 from .denote import DenoteContext
@@ -21,22 +22,34 @@ def elimination_candidates(term: LetTerm) -> list[Variable]:
 def min_degree_order(term: LetTerm, ctx: DenoteContext | None = None) -> list[Variable]:
     """Greedy order: repeatedly pick the candidate with the fewest neighbours
     in the interaction graph of the factors, connecting its neighbours as if
-    eliminated. Ties break by name."""
+    eliminated. Ties break by name.
+
+    The candidates wait in a heap keyed on (degree, rank in name order). A
+    candidate whose neighbourhood changes is pushed again with its new
+    degree, and a popped entry whose degree is out of date, or whose
+    variable is gone, is dropped."""
     adj: dict[Variable, set[Variable]] = {}
     for f in factors_of(term, ctx).factors:
         for v in f.vars:
             adj.setdefault(v, set()).update(u for u in f.vars if u != v)
-    remaining = set(elimination_candidates(term))
-    for v in remaining:
+    candidates = elimination_candidates(term)
+    rank = {v: i for i, v in enumerate(candidates)}
+    for v in candidates:
         adj.setdefault(v, set())
+    heap = [(len(adj[v]), i) for i, v in enumerate(candidates)]
+    heapq.heapify(heap)
     order: list[Variable] = []
-    while remaining:
-        pick = min(remaining, key=lambda v: (len(adj[v]), v.name))
+    while heap:
+        degree, i = heapq.heappop(heap)
+        pick = candidates[i]
+        if pick not in adj or len(adj[pick]) != degree:
+            continue
         neighbours = adj.pop(pick)
         for u in neighbours:
             adj[u].discard(pick)
             adj[u].update(w for w in neighbours if w != u)
-        remaining.remove(pick)
+            if u in rank:
+                heapq.heappush(heap, (len(adj[u]), rank[u]))
         order.append(pick)
     return order
 

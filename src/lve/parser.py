@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError, UndeclaredArrowVariable, UndeclaredMatrix
+from .errors import NestingTooDeep, ParseError, UndeclaredArrowVariable, UndeclaredMatrix
 from .syntax import (
     Arrow,
     ArrowApp,
@@ -352,7 +352,12 @@ class _Parser:
 
 
 def parse_program(text: str) -> SourceProgram:
-    return _Parser(text).parse_program()
+    parser = _Parser(text)
+    try:
+        return parser.parse_program()
+    except RecursionError:
+        t = parser.peek()
+        raise NestingTooDeep(t.line, t.col) from None
 
 
 def parse_term(text: str) -> LetTerm:

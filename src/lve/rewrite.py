@@ -63,6 +63,7 @@ from .syntax import (
     pattern_to_expr,
     pattern_type,
     pattern_vars,
+    replace_defs,
     size,
     subst_free_vars,
     suffix_free_vars,
@@ -102,10 +103,6 @@ class Trace:
         return self.steps[-1].after if self.steps else self.initial
 
 
-def _suffix(term: LetTerm, position: int) -> LetTerm:
-    return LetTerm(term.defs[position:], term.output)
-
-
 def apply_rule(
     term: LetTerm,
     rule: str,
@@ -115,7 +112,8 @@ def apply_rule(
 ) -> LetTerm:
     """Apply one rule at a definition index; checks the side condition and
     that the rule preserves the type and free variables of the suffix from
-    that index (the definitions above it are untouched)."""
+    that index (the definitions above it are untouched). The check costs the
+    definitions the rule rewrites, not the length of the term (`_checked`)."""
     n = len(term.defs)
     binary = rule in (SWAP1, SWAP2, SWAP3, MULT)
     if position < 0 or position >= n or (binary and position + 1 >= n):
@@ -128,8 +126,7 @@ def apply_rule(
             raise ValueError("elim needs the variable to drop")
         if var not in pattern_fv(p1):
             raise SideConditionViolated(f"{var.name} not bound at definition {position}")
-        rest = _suffix(term, position + 1)
-        if var in free_vars(rest):
+        if var in free_vars(term.suffix(position + 1)):
             raise SideConditionViolated(f"{var.name} still used after definition {position}")
         residual = pattern_remove(p1, var)
         if residual is None:
@@ -137,10 +134,9 @@ def apply_rule(
                 f"cannot drop {var.name}: the residual binder would be empty"
             )
         new_def = (residual, Let(p1, e1, pattern_to_expr(residual)))
-        return _checked(term, position, (new_def,) + term.defs[position + 1 :], rule)
+        return _checked(term, position, 1, (new_def,), rule)
 
     p2, e2 = term.defs[position + 1]
-    after_defs = term.defs[position + 2 :]
     shared = pattern_fv(p1) & free_vars(e2)
 
     if rule == SWAP1:
@@ -177,14 +173,18 @@ def apply_rule(
     else:
         raise ValueError(f"unknown rule {rule!r}")
 
-    return _checked(term, position, mid + after_defs, rule)
+    return _checked(term, position, 2, mid, rule)
 
 
-def _checked(term: LetTerm, position: int, rewritten: tuple[tuple[Pattern, Expr], ...], rule: str) -> LetTerm:
-    """The term with its definitions from `position` on replaced, once the
-    replacement passes the subject-reduction check against the old suffix."""
-    _subject_reduction(_suffix(term, position), LetTerm(rewritten, term.output), rule)
-    return LetTerm(term.defs[:position] + rewritten, term.output)
+def _checked(term: LetTerm, position: int, width: int, mid: tuple[tuple[Pattern, Expr], ...], rule: str) -> LetTerm:
+    """The term with the `width` definitions at `position` replaced by `mid`,
+    once the suffix from `position` passes the subject-reduction check.
+    `replace_defs` types only `mid`, on top of the cached typing of the tail,
+    and leaves the new suffix its typing; the old suffix has one cached once
+    its term was typechecked, so the check then compares cached values."""
+    after = replace_defs(term, position, width, mid)
+    _subject_reduction(term.suffix(position), after.suffix(position), rule)
+    return after
 
 
 def _subject_reduction(before: LetTerm, after: LetTerm, rule: str) -> LetTerm:
@@ -293,13 +293,13 @@ def eliminate_term(
         raise NotPositive("elimination is defined on positive terms")
     if x.is_arrow:
         raise SideConditionViolated("cannot eliminate an arrow variable directly")
-    if x not in term.defined_vars():
+    k = next((i for i, (binder, _) in enumerate(term.defs) if x in pattern_fv(binder)), None)
+    if k is None:
         raise NotDefined(f"{x.name} is not defined in the term")
     if x in pattern_fv(term.output):
         raise InOutput(f"{x.name} occurs in the output pattern")
     if fresh is None:
         fresh = FreshNames(collect_names(term))
-    k = next(i for i, (binder, _) in enumerate(term.defs) if x in pattern_fv(binder))
     fvs = suffix_free_vars(term)
     plan: Plan = []
     if x in fvs[k + 1]:

@@ -263,7 +263,14 @@ def check_stochastic(m: StochasticMatrix, tol: float = 1e-9) -> StochasticMatrix
 
 
 class Expr:
-    """Base class of expressions."""
+    """Base class of expressions.
+
+    `_typing` is the node's (type, free variables, free arrow variables),
+    stored by `_check` the first time it succeeds. Nodes are immutable and
+    their typing needs no context, so a term built on top of checked nodes
+    costs only its new nodes to type."""
+
+    _typing = None
 
 
 @dataclass(frozen=True)
@@ -326,10 +333,16 @@ def expr_to_pattern(e: Expr) -> Pattern | None:
 
 @dataclass(frozen=True)
 class LetTerm:
-    """A chain of definitions ending in an output pattern."""
+    """A chain of definitions ending in an output pattern.
+
+    `_typings` caches the typings of the suffixes computed so far, the output
+    alone first (see `_suffix_typing`); a suffix term shares its parent's
+    list, since the entries depend only on the definitions from the back."""
 
     defs: tuple[tuple[Pattern, Expr], ...]
     output: Pattern
+
+    _typings = None
 
     def to_expr(self) -> Expr:
         """The same term as nested lets."""
@@ -348,8 +361,15 @@ class LetTerm:
             out.update(pattern_vars(binder))
         return frozenset(out)
 
+    def suffix(self, i: int) -> "LetTerm":
+        """Definitions i.. and the output, sharing the cached typings."""
+        t = LetTerm(self.defs[i:], self.output)
+        if self._typings is not None:
+            object.__setattr__(t, "_typings", self._typings)
+        return t
+
     def tail(self) -> "LetTerm":
-        return LetTerm(self.defs[1:], self.output)
+        return self.suffix(1)
 
 
 Term = Expr | LetTerm
@@ -359,8 +379,16 @@ Term = Expr | LetTerm
 
 
 def free_vars(t: Term) -> frozenset[Variable]:
+    """Free variables, read off a cached typing when there is one; never
+    typechecks."""
     if isinstance(t, LetTerm):
+        typings = t._typings
+        if typings is not None and len(typings) > len(t.defs):
+            return typings[len(t.defs)][1]
         return suffix_free_vars(t)[0]
+    typing = getattr(t, "_typing", None)
+    if typing is not None:
+        return typing[1]
     if isinstance(t, Var):
         return frozenset((t.var,))
     if isinstance(t, MatApp):
@@ -377,10 +405,13 @@ def free_vars(t: Term) -> frozenset[Variable]:
 
 
 def suffix_free_vars(t: LetTerm) -> list[frozenset[Variable]]:
-    """Free variables of every suffix, by one pass from the back: entry i for
-    definitions i.. and the output, the last entry for the output alone."""
-    fvs = [pattern_fv(t.output)]
-    for binder, bound in reversed(t.defs):
+    """Free variables of every suffix: entry i for definitions i.. and the
+    output, the last entry for the output alone. They are read off the cached
+    suffix typings, and folded from the back with the let scoping step for
+    the suffixes not typed yet."""
+    n = len(t.defs)
+    fvs = [typing[1] for typing in (t._typings or ())[: n + 1]] or [pattern_fv(t.output)]
+    for binder, bound in reversed(t.defs[: n + 1 - len(fvs)]):
         fvs.append(free_vars(bound) | (fvs[-1] - pattern_fv(binder)))
     fvs.reverse()
     return fvs
@@ -427,9 +458,16 @@ def occurrences(t: Term) -> Iterator[Variable | StochasticMatrix]:
     occurrence, in source order: a let or definition yields its binder, then
     its bound expression, then its body. The walk keeps an explicit stack, so
     nesting depth is not bounded by Python's recursion limit."""
-    stack: list = [t]
+    return _occurrences([t], frozenset())
+
+
+def _occurrences(stack: list, skip: frozenset[int]) -> Iterator[Variable | StochasticMatrix]:
+    """The walk of `occurrences` from the nodes on `stack`, last first,
+    leaving out the nodes whose `id` is in `skip` and everything below them."""
     while stack:
         e = stack.pop()
+        if skip and id(e) in skip:
+            continue
         if isinstance(e, (PLeaf, Var)):
             yield e.var
         elif isinstance(e, PPair):
@@ -473,11 +511,15 @@ Typing = tuple[Ty, frozenset[Variable], frozenset[Variable]]
 
 
 def _check(e: Expr) -> Typing:
-    """Returns (type, free variables, free arrow variables)."""
+    """Returns (type, free variables, free arrow variables), and keeps them
+    on the node (`Expr._typing`)."""
+    typing = getattr(e, "_typing", None)
+    if typing is not None:
+        return typing
     if isinstance(e, Var):
         fv = frozenset((e.var,))
-        return e.var.ty, fv, (fv if e.var.is_arrow else frozenset())
-    if isinstance(e, MatApp):
+        typing = e.var.ty, fv, (fv if e.var.is_arrow else frozenset())
+    elif isinstance(e, MatApp):
         if len(set(e.args)) != len(e.args):
             raise InvalidPattern(f"matrix {e.matrix.name} applied to repeated variables")
         if len(e.args) != len(e.matrix.slots):
@@ -490,8 +532,8 @@ def _check(e: Expr) -> Typing:
                     f"matrix {e.matrix.name}: argument {v.name} has type "
                     f"{type_str(v.ty)}, slot wants {type_str(s)}"
                 )
-        return e.matrix.out, frozenset(e.args), frozenset()
-    if isinstance(e, ArrowApp):
+        typing = e.matrix.out, frozenset(e.args), frozenset()
+    elif isinstance(e, ArrowApp):
         if not e.fn.is_arrow:
             raise ApplicationMismatch(f"{e.fn.name} applied but not arrow-typed")
         at = pattern_type(e.args)
@@ -502,25 +544,28 @@ def _check(e: Expr) -> Typing:
             raise ApplicationMismatch(
                 f"{e.fn.name} wants {type_str(e.fn.ty.input)}, argument has {type_str(at)}"
             )
-        return e.fn.ty.result, pattern_fv(e.args) | {e.fn}, frozenset((e.fn,))
-    if isinstance(e, Pair):
+        typing = e.fn.ty.result, pattern_fv(e.args) | {e.fn}, frozenset((e.fn,))
+    elif isinstance(e, Pair):
         t1, fv1, fa1 = _check(e.fst)
         t2, fv2, fa2 = _check(e.snd)
         if not t1.is_positive:
             raise TypeCheckError("first pair component must have positive type")
         if fa1 & fa2:
             raise ArrowSharing(f"arrow variables shared across a pair: {sorted(v.name for v in fa1 & fa2)}")
-        return Tensor(t1, t2), fv1 | fv2, fa1 | fa2
-    if isinstance(e, Lam):
+        typing = Tensor(t1, t2), fv1 | fv2, fa1 | fa2
+    elif isinstance(e, Lam):
         pt = pattern_type(e.param)
         if not pt.is_positive:
             raise NonPositiveLamParam("lambda parameter pattern must be positive")
         bt, fv, fa = _check(e.body)
         pv = pattern_fv(e.param)
-        return Arrow(pt, bt), fv - pv, fa - pv
-    if isinstance(e, Let):
-        return _bind(e.binder, _check(e.bound), _check(e.body))
-    raise TypeError(f"not an expression: {e!r}")
+        typing = Arrow(pt, bt), fv - pv, fa - pv
+    elif isinstance(e, Let):
+        typing = _bind(e.binder, _check(e.bound), _check(e.body))
+    else:
+        raise TypeError(f"not an expression: {e!r}")
+    object.__setattr__(e, "_typing", typing)
+    return typing
 
 
 def _bind(binder: Pattern, bound: Typing, body: Typing) -> Typing:
@@ -545,14 +590,84 @@ def _bind(binder: Pattern, bound: Typing, body: Typing) -> Typing:
 
 def typecheck(t: Term) -> Ty:
     """Type of a term; raises a TypeCheckError subclass on failure. A let-term's
-    definitions are folded from the back, one `_bind` each."""
-    _collect_types(t)
+    definitions are folded from the back, one `_bind` each, and the typings of
+    its suffixes stay cached on it."""
     if not isinstance(t, LetTerm):
+        _collect_types(t)
         return _check(t)[0]
-    typing = _check(pattern_to_expr(t.output))
-    for binder, bound in reversed(t.defs):
+    if len(t._typings or ()) <= len(t.defs):
+        _collect_types(t)
+    return _suffix_typing(t, 0)[0]
+
+
+def _suffix_typing(t: LetTerm, i: int) -> Typing:
+    """The typing of definitions i.. and the output, folded from the back and
+    cached on the term as far as the fold has gone. The caller has run the
+    consistency pass over that suffix, so a cached entry also stands for a
+    suffix that passed it."""
+    typings = t._typings
+    if typings is None:
+        typings = [_check(pattern_to_expr(t.output))]
+        object.__setattr__(t, "_typings", typings)
+    n = len(t.defs)
+    for j in range(n - len(typings), i - 1, -1):
+        binder, bound = t.defs[j]
+        typings.append(_bind(binder, _check(bound), typings[-1]))
+    return typings[n - i]
+
+
+def replace_defs(t: LetTerm, position: int, width: int, mid: tuple[tuple[Pattern, Expr], ...]) -> LetTerm:
+    """`t` with definitions position .. position + width - 1 replaced by `mid`,
+    typed at the cost of `mid`'s new nodes.
+
+    The consistency pass runs over the new suffix from `position` only when
+    the old suffix never passed it or `mid` mentions a variable the replaced
+    definitions do not. `_bind` then folds over `mid` from the cached typing
+    of the unchanged tail, raising the typing errors of the new definitions.
+    The result caches the typings of the tail and of `mid`. The cached entries
+    above `position` carry over when the typing at `position` is unchanged,
+    since they are functions of it, and when their definitions use no name
+    `mid` introduces at another type."""
+    n = len(t.defs)
+    end = position + width
+    old = t.defs[position:end]
+    new = LetTerm(t.defs[:position] + mid + t.defs[end:], t.output)
+    checked = len(t._typings or ()) > n - position
+    introduced = _introduced(mid, old) if checked else {}
+    if introduced or not checked:
+        _collect_types(new.suffix(position))
+    typing = _suffix_typing(t, end)
+    window = []
+    for binder, bound in reversed(mid):
         typing = _bind(binder, _check(bound), typing)
-    return typing[0]
+        window.append(typing)
+    typings = t._typings
+    kept = typings[: n - end + 1] + window
+    if checked and typing == typings[n - position]:
+        above = t.defs[max(0, n + 1 - len(typings)) : position]
+        if not introduced or all(
+            introduced.get(v.name, v.ty) == v.ty
+            for v in _occurrences([part for d in above for part in d], frozenset())
+            if isinstance(v, Variable)
+        ):
+            kept += typings[n - position + 1 : n + 1]
+    object.__setattr__(new, "_typings", kept)
+    return new
+
+
+def _introduced(mid: tuple[tuple[Pattern, Expr], ...], old: tuple[tuple[Pattern, Expr], ...]) -> dict[str, Ty]:
+    """Name and type of each variable `mid` mentions that the definitions
+    `old` neither bind nor use free. The parts of `old` that `mid` takes over
+    (the very objects) are not entered, so the walk costs `mid`'s new nodes."""
+    known: set[Variable] = set()
+    for binder, bound in old:
+        known |= pattern_fv(binder) | free_vars(bound)
+    taken = frozenset(id(part) for d in old for part in d)
+    return {
+        v.name: v.ty
+        for v in _occurrences([part for d in mid for part in d], taken)
+        if isinstance(v, Variable) and v not in known
+    }
 
 
 # ---------------------------------------------------------------- renaming

@@ -9,6 +9,7 @@ import pytest
 
 from lve.cli import main
 from lve.denote import denote, joint_vector
+from lve.errors import ParseError
 from lve.parser import parse_program
 from helpers import SIXNODE_JOINT
 
@@ -317,3 +318,10 @@ def test_deep_nesting_is_an_input_error(run, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: term nests too deeply")
+
+
+def test_deep_nesting_is_a_parse_error_in_the_library():
+    depth = 3000
+    nested = "".join(f"let a{i} = {'C' if i == 1 else f'a{i - 1}'} in " for i in range(1, depth + 1))
+    with pytest.raises(ParseError, match="^term nests too deeply for Python's recursion limit"):
+        parse_program(f"matrix C : -> Bool = [0.3, 0.7];\ny = {nested}a{depth};\nin y")

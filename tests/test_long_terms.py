@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
 
 import numpy as np
 
+from lve import syntax
 from lve.cli import main
 from lve.denote import DenoteContext, denote, joint_vector
 from lve.factors import eliminate, factors_of, marginal
@@ -14,9 +16,11 @@ from lve.network import network_to_program
 from lve.orderings import min_degree_order
 from lve.parser import parse_program
 from lve.printer import program_str
+from lve.rewrite import eliminate_seq
 from lve.syntax import free_vars, typecheck
 
 LENGTH = 2000
+VEL_LENGTH = 1000
 
 
 def chain_network(n: int) -> dict:
@@ -58,3 +62,35 @@ def test_long_chain_runs_every_route_but_vel(tmp_path, capsys):
     # one-variable message into a two-variable CPT (4 multiply-adds) and sums
     # one variable out of the 4-entry product (4 more).
     assert capsys.readouterr().out.splitlines()[-2:] == [f"muladds: {8 * (LENGTH - 1)}", "max_table: 4"]
+
+
+def typing_calls_per_rule(monkeypatch, n: int) -> dict[str, float]:
+    """`_bind` and `_check` calls per rule while vel eliminates a typechecked
+    n-node chain in min-degree order."""
+    term = network_to_program(chain_network(n)).term
+    typecheck(term)
+    order = min_degree_order(term)
+    calls: Counter = Counter()
+    for name in ("_bind", "_check"):
+        real = getattr(syntax, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(syntax, name, counted)
+    final, trace = eliminate_seq(term, order)
+    monkeypatch.undo()
+    assert len(trace.steps) == 2 * (n - 1)
+    assert len(final.defs) == 1 and free_vars(final) == frozenset()
+    return {name: count / len(trace.steps) for name, count in calls.items()}
+
+
+def test_vel_rules_cost_the_definitions_they_touch(monkeypatch):
+    # Each mult and elim types its new nodes on top of cached typings, so the
+    # typing work per rule does not grow with the chain, and rewriting a
+    # 1000-node chain stays under the default recursion limit.
+    assert sys.getrecursionlimit() <= 1000
+    short = typing_calls_per_rule(monkeypatch, 100)
+    assert short == typing_calls_per_rule(monkeypatch, VEL_LENGTH)
+    assert set(short) == {"_bind", "_check"}

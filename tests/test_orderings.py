@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from lve.factors import factors_of
+from lve.network import network_to_program
 from lve.orderings import elimination_candidates, min_degree_order, random_order
 from lve.syntax import BOOL
+from lve.verify import GeneratorConfig, random_network
 
 
 def test_candidates_are_hidden_positive_vars(sixnode_term):
@@ -35,3 +38,56 @@ def test_random_order_is_a_seeded_permutation(sixnode_term):
     assert sorted(v.name for v in a) == ["x1", "x2", "x4", "x5"]
     assert sorted(v.name for v in c) == ["x1", "x2", "x4", "x5"]
     assert any(random_order(sixnode_term, s) != a for s in range(1, 20))
+
+
+def scan_min_degree_order(term):
+    """The min-degree order by a full scan of the remaining candidates per
+    pick: the definition the heap in `min_degree_order` must reproduce."""
+    adj = {}
+    for f in factors_of(term).factors:
+        for v in f.vars:
+            adj.setdefault(v, set()).update(u for u in f.vars if u != v)
+    remaining = set(elimination_candidates(term))
+    for v in remaining:
+        adj.setdefault(v, set())
+    order = []
+    while remaining:
+        pick = min(remaining, key=lambda v: (len(adj[v]), v.name))
+        neighbours = adj.pop(pick)
+        for u in neighbours:
+            adj[u].discard(pick)
+            adj[u].update(w for w in neighbours if w != u)
+        remaining.remove(pick)
+        order.append(pick)
+    return order
+
+
+def _network(parents: dict[str, list[str]], query: list[str]) -> dict:
+    nodes = [
+        {"var": v, "parents": ps, "cpt": [[0.25, 0.75]] * 2 ** len(ps)} for v, ps in parents.items()
+    ]
+    return {"variables": [{"name": v} for v in parents], "nodes": nodes, "query": query}
+
+
+def chain(n: int) -> dict:
+    names = [f"c{i}" for i in range(n)]
+    return _network({v: names[i - 1 : i] for i, v in enumerate(names)}, [names[-1]])
+
+
+def grid(rows: int, cols: int) -> dict:
+    parents = {
+        f"v{i}_{j}": ([f"v{i - 1}_{j}"] if i else []) + ([f"v{i}_{j - 1}"] if j else [])
+        for i in range(rows)
+        for j in range(cols)
+    }
+    return _network(parents, [f"v{rows - 1}_{cols - 1}"])
+
+
+def test_min_degree_heap_matches_the_scan():
+    terms = [random_network(seed).term for seed in range(40)]
+    wide = GeneratorConfig(min_vars=12, max_vars=30)
+    terms += [random_network(seed, wide).term for seed in range(20)]
+    terms += [network_to_program(chain(n)).term for n in (1, 2, 17, 60)]
+    terms += [network_to_program(grid(r, c)).term for r, c in ((2, 2), (3, 5), (5, 5), (6, 4))]
+    for term in terms:
+        assert min_degree_order(term) == scan_min_degree_order(term)

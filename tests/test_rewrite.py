@@ -11,17 +11,24 @@ import numpy as np
 import pytest
 
 import lve
+from lve import rewrite
 from lve.denote import denote, joint_vector
 from lve.errors import (
+    InconsistentVariableTypes,
     InOutput,
     NotDefined,
     NotPositive,
     OutputOverlap,
+    PatternTypeMismatch,
+    RewriteError,
     SideConditionViolated,
     TooFewDefinitions,
     UnknownVariable,
 )
 from lve.factors import factor_sets_equal, factors_of
+from lve.orderings import elimination_candidates, min_degree_order
+from lve.parser import parse_program
+from lve.printer import program_str
 from lve.rewrite import (
     RULES,
     apply_rule,
@@ -36,6 +43,7 @@ from lve.syntax import (
     BOOL,
     Arrow,
     ArrowApp,
+    FreshNames,
     Lam,
     Let,
     LetTerm,
@@ -48,6 +56,7 @@ from lve.syntax import (
     free_vars,
     typecheck,
 )
+from lve.verify import random_network
 from helpers import (
     SIXNODE_GOLDEN_STEPS,
     SIXNODE_JOINT,
@@ -393,6 +402,108 @@ def test_size_bound_check(sixnode_term):
         bound = size_bound_check(sixnode_term, order_by_name(sixnode_term, [name])[0])
         assert bound.ok, f"{name}: {bound}"
         assert bound.steps <= bound.step_limit == len(sixnode_term.defs)
+
+
+# ---------------------------------------------------------------- the window check
+#
+# A rule is checked on the definitions it rewrites, on top of the cached
+# typing of the unchanged tail. These tests damage a rule's output and expect
+# the error a full check of the rewritten suffix gives, on a term whose
+# typings are cached (typechecked first) and on one that was never checked.
+
+checked_or_not = pytest.mark.parametrize("checked", [True, False], ids=["cached", "fresh"])
+
+
+def _damage_mid(monkeypatch, change):
+    """Pass every rule's new definitions through `change` before the check."""
+    real = rewrite._checked
+    monkeypatch.setattr(
+        rewrite, "_checked", lambda term, position, width, mid, rule: real(term, position, width, change(mid), rule)
+    )
+
+
+def _maybe_typecheck(term: LetTerm, checked: bool) -> LetTerm:
+    if checked:
+        typecheck(term)
+    return term
+
+
+@checked_or_not
+def test_window_check_rejects_a_changed_free_variable(monkeypatch, checked):
+    term = _maybe_typecheck(independent_term(), checked)
+    _damage_mid(monkeypatch, lambda mid: ((mid[0][0], MatApp(M2, (Z,))),) + mid[1:])
+    with pytest.raises(RewriteError, match=r"^swap1 changed the free variables$"):
+        apply_rule(term, "swap1", 0)
+
+
+@checked_or_not
+def test_window_check_rejects_a_changed_type(monkeypatch, checked):
+    term = _maybe_typecheck(chain_term(), checked)
+    real = rewrite.replace_defs
+    monkeypatch.setattr(
+        rewrite, "replace_defs", lambda t, *window: LetTerm(real(t, *window).defs, PLeaf(Y))
+    )
+    with pytest.raises(RewriteError, match=r"^mult changed the type$"):
+        apply_rule(term, "mult", 0)
+
+
+@checked_or_not
+def test_window_check_rejects_a_binder_of_the_wrong_type(monkeypatch, checked):
+    term = _maybe_typecheck(chain_term(), checked)
+    _damage_mid(monkeypatch, lambda mid: ((PLeaf(U), mid[0][1]),))
+    with pytest.raises(PatternTypeMismatch, match=r"^binder has type Bool, bound expression has \(Bool \* Bool\)$"):
+        apply_rule(term, "mult", 0)
+
+
+class _Reuse(FreshNames):
+    """A name supply that hands out one fixed name."""
+
+    def __init__(self, name: str):
+        super().__init__()
+        self.name = name
+
+    def fresh(self, base: str) -> str:
+        return self.name
+
+
+@checked_or_not
+def test_window_check_rejects_a_fresh_name_the_tail_uses(checked):
+    q = bvar("q")
+    term = LetTerm(
+        chain_term().defs + ((PLeaf(q), MatApp(M4, ())),),
+        PPair(PLeaf(Y), PLeaf(q)),
+    )
+    _maybe_typecheck(term, checked)
+    with pytest.raises(InconsistentVariableTypes, match=r"^variable q used at \(Bool -o Bool\) and Bool$"):
+        apply_rule(term, "swap2", 0, fresh=_Reuse("q"))
+
+
+@checked_or_not
+def test_a_fresh_name_used_above_the_window_is_left_to_the_whole_term(checked):
+    # As ever, the rule checks the suffix from its position only; the clash
+    # with a definition above it shows once the whole term is checked.
+    q = bvar("q")
+    term = LetTerm(((PLeaf(q), MatApp(M4, ())),) + chain_term().defs, PLeaf(Y))
+    _maybe_typecheck(term, checked)
+    after = apply_rule(term, "swap2", 1, fresh=_Reuse("q"))
+    with pytest.raises(InconsistentVariableTypes):
+        typecheck(after)
+
+
+def test_cached_typings_match_a_reparsed_copy():
+    # Every step's term carries the typings of all its suffixes, and they are
+    # what checking the printed and reparsed term from scratch gives.
+    for seed in range(10):
+        term = random_network(seed).term
+        typecheck(term)
+        for order in (min_degree_order(term), elimination_candidates(term)[::-1]):
+            _, trace = eliminate_seq(term, order)
+            for step in trace.steps:
+                after = step.after
+                assert len(after._typings) == len(after.defs) + 1
+                copy = parse_program(program_str(after)).term
+                typecheck(copy)
+                assert after._typings == copy._typings
 
 
 # ---------------------------------------------------------------- cleanup pass
