@@ -429,25 +429,35 @@ def pattern_size(p: Pattern) -> int:
 
 
 def size(t: Term) -> int:
-    """Syntactic size: one per variable occurrence, one per application head."""
-    if isinstance(t, LetTerm):
-        total = pattern_size(t.output)
-        for binder, bound in t.defs:
-            total += pattern_size(binder) + size(bound)
-        return total
-    if isinstance(t, Var):
-        return 1
-    if isinstance(t, MatApp):
-        return 1 + len(t.args)
-    if isinstance(t, ArrowApp):
-        return 1 + pattern_size(t.args)
-    if isinstance(t, Pair):
-        return size(t.fst) + size(t.snd)
-    if isinstance(t, Lam):
-        return pattern_size(t.param) + size(t.body)
-    if isinstance(t, Let):
-        return pattern_size(t.binder) + size(t.bound) + size(t.body)
-    raise TypeError(f"not a term: {t!r}")
+    """Syntactic size: one per variable occurrence, one per application head.
+    The walk keeps an explicit stack, so nesting depth is not bounded by
+    Python's recursion limit."""
+    total = 0
+    stack = [t]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Var):
+            total += 1
+        elif isinstance(e, Pair):
+            stack += (e.fst, e.snd)
+        elif isinstance(e, Let):
+            total += pattern_size(e.binder)
+            stack += (e.bound, e.body)
+        elif isinstance(e, MatApp):
+            total += 1 + len(e.args)
+        elif isinstance(e, ArrowApp):
+            total += 1 + pattern_size(e.args)
+        elif isinstance(e, Lam):
+            total += pattern_size(e.param)
+            stack.append(e.body)
+        elif isinstance(e, LetTerm):
+            total += pattern_size(e.output)
+            for binder, bound in e.defs:
+                total += pattern_size(binder)
+                stack.append(bound)
+        else:
+            raise TypeError(f"not a term: {e!r}")
+    return total
 
 
 # ---------------------------------------------------------------- occurrences

@@ -3,9 +3,11 @@
 The web of Bool is {t, f} in that order; the web of a tensor or arrow is the
 cartesian product of the component webs, enumerated left-major. The web of a
 set of variables is the product of the variables' webs with the variables
-sorted by name, again left-major. Throughout the numeric core web elements are
-handled as integer indices into these canonical enumerations; WebElem trees
-and Assignments are the readable boundary representation.
+sorted by name, again left-major, and the web of a pattern is left-major over
+its leaves. The numeric core therefore never computes indices itself: a table
+over such a product reshapes into one array axis per variable or leaf, and
+numpy does the index arithmetic. WebElem trees and Assignments are the
+readable boundary representation, indexed through VarSpace.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
-
-import numpy as np
 
 from .cost import DEFAULT_WEB_CAP
 from .errors import InvalidAxes, NotPositive, WebCapExceeded
@@ -27,7 +27,6 @@ from .syntax import (
     Tensor,
     Ty,
     Variable,
-    pattern_type,
     web_size,
 )
 
@@ -177,24 +176,6 @@ class VarSpace:
             strides.append(acc)
             acc *= d
         self.strides = tuple(reversed(strides))
-        self._digits: dict[str, np.ndarray] = {}
-
-    def digit(self, v: Variable) -> np.ndarray:
-        """Element index of one variable for every flat index, shape (size,)."""
-        arr = self._digits.get(v.name)
-        if arr is None:
-            k = self.vars.index(v)
-            arr = (np.arange(self.size) // self.strides[k]) % self.dims[k]
-            arr.flags.writeable = False
-            self._digits[v.name] = arr
-        return arr
-
-    def restriction_map(self, sub: "VarSpace") -> np.ndarray:
-        """For each flat index here, the flat index of its restriction in sub."""
-        out = np.zeros(self.size, dtype=np.int64)
-        for k, v in enumerate(sub.vars):
-            out += self.digit(v) * sub.strides[k]
-        return out
 
     def assignment_at(self, idx: int) -> Assignment:
         pairs = []
@@ -210,27 +191,6 @@ class VarSpace:
 
 
 # ---------------------------------------------------------------- pattern web bridging
-
-
-def pattern_index(p: Pattern, digit: dict[str, np.ndarray | int]):
-    """Web index of a pattern's type from per-variable element indices."""
-    if isinstance(p, PLeaf):
-        return digit[p.var.name]
-    assert isinstance(p, PPair)
-    return pattern_index(p.left, digit) * web_size(pattern_type(p.right)) + pattern_index(
-        p.right, digit
-    )
-
-
-def pattern_digits(p: Pattern, idx) -> dict[str, np.ndarray | int]:
-    """Per-variable element indices from a web index of the pattern's type."""
-    if isinstance(p, PLeaf):
-        return {p.var.name: idx}
-    assert isinstance(p, PPair)
-    n = web_size(pattern_type(p.right))
-    out = pattern_digits(p.left, idx // n)
-    out.update(pattern_digits(p.right, idx % n))
-    return out
 
 
 def pattern_read(p: Pattern, asg: Assignment) -> WebElem:

@@ -92,3 +92,30 @@ COIN_PAIR_JOINT = (0.09, 0.21, 0.21, 0.49)
 def order_by_name(term: LetTerm, names) -> list[Variable]:
     by = {v.name: v for v in term.defined_vars()}
     return [by[n] for n in names]
+
+
+def _row(k: int) -> list[float]:
+    p = round(0.1 + 0.8 * ((7 * k) % 11) / 10, 2)
+    return [p, 1 - p]
+
+
+def chain_network(n: int) -> dict:
+    """x1 -> x2 -> ... -> xn, querying xn; each row is [p, 1 - p] with p in 0.1..0.9."""
+    names = [f"x{i + 1}" for i in range(n)]
+    nodes = [{"var": names[0], "parents": [], "cpt": [_row(0)]}]
+    for i in range(1, n):
+        nodes.append({"var": names[i], "parents": [names[i - 1]], "cpt": [_row(2 * i), _row(2 * i + 1)]})
+    return {"variables": [{"name": v} for v in names], "nodes": nodes, "query": [names[-1]]}
+
+
+def grid_network(rows: int, cols: int) -> dict:
+    """A rows x cols grid whose nodes have the node above and the node to the
+    left as parents, querying the bottom-right corner; rows as in chain_network."""
+    names, nodes = [], []
+    for i in range(rows):
+        for j in range(cols):
+            parents = ([f"v{i - 1}_{j}"] if i else []) + ([f"v{i}_{j - 1}"] if j else [])
+            cpt = [_row(len(names) + k) for k in range(2 ** len(parents))]
+            names.append(f"v{i}_{j}")
+            nodes.append({"var": names[-1], "parents": parents, "cpt": cpt})
+    return {"variables": [{"name": v} for v in names], "nodes": nodes, "query": [names[-1]]}

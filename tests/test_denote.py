@@ -7,6 +7,7 @@ import pytest
 
 from lve.denote import DenoteContext, collect_matrices, denote, joint_vector, total_mass_check
 from lve.errors import LveError, NotClosed, WebCapExceeded
+from lve.network import network_to_program
 from lve.syntax import (
     BOOL,
     Arrow,
@@ -27,9 +28,11 @@ from helpers import (
     COIN_PAIR_JOINT,
     SIXNODE_JOINT,
     bvar,
+    chain_network,
     coin_copy_term,
     coin_matrix,
     coin_pair_expr,
+    grid_network,
     matrix,
 )
 
@@ -173,6 +176,19 @@ def test_counter_tracks_tables(sixnode_term):
     denote(sixnode_term, ctx)
     assert ctx.counter.max_table == 32
     assert ctx.counter.muladds > 0
+
+
+@pytest.mark.parametrize(
+    "net, muladds, max_table",
+    [(grid_network(8, 8), 53228, 512), (chain_network(200), 1596, 4)],
+    ids=["grid8x8", "chain200"],
+)
+def test_denote_costs_are_pinned(net, muladds, max_table):
+    # Shape-derived costs of the compositional clauses, recorded from the
+    # index-gathering interpreter this one replaced.
+    ctx = DenoteContext()
+    denote(network_to_program(net).term, ctx)
+    assert (ctx.counter.muladds, ctx.counter.max_table) == (muladds, max_table)
 
 
 def test_collect_matrices_order(sixnode_term):

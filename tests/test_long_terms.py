@@ -17,21 +17,11 @@ from lve.orderings import min_degree_order
 from lve.parser import parse_program
 from lve.printer import program_str
 from lve.rewrite import eliminate_seq
-from lve.syntax import free_vars, typecheck
+from lve.syntax import free_vars, size, typecheck
+from helpers import chain_network
 
 LENGTH = 2000
 VEL_LENGTH = 1000
-
-
-def chain_network(n: int) -> dict:
-    """x1 -> x2 -> ... -> xn, querying xn; each row is [p, 1 - p] with p in 0.1..0.9."""
-    names = [f"x{i + 1}" for i in range(n)]
-    rows = [[round(0.1 + 0.8 * ((7 * i) % 11) / 10, 2)] for i in range(2 * n)]
-    nodes = [{"var": names[0], "parents": [], "cpt": [[rows[0][0], 1 - rows[0][0]]]}]
-    for i in range(1, n):
-        a, b = rows[2 * i][0], rows[2 * i + 1][0]
-        nodes.append({"var": names[i], "parents": [names[i - 1]], "cpt": [[a, 1 - a], [b, 1 - b]]})
-    return {"variables": [{"name": v} for v in names], "nodes": nodes, "query": [names[-1]]}
 
 
 def test_long_chain_runs_every_route_but_vel(tmp_path, capsys):
@@ -94,3 +84,26 @@ def test_vel_rules_cost_the_definitions_they_touch(monkeypatch):
     short = typing_calls_per_rule(monkeypatch, 100)
     assert short == typing_calls_per_rule(monkeypatch, VEL_LENGTH)
     assert set(short) == {"_bind", "_check"}
+
+
+def test_vel_reads_out_a_long_chain(tmp_path, capsys):
+    # vel's merged definition nests two lets per eliminated variable; the
+    # readout denotes it and `size` measures it without recursing per level.
+    assert sys.getrecursionlimit() <= 1000
+    net = chain_network(VEL_LENGTH)
+    term = network_to_program(net).term
+    ctx = DenoteContext()
+    order = min_degree_order(term, ctx)
+    final, _ = eliminate_seq(term, order)
+    vel = marginal(factors_of(final, ctx), term.output)
+    vef = marginal(eliminate(factors_of(term, ctx), order), term.output)
+    assert np.allclose(vel, vef, atol=1e-9)
+    # 7n - 4, as the recursive walk measured at 400 nodes (2796).
+    assert size(final) == 7 * VEL_LENGTH - 4
+
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(net))
+    assert main(["vel", str(path)]) == 0
+    printed = capsys.readouterr().out.splitlines()[-2:]
+    assert [line.split(": ")[0] for line in printed] == ["t", "f"]
+    assert np.allclose([float(line.split(": ")[1]) for line in printed], vef, atol=1e-9)

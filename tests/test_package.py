@@ -31,3 +31,15 @@ def test_sources_walk_definitions_and_check_explicitly():
                 assert all(
                     isinstance(p, ast.Call) and getattr(p.func, "id", None) == "isinstance" for p in parts
                 ), f"{path.name}:{node.lineno}"
+
+
+def test_denote_is_independent_of_the_factor_engine():
+    # denote is the reference the factor routes are checked against, so it
+    # shares no code with them.
+    path = pathlib.Path(lve.__file__).parent / "denote.py"
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module not in ("factors", "lve.factors"), node.lineno
+            assert not (node.module is None and any(a.name == "factors" for a in node.names)), node.lineno
+        elif isinstance(node, ast.Import):
+            assert all(not a.name.startswith("lve.factors") for a in node.names), node.lineno

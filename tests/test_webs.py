@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,8 +19,6 @@ from lve.webs import (
     enumerate_web,
     ht,
     pattern_bind,
-    pattern_digits,
-    pattern_index,
     pattern_read,
     sorted_vars,
 )
@@ -120,23 +117,6 @@ def test_varspace_requires_sorted():
         VarSpace((bvar("b"), bvar("a")))
 
 
-def test_varspace_digit_is_mixed_radix():
-    a, b = bvar("a"), Variable("b", BB)
-    space = VarSpace((a, b))
-    assert list(space.digit(a)) == [0, 0, 0, 0, 1, 1, 1, 1]
-    assert list(space.digit(b)) == [0, 1, 2, 3, 0, 1, 2, 3]
-
-
-def test_restriction_map():
-    a, b = bvar("a"), bvar("b")
-    space = VarSpace((a, b))
-    sub = VarSpace((b,))
-    rmap = space.restriction_map(sub)
-    for i in range(space.size):
-        asg = space.assignment_at(i).restrict([b])
-        assert rmap[i] == sub.index_of(asg)
-
-
 def test_enumerate_assignments():
     a, b = bvar("a"), bvar("b")
     asgs = enumerate_assignments([b, a])
@@ -166,18 +146,3 @@ def test_pattern_read_bind_round_trip():
         asg = pattern_bind(p, el)
         assert pattern_read(p, asg) == el
 
-
-def test_pattern_index_digits_round_trip():
-    a, b = bvar("a"), Variable("b", BB)
-    p = PPair(PLeaf(a), PLeaf(b))
-    n = web_size(Tensor(BOOL, BB))
-    digits = pattern_digits(p, np.arange(n))
-    back = pattern_index(p, digits)
-    assert list(back) == list(range(n))
-
-
-def test_pattern_index_scalar():
-    a, b = bvar("a"), bvar("b")
-    p = PPair(PLeaf(a), PLeaf(b))
-    # (a=f, b=t) is web element (f,t), index 2 in left-major order.
-    assert pattern_index(p, {"a": 1, "b": 0}) == 2
