@@ -12,7 +12,6 @@ from .denote import (
     DenoteContext,
     MassReport,
     Relation,
-    collect_matrices,
     denote,
     joint_vector,
     total_mass_check,
@@ -37,7 +36,7 @@ from .factors import (
 )
 from .network import load_network, network_to_program
 from .orderings import elimination_candidates, min_degree_order, random_order
-from .parser import SourceProgram, parse_program, parse_term
+from .parser import SourceProgram, parse_program
 from .printer import expr_str, pattern_str, program_str, term_str
 from .rewrite import (
     RULES,
@@ -49,8 +48,6 @@ from .rewrite import (
     eliminate_term,
     gather,
     simplify,
-    size_bound_check,
-    swap_first,
 )
 from .syntax import (
     Arrow,
@@ -74,7 +71,7 @@ from .syntax import (
     Variable,
     alpha_eq,
     canonicalize,
-    check_stochastic,
+    collect_matrices,
     collect_names,
     free_vars,
     pattern_type,
@@ -91,7 +88,7 @@ from .verify import (
     random_network,
     run_suite,
 )
-from .webs import Assignment, dim, element_at, element_index, enumerate_web, ht, web_size
+from .webs import Assignment, dim, element_index, enumerate_web, ht, web_size
 
 __version__ = "0.1.0"
 
@@ -102,13 +99,13 @@ __all__ = [
     "contract", "dump_factors", "eliminate", "factor_sets_equal", "factors_of",
     "check_factor_vars", "marginal", "partition", "product", "relation_from_factors", "sum_out",
     "load_network", "network_to_program", "elimination_candidates", "min_degree_order",
-    "random_order", "SourceProgram", "parse_program", "parse_term", "expr_str", "pattern_str",
+    "random_order", "SourceProgram", "parse_program", "expr_str", "pattern_str",
     "program_str", "term_str", "RULES", "RewriteStep", "SizeBound", "Trace", "apply_rule",
-    "eliminate_seq", "eliminate_term", "gather", "simplify", "size_bound_check", "swap_first",
+    "eliminate_seq", "eliminate_term", "gather", "simplify",
     "Arrow", "ArrowApp", "BOOL", "Bool", "Expr", "FreshNames", "Lam", "Let", "LetTerm", "MatApp",
     "Pair", "PLeaf", "PPair", "Pattern", "StochasticMatrix", "Tensor", "Term", "Var", "Variable",
-    "alpha_eq", "canonicalize", "check_stochastic", "collect_names", "free_vars", "pattern_type",
+    "alpha_eq", "canonicalize", "collect_names", "free_vars", "pattern_type",
     "pattern_vars", "size", "type_str", "typecheck", "GeneratorConfig", "SuiteReport",
     "brute_force_joint", "check_instance", "random_network", "run_suite", "Assignment", "dim",
-    "element_at", "element_index", "enumerate_web", "ht", "web_size",
+    "element_index", "enumerate_web", "ht", "web_size",
 ]

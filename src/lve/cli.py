@@ -20,7 +20,7 @@ import json
 import sys
 
 from .cost import DEFAULT_WEB_CAP
-from .denote import DenoteContext, collect_matrices, denote, joint_vector, total_mass_check
+from .denote import DenoteContext, denote, joint_vector, total_mass_check
 from .errors import InOutput, LveError, NotClosed, UnknownVariable
 from .factors import dump_factors, eliminate, factors_of, marginal, relation_from_factors
 from .network import load_network
@@ -29,8 +29,10 @@ from .parser import SourceProgram, parse_program
 from .printer import program_str
 from .rewrite import RewriteStep, eliminate_seq, simplify
 from .syntax import (
+    TOL,
     LetTerm,
     Variable,
+    collect_matrices,
     free_vars,
     pattern_fv,
     pattern_type,
@@ -98,7 +100,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="accept matrices whose rows do not sum to one",
     )
-    common.add_argument("--seed", type=int, default=0, help="seed for the random heuristic")
 
     top = argparse.ArgumentParser(prog="lve", description=__doc__.split("\n\n")[0])
     sub = top.add_subparsers(dest="command", required=True)
@@ -121,6 +122,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--order")
     p = sub.add_parser("orderings", parents=[common])
     p.add_argument("--heuristic", choices=("min-degree", "random"), default="min-degree")
+    p.add_argument("--seed", type=int, default=0, help="seed for the random heuristic")
 
     args = top.parse_args(argv)
     try:
@@ -241,7 +243,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     for row in zip(val_d, val_f, val_e, val_l):
         xs = [float(x) for x in row]
         diff = max(diff, max(xs) - min(xs))
-    agree = diff <= 1e-9
+    agree = diff <= TOL
 
     paths = [
         ("denote", val_d, ctx_d.counter.muladds, ctx_d.counter.max_table),

@@ -31,8 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import DEFAULT_WEB_CAP, CostCounter
-from .errors import LveError, NotClosed, WebCapExceeded
+from .errors import LveError, NonFinite, NotClosed, WebCapExceeded
 from .syntax import (
+    TOL,
     Arrow,
     ArrowApp,
     Expr,
@@ -42,14 +43,13 @@ from .syntax import (
     MatApp,
     Pair,
     Pattern,
-    StochasticMatrix,
     Term,
     Tensor,
     Ty,
     Var,
     Variable,
+    collect_matrices,
     free_vars,
-    occurrences,
     pattern_to_expr,
     pattern_type,
     pattern_vars,
@@ -86,8 +86,8 @@ def _dims(vs: tuple[Variable, ...]) -> list[int]:
 class DenoteContext:
     """Memo table, cost counter, and web cap for one denotation pipeline."""
 
-    def __init__(self, counter: CostCounter | None = None, web_cap: int = DEFAULT_WEB_CAP):
-        self.counter = counter if counter is not None else CostCounter()
+    def __init__(self, web_cap: int = DEFAULT_WEB_CAP):
+        self.counter = CostCounter()
         self.web_cap = web_cap
         self._cache: dict[int, tuple[object, Relation]] = {}
 
@@ -256,10 +256,14 @@ def _let(binder: Pattern, rb: Relation, rk: Relation, ctx: DenoteContext) -> Rel
 
 
 def joint_vector(rel: Relation) -> np.ndarray:
-    """The single row of a closed term's denotation."""
+    """The single row of a closed term's denotation. A value that overflowed
+    to inf or NaN raises `NonFinite`."""
     if rel.vars:
         raise NotClosed(f"term has free variables {[v.name for v in rel.vars]}")
-    return rel.matrix[0].copy()
+    values = rel.matrix[0].copy()
+    if not np.isfinite(values).all():
+        raise NonFinite(f"joint distribution is not finite: {values}")
+    return values
 
 
 @dataclass
@@ -269,11 +273,11 @@ class MassReport:
     ok: bool
 
 
-def total_mass_check(t: Term, ctx: DenoteContext | None = None, tol: float = 1e-9) -> MassReport:
+def total_mass_check(t: Term, ctx: DenoteContext | None = None) -> MassReport:
     """Check that a closed term's denotation sums to the height of its type.
 
-    Requires every matrix in the term to carry the verified-stochastic flag,
-    since the identity only holds for stochastic matrices.
+    Requires every matrix in the term to be stochastic, since the identity
+    only holds for stochastic matrices.
     """
     if free_vars(t):
         raise NotClosed("total mass is defined for closed terms")
@@ -283,13 +287,4 @@ def total_mass_check(t: Term, ctx: DenoteContext | None = None, tol: float = 1e-
     rel = denote(t, ctx)
     mass = float(rel.matrix.sum())
     expected = ht(typecheck(t))
-    return MassReport(mass, expected, abs(mass - expected) <= tol)
-
-
-def collect_matrices(t: Term) -> list[StochasticMatrix]:
-    """All distinct matrices applied in a term, in first-use order."""
-    seen: dict[str, StochasticMatrix] = {}
-    for m in occurrences(t):
-        if isinstance(m, StochasticMatrix):
-            seen.setdefault(m.name, m)
-    return list(seen.values())
+    return MassReport(mass, expected, abs(mass - expected) <= TOL)

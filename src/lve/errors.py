@@ -47,6 +47,10 @@ class NotClosed(LveError):
     """An operation requiring a closed term received one with free variables."""
 
 
+class NonFinite(LveError):
+    """A computed distribution overflowed to inf or NaN."""
+
+
 class NotPositive(LveError):
     """An operation requiring a positive term received one with an arrow-typed output."""
 

@@ -25,12 +25,14 @@ from .denote import DenoteContext, Relation, denote
 from .errors import (
     BinderCapture,
     InvalidAxes,
+    NonFinite,
     NotCanonicalized,
     SharedVarTypeMismatch,
     UnknownVariable,
     WebCapExceeded,
 )
 from .syntax import (
+    TOL,
     Expr,
     FreshNames,
     LetTerm,
@@ -67,10 +69,6 @@ class Factor:
             raise InvalidAxes(f"factor table of shape {arr.shape} on axes of sizes {dims}")
         arr.flags.writeable = False
         object.__setattr__(self, "table", arr)
-
-    @property
-    def degree(self) -> int:
-        return len(self.vars)
 
     def value(self, asg: Assignment) -> float:
         idx = tuple(element_index(v.ty, asg.get(v)) for v in self.vars)
@@ -385,25 +383,29 @@ def marginal(
     cap: int = DEFAULT_WEB_CAP,
 ) -> np.ndarray:
     """Distribution over the output pattern's web read off a factor set: the
-    factor product with every other variable summed out."""
-    return _readout(fs, (), output, cap).reshape(-1).copy()
+    factor product with every other variable summed out. A value that
+    overflowed to inf or NaN raises `NonFinite`."""
+    values = _readout(fs, (), output, cap).reshape(-1).copy()
+    if not np.isfinite(values).all():
+        raise NonFinite(f"marginal is not finite: {values}")
+    return values
 
 
 # ---------------------------------------------------------------- comparison and dumps
 
 
-def factors_allclose(a: Factor, b: Factor, tol: float = 1e-9) -> bool:
-    return a.vars == b.vars and bool(np.max(np.abs(a.table - b.table), initial=0.0) <= tol)
+def factors_allclose(a: Factor, b: Factor) -> bool:
+    return a.vars == b.vars and bool(np.max(np.abs(a.table - b.table), initial=0.0) <= TOL)
 
 
-def factor_sets_equal(xs: FactorSet | Sequence[Factor], ys: FactorSet | Sequence[Factor], tol: float = 1e-9) -> bool:
-    """Multiset equality: match factors by variable set, then tables within tol."""
+def factor_sets_equal(xs: FactorSet | Sequence[Factor], ys: FactorSet | Sequence[Factor]) -> bool:
+    """Multiset equality: match factors by variable set, then tables within TOL."""
     left = list(xs.factors if isinstance(xs, FactorSet) else xs)
     right = list(ys.factors if isinstance(ys, FactorSet) else ys)
     if len(left) != len(right):
         return False
     for f in left:
-        match = next((i for i, g in enumerate(right) if factors_allclose(f, g, tol)), None)
+        match = next((i for i, g in enumerate(right) if factors_allclose(f, g)), None)
         if match is None:
             return False
         right.pop(match)

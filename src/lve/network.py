@@ -24,8 +24,6 @@ import json
 import re
 from pathlib import Path
 
-import numpy as np
-
 from .errors import (
     CptShapeMismatch,
     CyclicNetwork,
@@ -59,9 +57,7 @@ def network_to_program(data: dict) -> SourceProgram:
     defs = []
     for name in order:
         parents, cpt = nodes[name]
-        entries = np.array(cpt, dtype=float)
-        stochastic = bool(np.abs(entries.sum(axis=1) - 1.0).max(initial=0.0) <= 1e-9)
-        m = StochasticMatrix(f"M_{name}", (BOOL,) * len(parents), BOOL, entries, stochastic)
+        m = StochasticMatrix(f"M_{name}", (BOOL,) * len(parents), BOOL, cpt)
         matrices[m.name] = m
         args = tuple(Variable(p, BOOL) for p in parents)
         defs.append((PLeaf(Variable(name, BOOL)), MatApp(m, args)))

@@ -30,8 +30,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import NestingTooDeep, ParseError, UndeclaredArrowVariable, UndeclaredMatrix
 from .syntax import (
     Arrow,
@@ -200,18 +198,16 @@ class _Parser:
                     close.line,
                     close.col,
                 )
-        entries = np.array(rows, dtype=float)
         expected_rows = 1
         for s in slots:
             expected_rows *= web_size(s)
-        if entries.shape[0] != expected_rows:
+        if len(rows) != expected_rows:
             raise ParseError(
-                f"matrix {name}: {entries.shape[0]} rows, input web has {expected_rows}",
+                f"matrix {name}: {len(rows)} rows, input web has {expected_rows}",
                 close.line,
                 close.col,
             )
-        stochastic = bool(np.abs(entries.sum(axis=1) - 1.0).max(initial=0.0) <= 1e-9)
-        self.matrices[name] = StochasticMatrix(name, tuple(slots), out, entries, stochastic)
+        self.matrices[name] = StochasticMatrix(name, tuple(slots), out, rows)
 
     def parse_row(self) -> list[float]:
         row = [float(self.expect("number", "a number").text)]
@@ -358,8 +354,3 @@ def parse_program(text: str) -> SourceProgram:
     except RecursionError:
         t = parser.peek()
         raise NestingTooDeep(t.line, t.col) from None
-
-
-def parse_term(text: str) -> LetTerm:
-    """The term of a program; handy when declarations are boilerplate."""
-    return parse_program(text).term

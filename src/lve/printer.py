@@ -6,7 +6,6 @@ flat (`(x, y, z)`) and reparse to the same right-nested pairs.
 
 from __future__ import annotations
 
-from .denote import collect_matrices
 from .syntax import (
     ArrowApp,
     BOOL,
@@ -23,6 +22,7 @@ from .syntax import (
     Term,
     Var,
     Variable,
+    collect_matrices,
     occurrences,
     type_str,
 )
@@ -43,7 +43,8 @@ def pattern_str(p: Pattern) -> str:
     return "(" + ", ".join(pattern_str(q) for q in parts) + ")"
 
 
-def expr_str(e: Expr) -> str:
+def _atom_str(e: Expr) -> str:
+    """A variable or an application, the expressions without subexpressions."""
     if isinstance(e, Var):
         return e.var.name
     if isinstance(e, MatApp):
@@ -58,18 +59,38 @@ def expr_str(e: Expr) -> str:
             p = p.right
         args.append(p)
         return e.fn.name + "(" + ", ".join(pattern_str(q) for q in args) + ")"
-    if isinstance(e, Pair):
-        parts = []
-        while isinstance(e, Pair):
-            parts.append(e.fst)
-            e = e.snd
-        parts.append(e)
-        return "(" + ", ".join(expr_str(q) for q in parts) + ")"
-    if isinstance(e, Lam):
-        return f"\\{pattern_str(e.param)}. {expr_str(e.body)}"
-    if isinstance(e, Let):
-        return f"let {pattern_str(e.binder)} = {expr_str(e.bound)} in {expr_str(e.body)}"
     raise TypeError(f"not an expression: {e!r}")
+
+
+def expr_str(e: Expr) -> str:
+    """The walk keeps an explicit stack of subexpressions and the strings
+    between them, so nesting depth is not bounded by Python's recursion
+    limit; the pieces are joined once."""
+    if isinstance(e, (Var, MatApp, ArrowApp)):
+        return _atom_str(e)
+    pieces: list[str] = []
+    stack: list = [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, str):
+            pieces.append(e)
+        elif isinstance(e, Pair):
+            parts = []
+            while isinstance(e, Pair):
+                parts.append(e.fst)
+                e = e.snd
+            parts.append(e)
+            stack.append(")")
+            for q in reversed(parts[1:]):
+                stack += (q, ", ")
+            stack += (parts[0], "(")
+        elif isinstance(e, Lam):
+            stack += (e.body, f"\\{pattern_str(e.param)}. ")
+        elif isinstance(e, Let):
+            stack += (e.body, " in ", e.bound, f"let {pattern_str(e.binder)} = ")
+        else:
+            pieces.append(_atom_str(e))
+    return "".join(pieces)
 
 
 def term_str(t: Term) -> str:

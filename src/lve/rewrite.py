@@ -26,7 +26,7 @@ which is the bridge to classical variable elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     BinderCapture,
@@ -39,7 +39,6 @@ from .errors import (
     TooFewDefinitions,
     UnknownVariable,
 )
-from .factors import Factor, factors_of
 from .syntax import (
     Arrow,
     ArrowApp,
@@ -53,6 +52,7 @@ from .syntax import (
     PPair,
     Pattern,
     Variable,
+    _map_pattern,
     collect_names,
     expr_to_pattern,
     free_vars,
@@ -222,15 +222,6 @@ def _apply_plan(term: LetTerm, plan: Plan, fresh: FreshNames) -> tuple[LetTerm, 
     return term, steps
 
 
-def swap_first(term: LetTerm, fresh: FreshNames | None = None) -> tuple[LetTerm, RewriteStep]:
-    """Move the second definition above the first with the applicable swap rule."""
-    if len(term.defs) < 2:
-        raise TooFewDefinitions("swapping needs two definitions")
-    rule = _swap_rule(term, 0)
-    after = apply_rule(term, rule, 0, fresh=fresh)
-    return after, RewriteStep(rule, 0, None, term, after)
-
-
 def _gather_plan(term: LetTerm, start: int, targets: frozenset[Variable], fvs: list[frozenset[Variable]]) -> Plan:
     """The rules that gather the targets into definition `start`, bottom-up.
 
@@ -348,11 +339,11 @@ class SizeBound:
         return self.size_ok and self.steps_ok
 
 
-def size_bound(before: LetTerm, factors: Sequence[Factor], x: Variable, after: LetTerm, steps: int) -> SizeBound:
-    """The guaranteed bounds on one elimination of x, given the factors of
-    `before`: at most one rewrite step per definition, and size growth at most
-    four per internal variable of the factors touching x."""
-    touched = [f.vars for f in factors if x in f.vars]
+def size_bound(before: LetTerm, touched: Sequence[Iterable[Variable]], after: LetTerm, steps: int) -> SizeBound:
+    """The guaranteed bounds on one elimination of a variable x from `before`
+    to `after`, given the variable sets of the factors of `before` that touch
+    x: at most one rewrite step per definition, and size growth at most four
+    per internal variable of those factors."""
     internal = set().union(*touched) - free_vars(before)
     return SizeBound(
         size_before=size(before),
@@ -363,18 +354,10 @@ def size_bound(before: LetTerm, factors: Sequence[Factor], x: Variable, after: L
     )
 
 
-def size_bound_check(term: LetTerm, x: Variable) -> SizeBound:
-    """Eliminate one variable and compare growth and step count against the
-    guaranteed bounds (see size_bound)."""
-    factors = factors_of(term).factors
-    after, steps = eliminate_term(term, x)
-    return size_bound(term, factors, x, after, len(steps))
-
-
 # ---------------------------------------------------------------- cleanup of administrative shapes
 
 
-def simplify(term: LetTerm, fresh: FreshNames | None = None) -> LetTerm:
+def simplify(term: LetTerm) -> LetTerm:
     """Remove the administrative let shapes the rewriting produces.
 
     Collapses lets that only rebuild their binder, flattens lets whose bound
@@ -383,8 +366,7 @@ def simplify(term: LetTerm, fresh: FreshNames | None = None) -> LetTerm:
     intact; only the bound expressions change, and the denotation is preserved.
     Off by default everywhere; callers opt in.
     """
-    if fresh is None:
-        fresh = FreshNames(collect_names(term))
+    fresh = FreshNames(collect_names(term))
     defs = tuple((binder, _simplify_expr(bound, fresh)) for binder, bound in term.defs)
     return LetTerm(defs, term.output)
 
@@ -437,7 +419,7 @@ def _simplify_pass(e: Expr, fresh: FreshNames) -> Expr:
             }
             renamed = {v.name: sub.get(v.name, v) for v in pattern_vars(bound.binder)}
             inner_let = Let(
-                _map_binder(bound.binder, renamed),
+                _map_pattern(bound.binder, renamed),
                 bound.bound,
                 subst_free_vars(bound.body, {k: v for k, v in sub.items()}),
             )
@@ -467,10 +449,3 @@ def _pattern_match(p: Pattern, q: Pattern) -> dict[str, Variable] | None:
         left.update(right)
         return left
     return None
-
-
-def _map_binder(p: Pattern, env: dict[str, Variable]) -> Pattern:
-    if isinstance(p, PLeaf):
-        return PLeaf(env.get(p.var.name, p.var))
-    assert isinstance(p, PPair)
-    return PPair(_map_binder(p.left, env), _map_binder(p.right, env))

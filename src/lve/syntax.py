@@ -20,7 +20,7 @@ in its body.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -214,19 +214,25 @@ def nest_vars(vs: Iterable[Variable]) -> Pattern:
 # ---------------------------------------------------------------- stochastic matrices
 
 
+TOL = 1e-9
+"""The one tolerance of every numeric comparison: a stochastic row's sum
+against one, and the routes' answers against each other."""
+
+
 @dataclass(frozen=True, eq=False)
 class StochasticMatrix:
     """A named nonnegative table from a product of positive slots to a positive type.
 
     Rows enumerate the joint slot web left-major; columns enumerate the output
-    web. `stochastic` records that every row was verified to sum to one.
+    web. `stochastic` is computed from the entries: every row sums to one
+    within `TOL`.
     """
 
     name: str
     slots: tuple[Ty, ...]
     out: Ty
     entries: np.ndarray
-    stochastic: bool = False
+    stochastic: bool = field(init=False)
 
     def __post_init__(self) -> None:
         for s in self.slots:
@@ -248,15 +254,7 @@ class StochasticMatrix:
             raise TypeCheckError(f"matrix {self.name}: negative entry")
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
-
-
-def check_stochastic(m: StochasticMatrix, tol: float = 1e-9) -> StochasticMatrix:
-    """Return a copy flagged stochastic; raises if some row does not sum to one."""
-    sums = m.entries.sum(axis=1)
-    bad = np.abs(sums - 1.0).max(initial=0.0)
-    if bad > tol:
-        raise TypeCheckError(f"matrix {m.name}: row sums deviate from 1 by {bad:.3g}")
-    return StochasticMatrix(m.name, m.slots, m.out, m.entries, stochastic=True)
+        object.__setattr__(self, "stochastic", bool(np.abs(arr.sum(axis=1) - 1.0).max() <= TOL))
 
 
 # ---------------------------------------------------------------- expressions
@@ -344,13 +342,6 @@ class LetTerm:
 
     _typings = None
 
-    def to_expr(self) -> Expr:
-        """The same term as nested lets."""
-        e = pattern_to_expr(self.output)
-        for binder, bound in reversed(self.defs):
-            e = Let(binder, bound, e)
-        return e
-
     @property
     def is_positive(self) -> bool:
         return all(not v.is_arrow for v in pattern_vars(self.output))
@@ -367,9 +358,6 @@ class LetTerm:
         if self._typings is not None:
             object.__setattr__(t, "_typings", self._typings)
         return t
-
-    def tail(self) -> "LetTerm":
-        return self.suffix(1)
 
 
 Term = Expr | LetTerm
@@ -415,10 +403,6 @@ def suffix_free_vars(t: LetTerm) -> list[frozenset[Variable]]:
         fvs.append(free_vars(bound) | (fvs[-1] - pattern_fv(binder)))
     fvs.reverse()
     return fvs
-
-
-def free_arrow_vars(t: Term) -> frozenset[Variable]:
-    return frozenset(v for v in free_vars(t) if v.is_arrow)
 
 
 # ---------------------------------------------------------------- size
@@ -704,6 +688,15 @@ class FreshNames:
 def collect_names(t: Term) -> set[str]:
     """All variable names occurring in a term, free or bound."""
     return {v.name for v in occurrences(t) if isinstance(v, Variable)}
+
+
+def collect_matrices(t: Term) -> list[StochasticMatrix]:
+    """All distinct matrices applied in a term, in first-use order."""
+    seen: dict[str, StochasticMatrix] = {}
+    for m in occurrences(t):
+        if isinstance(m, StochasticMatrix):
+            seen.setdefault(m.name, m)
+    return list(seen.values())
 
 
 def _rename_pattern(p: Pattern, env: dict[str, Variable], names: FreshNames) -> Pattern:

@@ -7,17 +7,19 @@ sorted by name, again left-major, and the web of a pattern is left-major over
 its leaves. The numeric core therefore never computes indices itself: a table
 over such a product reshapes into one array axis per variable or leaf, and
 numpy does the index arithmetic. WebElem trees and Assignments are the
-readable boundary representation, indexed through VarSpace.
+readable boundary representation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Iterable
 
 from .cost import DEFAULT_WEB_CAP
-from .errors import InvalidAxes, NotPositive, WebCapExceeded
+from .errors import NotPositive, WebCapExceeded
 from .syntax import (
     Arrow,
     Bool,
@@ -66,14 +68,6 @@ def enumerate_web(t: Ty) -> tuple[WebElem, ...]:
     return tuple(WebPair(a, b) for a in enumerate_web(left) for b in enumerate_web(right))
 
 
-def element_at(t: Ty, idx: int) -> WebElem:
-    if isinstance(t, Bool):
-        return TRUE if idx == 0 else FALSE
-    left, right = (t.left, t.right) if isinstance(t, Tensor) else (t.input, t.result)
-    n = web_size(right)
-    return WebPair(element_at(left, idx // n), element_at(right, idx % n))
-
-
 def element_index(t: Ty, el: WebElem) -> int:
     if isinstance(t, Bool):
         assert isinstance(el, WebBool)
@@ -119,10 +113,6 @@ class Assignment:
                 return el
         raise KeyError(v.name)
 
-    def restrict(self, vs: Iterable[Variable]) -> "Assignment":
-        keep = set(vs)
-        return Assignment(tuple(p for p in self.items if p[0] in keep))
-
     def union(self, other: "Assignment") -> "Assignment":
         mine = dict(self.items)
         for v, el in other.items:
@@ -135,9 +125,6 @@ class Assignment:
         return "{" + ", ".join(f"{v.name}={el}" for v, el in self.items) + "}"
 
 
-STAR = Assignment(())
-
-
 def sorted_vars(vs: Iterable[Variable]) -> tuple[Variable, ...]:
     return tuple(sorted(vs, key=lambda v: v.name))
 
@@ -147,47 +134,11 @@ def check_web_cap(n: int, cap: int = DEFAULT_WEB_CAP) -> None:
         raise WebCapExceeded(f"web of size {n} exceeds cap {cap}")
 
 
-def enumerate_assignments(vs: Iterable[Variable], cap: int = DEFAULT_WEB_CAP) -> list[Assignment]:
+def enumerate_assignments(vs: Iterable[Variable]) -> list[Assignment]:
     """All assignments of a variable set, sorted-name left-major order."""
-    space = VarSpace(sorted_vars(vs), cap=cap)
-    return [space.assignment_at(i) for i in range(space.size)]
-
-
-class VarSpace:
-    """Index arithmetic over the web of a sorted variable tuple.
-
-    Flat indices are mixed-radix numerals: the first (alphabetically least)
-    variable is the most significant digit.
-    """
-
-    def __init__(self, vars: tuple[Variable, ...], cap: int = DEFAULT_WEB_CAP):
-        if list(vars) != sorted(vars, key=lambda v: v.name):
-            raise InvalidAxes(f"VarSpace wants sorted vars, got {[v.name for v in vars]}")
-        self.vars = vars
-        self.dims = tuple(web_size(v.ty) for v in vars)
-        size = 1
-        for d in self.dims:
-            size *= d
-        check_web_cap(size, cap)
-        self.size = size
-        strides: list[int] = []
-        acc = 1
-        for d in reversed(self.dims):
-            strides.append(acc)
-            acc *= d
-        self.strides = tuple(reversed(strides))
-
-    def assignment_at(self, idx: int) -> Assignment:
-        pairs = []
-        for v, d, s in zip(self.vars, self.dims, self.strides):
-            pairs.append((v, element_at(v.ty, (idx // s) % d)))
-        return Assignment.of(pairs)
-
-    def index_of(self, asg: Assignment) -> int:
-        idx = 0
-        for v, s in zip(self.vars, self.strides):
-            idx += element_index(v.ty, asg.get(v)) * s
-        return idx
+    vs = sorted_vars(vs)
+    check_web_cap(math.prod(web_size(v.ty) for v in vs))
+    return [Assignment(tuple(zip(vs, els))) for els in product(*(enumerate_web(v.ty) for v in vs))]
 
 
 # ---------------------------------------------------------------- pattern web bridging
@@ -199,19 +150,3 @@ def pattern_read(p: Pattern, asg: Assignment) -> WebElem:
         return asg.get(p.var)
     assert isinstance(p, PPair)
     return WebPair(pattern_read(p.left, asg), pattern_read(p.right, asg))
-
-
-def pattern_bind(p: Pattern, el: WebElem) -> Assignment:
-    """Split a web element of the pattern's type into an assignment."""
-    pairs: list[tuple[Variable, WebElem]] = []
-
-    def walk(q: Pattern, e: WebElem) -> None:
-        if isinstance(q, PLeaf):
-            pairs.append((q.var, e))
-            return
-        assert isinstance(q, PPair) and isinstance(e, WebPair)
-        walk(q.left, e.left)
-        walk(q.right, e.right)
-
-    walk(p, el)
-    return Assignment.of(pairs)

@@ -19,7 +19,6 @@ from lve.syntax import (
     StochasticMatrix,
     Var,
     Variable,
-    check_stochastic,
 )
 
 # Joint distribution of samples/sixnode.lve over (x3, x6), web order
@@ -59,9 +58,8 @@ def bvar(name: str) -> Variable:
     return Variable(name, BOOL)
 
 
-def matrix(name: str, n_slots: int, rows, out=BOOL, stochastic: bool = True) -> StochasticMatrix:
-    m = StochasticMatrix(name, (BOOL,) * n_slots, out, np.asarray(rows, dtype=float))
-    return check_stochastic(m) if stochastic else m
+def matrix(name: str, n_slots: int, rows, out=BOOL) -> StochasticMatrix:
+    return StochasticMatrix(name, (BOOL,) * n_slots, out, np.asarray(rows, dtype=float))
 
 
 def coin_matrix(p: float = 0.3, name: str = "Coin") -> StochasticMatrix:

@@ -288,6 +288,22 @@ def test_vel_simplify_survives_inner_shadowing(run, tmp_path):
     assert plain.splitlines()[-4:] == ["(t,t): 0.31", "(t,f): 0", "(f,t): 0", "(f,f): 0.69"]
 
 
+@pytest.mark.parametrize("command", ["denote", "vel", "compare"])
+def test_overflowing_marginals_are_input_errors(run, tmp_path, command):
+    # The denotation overflows to inf and the factor routes to NaN; no route
+    # may print them, and compare may not count them as agreeing.
+    path = tmp_path / "huge.lve"
+    path.write_text(
+        "matrix M : -> Bool = [1e308, 1e308]; matrix N : Bool -> Bool = [1e308, 0; 0, 1e308];"
+        " x = M; y = N(x); z = N(y); in z"
+    )
+    with np.errstate(over="ignore"):
+        code, out, err = run(command, "--no-stochastic-check", str(path))
+    assert code == 2
+    assert "inf" not in out and "nan" not in out
+    assert err.startswith("error:") and "not finite" in err
+
+
 @pytest.mark.parametrize("cpt", ['[["x", 0.5]]', "[[NaN, 0.5]]"])
 def test_bad_cpt_entries_are_input_errors(run, tmp_path, cpt):
     path = tmp_path / "net.json"

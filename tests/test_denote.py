@@ -147,7 +147,8 @@ def test_total_mass_requires_closed():
 
 
 def test_total_mass_requires_stochastic_flag():
-    m = matrix("M", 0, [[0.2, 0.2]], stochastic=False)
+    m = matrix("M", 0, [[0.2, 0.2]])
+    assert not m.stochastic
     with pytest.raises(LveError):
         total_mass_check(MatApp(m, ()))
 

@@ -107,3 +107,15 @@ def test_vel_reads_out_a_long_chain(tmp_path, capsys):
     printed = capsys.readouterr().out.splitlines()[-2:]
     assert [line.split(": ")[0] for line in printed] == ["t", "f"]
     assert np.allclose([float(line.split(": ")[1]) for line in printed], vef, atol=1e-9)
+
+
+def test_vel_emits_the_term_of_a_long_chain(tmp_path, capsys):
+    # The printer walks vel's merged definition, two nested lets per
+    # eliminated variable, with an explicit stack.
+    assert sys.getrecursionlimit() <= 1000
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(chain_network(VEL_LENGTH)))
+    assert main(["vel", "--emit-term", str(path)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-1] == f"in x{VEL_LENGTH}"
+    assert sum(line.count("let ") for line in printed) == 2 * (VEL_LENGTH - 1)

@@ -6,7 +6,11 @@ import ast
 import pathlib
 import types
 
+import pytest
+
 import lve
+
+SRC = pathlib.Path(lve.__file__).parent
 
 
 def test_all_lists_resolvable_names_and_no_modules():
@@ -33,13 +37,47 @@ def test_sources_walk_definitions_and_check_explicitly():
                 ), f"{path.name}:{node.lineno}"
 
 
-def test_denote_is_independent_of_the_factor_engine():
-    # denote is the reference the factor routes are checked against, so it
-    # shares no code with them.
-    path = pathlib.Path(lve.__file__).parent / "denote.py"
-    for node in ast.walk(ast.parse(path.read_text())):
+def _lve_imports(module: str) -> set[str]:
+    """The lve modules a module of the package imports from."""
+    found = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
         if isinstance(node, ast.ImportFrom):
-            assert node.module not in ("factors", "lve.factors"), node.lineno
-            assert not (node.module is None and any(a.name == "factors" for a in node.names)), node.lineno
+            names = (node.module or "").split(".")
+            if not node.level:
+                if names[0] != "lve":
+                    continue
+                names = names[1:]
+            if names and names[0]:
+                found.add(names[0])
+            else:
+                found.update(a.name for a in node.names)
         elif isinstance(node, ast.Import):
-            assert all(not a.name.startswith("lve.factors") for a in node.names), node.lineno
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("lve."))
+    return found
+
+
+@pytest.mark.parametrize(
+    "module, forbidden",
+    [
+        # denote is the reference the factor routes are checked against, so
+        # it shares no code with them.
+        ("denote", {"factors"}),
+        # Rewriting and printing are syntax alone.
+        ("rewrite", {"denote", "factors"}),
+        ("printer", {"denote", "factors"}),
+    ],
+    ids=["denote", "rewrite", "printer"],
+)
+def test_layering(module, forbidden):
+    assert not _lve_imports(module) & forbidden
+
+
+def test_tolerance_is_written_once():
+    # Every numeric comparison uses syntax.TOL; the literal appears nowhere else.
+    places = []
+    for path in sorted(SRC.glob("*.py")):
+        lines = path.read_text().splitlines()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and node.value == 1e-9:
+                places.append((path.name, lines[node.lineno - 1]))
+    assert places == [("syntax.py", "TOL = 1e-9")]

@@ -36,8 +36,7 @@ from lve.rewrite import (
     eliminate_term,
     gather,
     simplify,
-    size_bound_check,
-    swap_first,
+    size_bound,
 )
 from lve.syntax import (
     BOOL,
@@ -275,11 +274,11 @@ def test_rules_constant():
 
 
 def test_swap_first_picks_the_applicable_rule():
-    assert swap_first(independent_term())[1].rule == "swap1"
-    assert swap_first(chain_term())[1].rule == "swap2"
-    assert swap_first(pair_arrow_term())[1].rule == "swap3"
+    for term, rule in ((independent_term(), "swap1"), (chain_term(), "swap2"), (pair_arrow_term(), "swap3")):
+        assert rewrite._swap_rule(term, 0) == rule
+        apply_rule(term, rule, 0)
     with pytest.raises(TooFewDefinitions):
-        swap_first(LetTerm(((PLeaf(X), MatApp(M1, ())),), PLeaf(X)))
+        apply_rule(LetTerm(((PLeaf(X), MatApp(M1, ())),), PLeaf(X)), "swap1", 0)
 
 
 def test_gather_swaps_a_deep_consumer_up():
@@ -291,7 +290,7 @@ def test_gather_swaps_a_deep_consumer_up():
     gathered, steps = gather(term, {X})
     assert [s.rule for s in steps] == ["swap1"]
     assert X in free_vars(gathered.defs[0][1])
-    assert X not in free_vars(gathered.tail())
+    assert X not in free_vars(gathered.suffix(1))
     assert_same_denotation(term, gathered)
     # Pure swaps preserve the factor multiset exactly.
     assert factor_sets_equal(factors_of(term), factors_of(gathered))
@@ -398,8 +397,11 @@ def test_eliminate_seq_any_order_same_marginal(sixnode_term):
 
 
 def test_size_bound_check(sixnode_term):
+    factors = factors_of(sixnode_term).factors
     for name in ("x1", "x2", "x4", "x5"):
-        bound = size_bound_check(sixnode_term, order_by_name(sixnode_term, [name])[0])
+        x = order_by_name(sixnode_term, [name])[0]
+        after, steps = eliminate_term(sixnode_term, x)
+        bound = size_bound(sixnode_term, [f.vars for f in factors if x in f.vars], after, len(steps))
         assert bound.ok, f"{name}: {bound}"
         assert bound.steps <= bound.step_limit == len(sixnode_term.defs)
 

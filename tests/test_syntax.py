@@ -16,6 +16,7 @@ from lve.errors import (
 )
 from lve.syntax import (
     BOOL,
+    _check,
     Arrow,
     ArrowApp,
     FreshNames,
@@ -33,7 +34,6 @@ from lve.syntax import (
     canonicalize,
     collect_names,
     expr_to_pattern,
-    free_arrow_vars,
     free_vars,
     nest_vars,
     pattern_fv,
@@ -214,7 +214,7 @@ def test_free_vars():
     f = Variable("f", AR)
     e2 = ArrowApp(f, PLeaf(x))
     assert free_vars(e2) == frozenset({f, x})
-    assert free_arrow_vars(e2) == frozenset({f})
+    assert _check(e2)[2] == frozenset({f})  # the free arrow variables
 
 
 def test_coin_copy_typechecks():
@@ -280,19 +280,25 @@ def test_subst_free_vars():
     assert subst_free_vars(e, {"x": y}) == Pair(Var(y), Var(y))
 
 
+def nested_lets(term: LetTerm) -> Let:
+    """A two-definition let-term as nested lets."""
+    (p1, e1), (p2, e2) = term.defs
+    return Let(p1, e1, Let(p2, e2, pattern_to_expr(term.output)))
+
+
 def test_size_counts_nodes():
     x = bvar("x")
     assert size(Var(x)) < size(Pair(Var(x), Var(x)))
     term = coin_copy_term()
-    assert size(term) == size(term.to_expr())
+    assert size(term) == size(nested_lets(term))
 
 
 def test_let_term_round_trip():
     term = coin_copy_term()
     assert term.is_positive
     assert {v.name for v in term.defined_vars()} == {"v", "v'"}
-    assert typecheck(term.to_expr()) == typecheck(term)
-    assert term.tail().defs == term.defs[1:]
+    assert typecheck(nested_lets(term)) == typecheck(term)
+    assert term.suffix(1).defs == term.defs[1:]
 
 
 names = st.sampled_from(["a", "b", "c", "d"])

@@ -10,6 +10,7 @@ from lve.printer import program_str
 from lve.syntax import free_vars, pattern_vars, typecheck
 from lve.verify import (
     CheckFailure,
+    MAX_QUERY,
     GeneratorConfig,
     SuiteReport,
     brute_force_joint,
@@ -85,7 +86,7 @@ def test_random_network_well_formed(seed):
     # The last-defined node is always queried.
     out_names = {v.name for v in pattern_vars(term.output)}
     assert term.defs[-1][0].var.name in out_names
-    assert len(out_names) <= config.max_query
+    assert len(out_names) <= MAX_QUERY
 
     # Every hidden node has a query descendant: walk children transitively.
     children: dict[str, set[str]] = {}

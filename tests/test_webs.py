@@ -5,20 +5,17 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from lve.errors import InvalidAxes, NotPositive, WebCapExceeded
-from lve.syntax import BOOL, Arrow, PLeaf, PPair, Tensor, Variable, web_size
+from lve.errors import NotPositive, WebCapExceeded
+from lve.syntax import BOOL, Arrow, PLeaf, PPair, Tensor, web_size
 from lve.webs import (
     Assignment,
-    VarSpace,
     WebBool,
     check_web_cap,
     dim,
-    element_at,
     element_index,
     enumerate_assignments,
     enumerate_web,
     ht,
-    pattern_bind,
     pattern_read,
     sorted_vars,
 )
@@ -88,8 +85,7 @@ def test_enumeration_matches_web_size(t):
 @given(types(), st.integers(min_value=0, max_value=10**6))
 def test_element_index_round_trip(t, k):
     idx = k % web_size(t)
-    assert element_index(t, element_at(t, idx)) == idx
-    assert element_at(t, idx) == enumerate_web(t)[idx]
+    assert element_index(t, enumerate_web(t)[idx]) == idx
 
 
 def test_web_cap():
@@ -101,20 +97,6 @@ def test_web_cap():
 def test_sorted_vars():
     a, b, c = bvar("a"), bvar("b"), bvar("c")
     assert sorted_vars([c, a, b]) == (a, b, c)
-
-
-def test_varspace_round_trip():
-    vs = (bvar("a"), Variable("b", BB), bvar("c"))
-    space = VarSpace(vs)
-    assert space.size == 2 * 4 * 2
-    for i in range(space.size):
-        asg = space.assignment_at(i)
-        assert space.index_of(asg) == i
-
-
-def test_varspace_requires_sorted():
-    with pytest.raises(InvalidAxes):
-        VarSpace((bvar("b"), bvar("a")))
 
 
 def test_enumerate_assignments():
@@ -142,7 +124,6 @@ def test_assignment_get_missing():
 def test_pattern_read_bind_round_trip():
     a, b, c = bvar("a"), bvar("b"), bvar("c")
     p = PPair(PLeaf(a), PPair(PLeaf(b), PLeaf(c)))
-    for el in enumerate_web(Tensor(BOOL, BB)):
-        asg = pattern_bind(p, el)
+    for el, asg in zip(enumerate_web(Tensor(BOOL, BB)), enumerate_assignments([c, a, b]), strict=True):
         assert pattern_read(p, asg) == el
 
