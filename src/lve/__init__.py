@@ -70,7 +70,6 @@ from .syntax import (
     Var,
     Variable,
     alpha_eq,
-    canonicalize,
     collect_matrices,
     collect_names,
     free_vars,
@@ -104,7 +103,7 @@ __all__ = [
     "eliminate_seq", "eliminate_term", "gather", "simplify",
     "Arrow", "ArrowApp", "BOOL", "Bool", "Expr", "FreshNames", "Lam", "Let", "LetTerm", "MatApp",
     "Pair", "PLeaf", "PPair", "Pattern", "StochasticMatrix", "Tensor", "Term", "Var", "Variable",
-    "alpha_eq", "canonicalize", "collect_names", "free_vars", "pattern_type",
+    "alpha_eq", "collect_names", "free_vars", "pattern_type",
     "pattern_vars", "size", "type_str", "typecheck", "GeneratorConfig", "SuiteReport",
     "brute_force_joint", "check_instance", "random_network", "run_suite", "Assignment", "dim",
     "element_index", "enumerate_web", "ht", "web_size",

@@ -19,9 +19,11 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .cost import DEFAULT_WEB_CAP
 from .denote import DenoteContext, denote, joint_vector, total_mass_check
-from .errors import InOutput, LveError, NotClosed, UnknownVariable
+from .errors import InOutput, LveError, NonFinite, NotClosed, UnknownVariable
 from .factors import dump_factors, eliminate, factors_of, marginal, relation_from_factors
 from .network import load_network
 from .orderings import min_degree_order, random_order
@@ -196,6 +198,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command in ("vef", "cost"):
         fs = eliminate(factors_of(term, ctx), order, args.web_cap)
         if args.command == "vef":
+            if not all(np.isfinite(f.table).all() for f in fs.factors):
+                raise NonFinite("a factor table is not finite")
             print(dump_factors(fs))
         print(f"muladds: {fs.counter.muladds}")
         print(f"max_table: {fs.counter.max_table}")

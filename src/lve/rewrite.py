@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import (
-    BinderCapture,
     InOutput,
     NotDefined,
     NotPositive,
@@ -47,14 +46,16 @@ from .syntax import (
     Lam,
     Let,
     LetTerm,
+    MatApp,
     Pair,
     PLeaf,
     PPair,
     Pattern,
+    Var,
     Variable,
+    _check,
     _map_pattern,
     collect_names,
-    expr_to_pattern,
     free_vars,
     nest_vars,
     pattern_fv,
@@ -65,7 +66,6 @@ from .syntax import (
     pattern_vars,
     replace_defs,
     size,
-    subst_free_vars,
     suffix_free_vars,
     typecheck,
 )
@@ -358,94 +358,130 @@ def size_bound(before: LetTerm, touched: Sequence[Iterable[Variable]], after: Le
 
 
 def simplify(term: LetTerm) -> LetTerm:
-    """Remove the administrative let shapes the rewriting produces.
-
-    Collapses lets that only rebuild their binder, flattens lets whose bound
-    expression is itself a let, splits pair-against-pair lets, and inlines
-    variable-for-variable bindings. The definition structure of the term stays
-    intact; only the bound expressions change, and the denotation is preserved.
-    Off by default everywhere; callers opt in.
-    """
+    """Remove the administrative let shapes the rewriting produces: lets
+    that only rebuild their binder, lets in bound position, pair binders
+    against pairs, and variables bound to variables, in one walk per bound
+    expression (`_flatten`). The definitions' binders and the output stay,
+    and so does the denotation. Off by default everywhere; callers opt in."""
     fresh = FreshNames(collect_names(term))
-    defs = tuple((binder, _simplify_expr(bound, fresh)) for binder, bound in term.defs)
-    return LetTerm(defs, term.output)
+    scope = {v.name for v in free_vars(term)}
+    defs = []
+    for binder, bound in term.defs:
+        defs.append((binder, _flatten(bound, scope, fresh)))
+        scope.update(v.name for v in pattern_vars(binder))
+    return LetTerm(tuple(defs), term.output)
 
 
-def _simplify_expr(e: Expr, fresh: FreshNames) -> Expr:
-    for _ in range(200):
-        reduced = _simplify_pass(e, fresh)
-        if reduced == e:
-            return e
-        e = reduced
-    return e
+def _flatten(e: Expr, scope: set[str], fresh: FreshNames) -> Expr:
+    """`e` in normal form. A let joins the spine (flat list of definitions)
+    around it: its bound's lets, its binder against the bound's result
+    (`bind`), its body's lets; a body that only rebuilds the binder, or a part
+    bound last, gives way to that part's bound. Pair components and lambda
+    bodies keep their own spines. Binders that stay are renamed apart from
+    `scope` while in scope, so none captures and substitution is a map (`env`).
+    A `walk` yields its children, so nesting costs no Python recursion."""
+    env: dict[str, Variable | None] = {}
+    undo: list[tuple[str, Variable | None]] = []
+    added: list[str] = []
+
+    def apart(v: Variable) -> Variable:
+        w = Variable(fresh.fresh(v.name), v.ty) if v.name in scope else v
+        scope.add(w.name)
+        added.append(w.name)
+        return w
+
+    def rename(p: Pattern, to: Variable | None = None) -> Pattern:
+        for v in pattern_vars(p):
+            undo.append((v.name, env.get(v.name)))
+            env[v.name] = to or apart(v)
+        return _map_pattern(p, env)
+
+    def substitute(node: Expr, spine: list) -> Expr:
+        if isinstance(node, Var):
+            return Var(env.get(node.var.name) or node.var)
+        args = node.args if isinstance(node, MatApp) else pattern_vars(node.args)
+        sub: dict[str, Variable] = {}
+        for v in args:
+            w = env.get(v.name) or v
+            if w in sub.values():
+                # Applications take distinct variables: keep this one's let.
+                spine.append((PLeaf(apart(v)), Var(w)))
+                w = spine[-1][0].var
+            sub[v.name] = w
+        if isinstance(node, MatApp):
+            return MatApp(node.matrix, tuple(sub[v.name] for v in args))
+        return ArrowApp(env.get(node.fn.name) or node.fn, _map_pattern(node.args, sub))
+
+    def bind(p: Pattern, r: Expr, spine: list, parts: list) -> None:
+        # Records each part's bound and the spine and names its binding took.
+        at, start, named = len(parts), len(spine), len(added)
+        parts.append(None)
+        if isinstance(p, PPair) and isinstance(r, Pair):
+            for part, component in ((p.left, r.fst), (p.right, r.snd)):
+                while isinstance(component, Let):
+                    spine.append((component.binder, component.bound))
+                    component = component.body
+                bind(part, component, spine, parts)
+        elif isinstance(p, PLeaf) and isinstance(r, Var):
+            rename(p, r.var)
+        else:
+            spine.append((rename(p), r))
+        parts[at] = (p, r, start, len(spine), added[named:])
+
+    def walk(node: Expr, spine: list):
+        mark, named, body = len(undo), len(added), None
+        if isinstance(node, Let):
+            parts: list = []
+            bind(node.binder, (yield node.bound, spine), spine, parts)
+            body = yield node.body, spine
+            for p, r, start, end, names in parts:
+                if end == len(spine) and _rebuilds(body, p, env):
+                    del spine[start:]
+                    scope.difference_update(names)
+                    body = r
+                    break
+        elif isinstance(node, Pair):
+            fst, snd = [], []
+            body = Pair(_close(fst, (yield node.fst, fst)), _close(snd, (yield node.snd, snd)))
+        elif isinstance(node, Lam):
+            param, inner = rename(node.param), []
+            body = Lam(param, _close(inner, (yield node.body, inner)))
+            scope.difference_update(added[named:])
+        while len(undo) > mark:
+            name, old = undo.pop()
+            env[name] = old
+        return substitute(node, spine) if body is None else body
+
+    top: list = []
+    stack, result = [walk(e, top)], None
+    while stack:
+        try:
+            child = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+            _check(result)
+        else:
+            stack.append(walk(*child))
+            result = None
+    scope.difference_update(added)
+    return _close(top, result)
 
 
-def _simplify_pass(e: Expr, fresh: FreshNames) -> Expr:
-    if isinstance(e, Pair):
-        return Pair(_simplify_pass(e.fst, fresh), _simplify_pass(e.snd, fresh))
-    if isinstance(e, Lam):
-        return Lam(e.param, _simplify_pass(e.body, fresh))
-    if not isinstance(e, Let):
-        return e
-    bound = _simplify_pass(e.bound, fresh)
-    body = _simplify_pass(e.body, fresh)
-
-    # let p = b in p  ->  b
-    if body == pattern_to_expr(e.binder):
-        return bound
-
-    # let p = (vars shaped like p) in body  ->  body[p := vars]
-    as_pat = expr_to_pattern(bound)
-    if as_pat is not None:
-        sub = _pattern_match(e.binder, as_pat)
-        if sub is not None:
-            try:
-                return subst_free_vars(body, sub)
-            except BinderCapture:
-                pass
-
-    # let p = (let q = a in r) in body  ->  let q = a in (let p = r in body)
-    if isinstance(bound, Let):
-        q_names = {v.name for v in pattern_vars(bound.binder)}
-        outside = {v.name for v in pattern_vars(e.binder)} | {
-            v.name for v in free_vars(body)
-        }
-        inner_let = bound
-        if q_names & outside:
-            sub = {
-                v.name: Variable(fresh.fresh(v.name), v.ty)
-                for v in pattern_vars(bound.binder)
-                if v.name in outside
-            }
-            renamed = {v.name: sub.get(v.name, v) for v in pattern_vars(bound.binder)}
-            inner_let = Let(
-                _map_pattern(bound.binder, renamed),
-                bound.bound,
-                subst_free_vars(bound.body, {k: v for k, v in sub.items()}),
-            )
-        return Let(inner_let.binder, inner_let.bound, Let(e.binder, inner_let.body, body))
-
-    # let (pl, pr) = (el, er) in body  ->  let pl = el in let pr = er in body
-    if isinstance(e.binder, PPair) and isinstance(bound, Pair):
-        pl, pr = e.binder.left, e.binder.right
-        capture = {v.name for v in pattern_fv(pl)} & {v.name for v in free_vars(bound.snd)}
-        if not capture:
-            return Let(pl, bound.fst, Let(pr, bound.snd, body))
-
-    return Let(e.binder, bound, body)
+def _close(spine: list, result: Expr) -> Expr:
+    """Right-nested lets, each typed as built; a last definition that the
+    result only rebuilds gives way to its bound."""
+    while spine and _rebuilds(result, spine[-1][0], {}):
+        result = spine.pop()[1]
+    for binder, bound in reversed(spine):
+        result = Let(binder, bound, result)
+        _check(result)
+    return result
 
 
-def _pattern_match(p: Pattern, q: Pattern) -> dict[str, Variable] | None:
-    """Map p's leaves to q's when the trees have the same shape and types."""
-    if isinstance(p, PLeaf) and isinstance(q, PLeaf):
-        if p.var.ty != q.var.ty:
-            return None
-        return {p.var.name: q.var}
-    if isinstance(p, PPair) and isinstance(q, PPair):
-        left = _pattern_match(p.left, q.left)
-        right = _pattern_match(p.right, q.right)
-        if left is None or right is None:
-            return None
-        left.update(right)
-        return left
-    return None
+def _rebuilds(e: Expr, p: Pattern, env: dict) -> bool:
+    """Whether `e` is the variable tree of `p`, its variables looked up in `env`."""
+    if isinstance(p, PLeaf):
+        return isinstance(e, Var) and e.var == (env.get(p.var.name) or p.var)
+    assert isinstance(p, PPair)
+    return isinstance(e, Pair) and _rebuilds(e.fst, p.left, env) and _rebuilds(e.snd, p.right, env)

@@ -28,7 +28,6 @@ import numpy as np
 from .errors import (
     ApplicationMismatch,
     ArrowSharing,
-    BinderCapture,
     InconsistentVariableTypes,
     InvalidPattern,
     NonPositiveLamParam,
@@ -254,7 +253,9 @@ class StochasticMatrix:
             raise TypeCheckError(f"matrix {self.name}: negative entry")
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "stochastic", bool(np.abs(arr.sum(axis=1) - 1.0).max() <= TOL))
+        with np.errstate(over="ignore"):  # a row summing past 1e308 is not stochastic
+            sums = arr.sum(axis=1)
+        object.__setattr__(self, "stochastic", bool(np.abs(sums - 1.0).max() <= TOL))
 
 
 # ---------------------------------------------------------------- expressions
@@ -312,21 +313,6 @@ def pattern_to_expr(p: Pattern) -> Expr:
         return Var(p.var)
     assert isinstance(p, PPair)
     return Pair(pattern_to_expr(p.left), pattern_to_expr(p.right))
-
-
-def expr_to_pattern(e: Expr) -> Pattern | None:
-    """Inverse of pattern_to_expr when the expression is a pure variable tree."""
-    if isinstance(e, Var):
-        return PLeaf(e.var)
-    if isinstance(e, Pair):
-        left = expr_to_pattern(e.fst)
-        right = expr_to_pattern(e.snd)
-        if left is not None and right is not None:
-            try:
-                return PPair(left, right)
-            except InvalidPattern:
-                return None
-    return None
 
 
 @dataclass(frozen=True)
@@ -673,9 +659,6 @@ class FreshNames:
     def __init__(self, used: Iterable[str] = ()):  # noqa: D107
         self.used = set(used)
 
-    def reserve(self, name: str) -> None:
-        self.used.add(name)
-
     def fresh(self, base: str) -> str:
         k = 1
         while f"{base}__{k}" in self.used:
@@ -699,93 +682,11 @@ def collect_matrices(t: Term) -> list[StochasticMatrix]:
     return list(seen.values())
 
 
-def _rename_pattern(p: Pattern, env: dict[str, Variable], names: FreshNames) -> Pattern:
-    if isinstance(p, PLeaf):
-        v = p.var
-        if v.name in names.used:
-            v2 = Variable(names.fresh(v.name), v.ty)
-        else:
-            names.reserve(v.name)
-            v2 = v
-        env[p.var.name] = v2
-        return PLeaf(v2)
-    assert isinstance(p, PPair)
-    return PPair(_rename_pattern(p.left, env, names), _rename_pattern(p.right, env, names))
-
-
-def _rename_expr(e: Expr, env: dict[str, Variable], names: FreshNames) -> Expr:
-    if isinstance(e, Var):
-        return Var(env.get(e.var.name, e.var))
-    if isinstance(e, MatApp):
-        return MatApp(e.matrix, tuple(env.get(v.name, v) for v in e.args))
-    if isinstance(e, ArrowApp):
-        return ArrowApp(env.get(e.fn.name, e.fn), _map_pattern(e.args, env))
-    if isinstance(e, Pair):
-        return Pair(_rename_expr(e.fst, env, names), _rename_expr(e.snd, env, names))
-    if isinstance(e, Lam):
-        inner = dict(env)
-        param = _rename_pattern(e.param, inner, names)
-        return Lam(param, _rename_expr(e.body, inner, names))
-    if isinstance(e, Let):
-        bound = _rename_expr(e.bound, env, names)
-        inner = dict(env)
-        binder = _rename_pattern(e.binder, inner, names)
-        return Let(binder, bound, _rename_expr(e.body, inner, names))
-    raise TypeError(f"not an expression: {e!r}")
-
-
 def _map_pattern(p: Pattern, env: dict[str, Variable]) -> Pattern:
     if isinstance(p, PLeaf):
         return PLeaf(env.get(p.var.name, p.var))
     assert isinstance(p, PPair)
     return PPair(_map_pattern(p.left, env), _map_pattern(p.right, env))
-
-
-def canonicalize(t: LetTerm) -> LetTerm:
-    """Alpha-rename so every binder variable is globally unique.
-
-    Free variables keep their names; colliding binders get base__k suffixes,
-    assigned left to right. Idempotent, and the result is alpha-equivalent to
-    the input.
-    """
-    names = FreshNames(v.name for v in free_vars(t))
-    env: dict[str, Variable] = {}
-    defs: list[tuple[Pattern, Expr]] = []
-    for binder, bound in t.defs:
-        bound2 = _rename_expr(bound, env, names)
-        binder2 = _rename_pattern(binder, env, names)
-        defs.append((binder2, bound2))
-    return LetTerm(tuple(defs), _map_pattern(t.output, env))
-
-
-def subst_free_vars(e: Expr, sub: dict[str, Variable]) -> Expr:
-    """Replace free variables by variables; binders shadow, capture raises."""
-    if not sub:
-        return e
-    if isinstance(e, Var):
-        return Var(sub.get(e.var.name, e.var))
-    if isinstance(e, MatApp):
-        return MatApp(e.matrix, tuple(sub.get(v.name, v) for v in e.args))
-    if isinstance(e, ArrowApp):
-        return ArrowApp(sub.get(e.fn.name, e.fn), _map_pattern(e.args, sub))
-    if isinstance(e, Pair):
-        return Pair(subst_free_vars(e.fst, sub), subst_free_vars(e.snd, sub))
-    if isinstance(e, Lam):
-        inner = _shadow(sub, e.param)
-        return Lam(e.param, subst_free_vars(e.body, inner))
-    if isinstance(e, Let):
-        bound = subst_free_vars(e.bound, sub)
-        inner = _shadow(sub, e.binder)
-        return Let(e.binder, bound, subst_free_vars(e.body, inner))
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _shadow(sub: dict[str, Variable], binder: Pattern) -> dict[str, Variable]:
-    names = {v.name for v in pattern_vars(binder)}
-    targets = {v.name for k, v in sub.items() if k not in names}
-    if targets & names:
-        raise BinderCapture(f"substitution would capture {sorted(targets & names)}")
-    return {k: v for k, v in sub.items() if k not in names}
 
 
 # ---------------------------------------------------------------- alpha equivalence

@@ -11,6 +11,8 @@ import numpy as np
 
 from lve.syntax import (
     BOOL,
+    Lam,
+    Let,
     LetTerm,
     MatApp,
     Pair,
@@ -19,6 +21,7 @@ from lve.syntax import (
     StochasticMatrix,
     Var,
     Variable,
+    pattern_to_expr,
 )
 
 # Joint distribution of samples/sixnode.lve over (x3, x6), web order
@@ -90,6 +93,28 @@ COIN_PAIR_JOINT = (0.09, 0.21, 0.21, 0.49)
 def order_by_name(term: LetTerm, names) -> list[Variable]:
     by = {v.name: v for v in term.defined_vars()}
     return [by[n] for n in names]
+
+
+def is_normal_form(term: LetTerm) -> bool:
+    """No let in the bound expressions is administrative: none binds a let
+    or a variable, none binds a pair pattern to a pair, and none has its own
+    binder as its body. The walk keeps an explicit stack."""
+    stack = [bound for _, bound in term.defs]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Let):
+            if (
+                isinstance(e.bound, (Let, Var))
+                or (isinstance(e.binder, PPair) and isinstance(e.bound, Pair))
+                or e.body == pattern_to_expr(e.binder)
+            ):
+                return False
+            stack += (e.bound, e.body)
+        elif isinstance(e, Pair):
+            stack += (e.fst, e.snd)
+        elif isinstance(e, Lam):
+            stack.append(e.body)
+    return True
 
 
 def _row(k: int) -> list[float]:

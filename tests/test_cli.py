@@ -288,7 +288,7 @@ def test_vel_simplify_survives_inner_shadowing(run, tmp_path):
     assert plain.splitlines()[-4:] == ["(t,t): 0.31", "(t,f): 0", "(f,t): 0", "(f,f): 0.69"]
 
 
-@pytest.mark.parametrize("command", ["denote", "vel", "compare"])
+@pytest.mark.parametrize("command", ["denote", "vef", "vel", "compare"])
 def test_overflowing_marginals_are_input_errors(run, tmp_path, command):
     # The denotation overflows to inf and the factor routes to NaN; no route
     # may print them, and compare may not count them as agreeing.

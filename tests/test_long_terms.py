@@ -119,3 +119,20 @@ def test_vel_emits_the_term_of_a_long_chain(tmp_path, capsys):
     printed = capsys.readouterr().out.splitlines()
     assert printed[-1] == f"in x{VEL_LENGTH}"
     assert sum(line.count("let ") for line in printed) == 2 * (VEL_LENGTH - 1)
+
+
+def test_vel_simplifies_the_term_of_a_long_chain(tmp_path, capsys):
+    # simplify reads vel's merged definition back as one flat spine, one let
+    # per message passed down the chain, in one walk with an explicit stack.
+    assert sys.getrecursionlimit() <= 1000
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(chain_network(VEL_LENGTH)))
+    assert main(["vel", "--emit-term", "--simplify", str(path)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-1] == f"in x{VEL_LENGTH}"
+    assert sum(line.count("let ") for line in printed) == VEL_LENGTH - 1
+
+    assert main(["vel", str(path)]) == 0
+    plain = capsys.readouterr().out
+    assert main(["vel", "--simplify", str(path)]) == 0
+    assert capsys.readouterr().out == plain

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import pathlib
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 import lve
 from lve import rewrite
-from lve.denote import denote, joint_vector
+from lve.denote import DenoteContext, denote, joint_vector
 from lve.errors import (
     InconsistentVariableTypes,
     InOutput,
@@ -40,6 +41,7 @@ from lve.rewrite import (
 )
 from lve.syntax import (
     BOOL,
+    TOL,
     Arrow,
     ArrowApp,
     FreshNames,
@@ -55,11 +57,12 @@ from lve.syntax import (
     free_vars,
     typecheck,
 )
-from lve.verify import random_network
+from lve.verify import _orders, random_network
 from helpers import (
     SIXNODE_GOLDEN_STEPS,
     SIXNODE_JOINT,
     bvar,
+    is_normal_form,
     coin_matrix,
     matrix,
     order_by_name,
@@ -566,15 +569,34 @@ def test_simplify_flattens_nested_lets():
     assert_same_denotation(term, simplified)
 
 
+def test_simplify_keeps_a_variable_binding_an_application_needs():
+    # Inlining y := x would apply K to x twice, which application forbids.
+    k = matrix("K", 2, [[0.9, 0.1], [0.4, 0.6], [0.5, 0.5], [0.2, 0.8]])
+    bound = Let(PLeaf(Y), Var(X), MatApp(k, (X, Y)))
+    term = LetTerm(((PLeaf(X), MatApp(M1, ())), (PLeaf(Z), bound)), PLeaf(Z))
+    simplified = simplify(term)
+    assert simplified.defs[1][1] == bound
+    assert_same_denotation(term, simplified)
+
+
 def test_simplify_keeps_definition_structure(sixnode_term):
-    order = order_by_name(sixnode_term, ("x1", "x2", "x4", "x5"))
-    final, _ = eliminate_seq(sixnode_term, order)
-    cleaned = simplify(final)
-    assert len(cleaned.defs) == len(final.defs)
-    assert [d for d, _ in cleaned.defs] == [d for d, _ in final.defs]
-    assert cleaned.output == final.output
-    assert_same_denotation(final, cleaned)
-    assert simplify(cleaned) == cleaned
+    # vel's result under every order of the six-node sample, and of 20 random
+    # networks under each order the verifier tries.
+    finals = [
+        eliminate_seq(sixnode_term, order_by_name(sixnode_term, names))[0]
+        for names in itertools.permutations(("x1", "x2", "x4", "x5"))
+    ]
+    for seed in range(20):
+        term = random_network(seed).term
+        finals += [eliminate_seq(term, order)[0] for order in _orders(term, seed, DenoteContext()).values()]
+    for final in finals:
+        cleaned = simplify(final)
+        assert len(cleaned.defs) == len(final.defs)
+        assert [d for d, _ in cleaned.defs] == [d for d, _ in final.defs]
+        assert cleaned.output == final.output
+        assert_same_denotation(final, cleaned, TOL)
+        assert is_normal_form(cleaned)
+        assert simplify(cleaned) == cleaned
 
 
 def test_invariant_checks_survive_python_O():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -31,9 +33,7 @@ from lve.syntax import (
     Var,
     Variable,
     alpha_eq,
-    canonicalize,
     collect_names,
-    expr_to_pattern,
     free_vars,
     nest_vars,
     pattern_fv,
@@ -43,7 +43,6 @@ from lve.syntax import (
     pattern_type,
     pattern_vars,
     size,
-    subst_free_vars,
     type_str,
     typecheck,
     web_size,
@@ -65,6 +64,15 @@ def test_web_size():
     assert web_size(BOOL) == 2
     assert web_size(Tensor(BB, BB)) == 16
     assert web_size(Arrow(BB, BOOL)) == 8
+
+
+def test_matrix_rows_overflowing_their_sum_build_quietly():
+    # Each row sums past the largest float: no overflow warning, and the
+    # matrix is not stochastic.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = matrix("M", 0, [[1e308, 1e308]])
+    assert m.stochastic is False
 
 
 def test_tensor_left_must_be_positive():
@@ -105,13 +113,6 @@ def test_arrow_must_be_rightmost():
     f = Variable("f", AR)
     with pytest.raises(InvalidPattern):
         pattern_type(PPair(PLeaf(f), PLeaf(bvar("a"))))
-
-
-def test_pattern_expr_round_trip():
-    a, b = bvar("a"), bvar("b")
-    p = PPair(PLeaf(a), PLeaf(b))
-    assert expr_to_pattern(pattern_to_expr(p)) == p
-    assert expr_to_pattern(MatApp(matrix("M", 0, [[0.5, 0.5]]), ())) is None
 
 
 def test_typecheck_positive_duplication_allowed():
@@ -232,8 +233,6 @@ def test_fresh_names():
     second = fresh.fresh("g")
     assert first not in {"g", "g__1"}
     assert second not in {"g", "g__1", first}
-    fresh.reserve("zz")
-    assert fresh.fresh("zz") not in {"zz"}
 
 
 def test_alpha_eq_renames_binders():
@@ -256,28 +255,6 @@ def test_alpha_eq_distinguishes_structure():
     a = LetTerm(((PLeaf(x), MatApp(m, ())),), PLeaf(x))
     b = LetTerm((), PLeaf(x))
     assert not alpha_eq(a, b)
-
-
-def test_canonicalize_removes_shadowing():
-    m = matrix("M", 0, [[0.5, 0.5]])
-    x = bvar("x")
-    # Two definitions binding the same name; the second shadows the first.
-    term = LetTerm(
-        ((PLeaf(x), MatApp(m, ())), (PLeaf(x), MatApp(m, ()))),
-        PLeaf(x),
-    )
-    canon = canonicalize(term)
-    names = [v.name for d, _ in canon.defs for v in pattern_vars(d)]
-    assert len(set(names)) == len(names) == 2
-    assert alpha_eq(canon, term)
-    again = canonicalize(canon)
-    assert again == canon
-
-
-def test_subst_free_vars():
-    x, y = bvar("x"), bvar("y")
-    e = Pair(Var(x), Var(x))
-    assert subst_free_vars(e, {"x": y}) == Pair(Var(y), Var(y))
 
 
 def nested_lets(term: LetTerm) -> Let:
