@@ -23,7 +23,7 @@ import numpy as np
 
 from .cost import DEFAULT_WEB_CAP
 from .denote import DenoteContext, denote, joint_vector, total_mass_check
-from .errors import InOutput, LveError, NonFinite, NotClosed, UnknownVariable
+from .errors import InOutput, LveError, NonFinite, NotClosed, RepeatedInOrder, UnknownVariable
 from .factors import dump_factors, eliminate, factors_of, marginal, relation_from_factors
 from .network import load_network
 from .orderings import min_degree_order, random_order
@@ -71,15 +71,17 @@ def _parse_order(term: LetTerm, names: str | None, ctx: DenoteContext) -> list[V
         return min_degree_order(term, ctx)
     by_name = {v.name: v for v in term.defined_vars()}
     output = pattern_fv(term.output)
-    order = []
+    order: dict[Variable, None] = {}
     for name in names.split(","):
         name = name.strip()
         if name not in by_name:
             raise UnknownVariable(f"--order names {name!r}, which is not defined in the term")
         if by_name[name] in output:
             raise InOutput(f"--order names {name!r}, which occurs in the output pattern")
-        order.append(by_name[name])
-    return order
+        if by_name[name] in order:
+            raise RepeatedInOrder(f"--order names {name!r} twice")
+        order[by_name[name]] = None
+    return list(order)
 
 
 def _print_marginal(term: LetTerm, values) -> None:

@@ -79,6 +79,10 @@ class UnknownVariable(LveError):
     """An elimination order mentions a variable absent from the factor set or term."""
 
 
+class RepeatedInOrder(LveError):
+    """An elimination order names one variable twice."""
+
+
 class RewriteError(LveError):
     """Base class for rewriting failures."""
 

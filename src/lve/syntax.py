@@ -6,6 +6,12 @@ right); a tensor is positive exactly when its right component is. Variables
 carry their type inline, Church-style, so a term determines its typing without
 a context; a global consistency pass rejects one name used at two types.
 
+Types and variables are hash-consed: there is one object per type and one per
+(name, type), kept in a module table, so they are compared with `is` and
+hashed by identity, in C. A type stores its web size and positivity when it
+is built. They are immutable, and copies and unpickling return the same
+object.
+
 Terms are expressions: variables, matrix applications M(x...), arrow-variable
 applications f x..., pairs, lambdas over positive patterns, and lets binding a
 pattern. A let-term is the special shape "p1 = e1; ...; pn = en in out" used by
@@ -20,7 +26,7 @@ in its body.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -37,67 +43,103 @@ from .errors import (
 )
 
 
-# ---------------------------------------------------------------- types
+# ---------------------------------------------------------------- types and variables
 
 
-class Ty:
-    """Base class of types."""
-
-    @property
-    def is_positive(self) -> bool:
-        raise NotImplementedError
+_TABLE: dict[tuple, "Ty | Variable"] = {}
+"""Every type and variable built so far, keyed by its class and children (a
+variable by its name and type). The children are themselves entries, so a key
+hashes and compares by identity, in C."""
 
 
-@dataclass(frozen=True)
+class _Interned:
+    """A hash-consed node: a constructor returns the one object with its
+    fields, so `==` and `hash` are the identity's (object's own). Fields
+    cannot be assigned; copies and unpickling go through the constructor."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+def _store(key: tuple, node: _Interned, **fields) -> _Interned:
+    for name, value in fields.items():
+        object.__setattr__(node, name, value)
+    _TABLE[key] = node
+    return node
+
+
+class Ty(_Interned):
+    """Base class of types; each stores its web size and positivity."""
+
+    __slots__ = ("is_positive", "_web_size")
+
+
 class Bool(Ty):
-    @property
-    def is_positive(self) -> bool:
-        return True
+    __slots__ = ()
+
+    def __new__(cls) -> "Bool":
+        return BOOL
 
 
-BOOL = Bool()
+BOOL = _store((Bool,), object.__new__(Bool), is_positive=True, _web_size=2)
 
 
-@dataclass(frozen=True)
 class Tensor(Ty):
     """Tensor with a positive left component; positive iff the right one is."""
 
-    left: Ty
-    right: Ty
+    __slots__ = ("left", "right")
+    _fields = ("left", "right")
 
-    def __post_init__(self) -> None:
-        if not self.left.is_positive:
-            raise TypeCheckError("tensor left component must be positive")
+    def __new__(cls, left: Ty, right: Ty) -> "Tensor":
+        key = (cls, left, right)
+        t = _TABLE.get(key)
+        if t is None:
+            if not left.is_positive:
+                raise TypeCheckError("tensor left component must be positive")
+            t = _store(
+                key, object.__new__(cls), left=left, right=right,
+                is_positive=right.is_positive, _web_size=left._web_size * right._web_size,
+            )
+        return t
 
-    @property
-    def is_positive(self) -> bool:
-        return self.right.is_positive
 
-
-@dataclass(frozen=True)
 class Arrow(Ty):
     """Linear function type with a positive input."""
 
-    input: Ty
-    result: Ty
+    __slots__ = ("input", "result")
+    _fields = ("input", "result")
 
-    def __post_init__(self) -> None:
-        if not self.input.is_positive:
-            raise TypeCheckError("arrow input type must be positive")
-
-    @property
-    def is_positive(self) -> bool:
-        return False
+    def __new__(cls, input: Ty, result: Ty) -> "Arrow":
+        key = (cls, input, result)
+        t = _TABLE.get(key)
+        if t is None:
+            if not input.is_positive:
+                raise TypeCheckError("arrow input type must be positive")
+            t = _store(
+                key, object.__new__(cls), input=input, result=result,
+                is_positive=False, _web_size=input._web_size * result._web_size,
+            )
+        return t
 
 
 def web_size(t: Ty) -> int:
-    """Number of web elements of a type: 2 for Bool, product for both pairs and arrows."""
-    if isinstance(t, Bool):
-        return 2
-    if isinstance(t, Tensor):
-        return web_size(t.left) * web_size(t.right)
-    if isinstance(t, Arrow):
-        return web_size(t.input) * web_size(t.result)
+    """Number of web elements of a type: 2 for Bool, product for both pairs
+    and arrows. The type stores it when it is built."""
+    if isinstance(t, Ty):
+        return t._web_size
     raise TypeError(f"not a type: {t!r}")
 
 
@@ -112,23 +154,24 @@ def type_str(t: Ty) -> str:
     raise TypeError(f"not a type: {t!r}")
 
 
-# ---------------------------------------------------------------- variables and patterns
-
-
-@dataclass(frozen=True)
-class Variable:
+class Variable(_Interned):
     """A named variable; its type must be positive or an arrow."""
 
-    name: str
-    ty: Ty
+    __slots__ = ("name", "ty", "is_arrow")
+    _fields = ("name", "ty")
 
-    def __post_init__(self) -> None:
-        if not (self.ty.is_positive or isinstance(self.ty, Arrow)):
-            raise TypeCheckError(f"variable {self.name} has mixed-tensor type {type_str(self.ty)}")
+    def __new__(cls, name: str, ty: Ty) -> "Variable":
+        key = (name, ty)
+        v = _TABLE.get(key)
+        if v is None:
+            is_arrow = isinstance(ty, Arrow)
+            if not (ty.is_positive or is_arrow):
+                raise TypeCheckError(f"variable {name} has mixed-tensor type {type_str(ty)}")
+            v = _store(key, object.__new__(cls), name=name, ty=ty, is_arrow=is_arrow)
+        return v
 
-    @property
-    def is_arrow(self) -> bool:
-        return isinstance(self.ty, Arrow)
+
+# ---------------------------------------------------------------- patterns
 
 
 class Pattern:
@@ -478,7 +521,7 @@ def _collect_types(t: Term) -> None:
     for v in occurrences(t):
         if isinstance(v, Variable):
             old = seen.setdefault(v.name, v.ty)
-            if old is not v.ty and old != v.ty:
+            if old is not v.ty:
                 raise InconsistentVariableTypes(
                     f"variable {v.name} used at {type_str(old)} and {type_str(v.ty)}"
                 )
@@ -507,7 +550,7 @@ def _check(e: Expr) -> Typing:
                 f"matrix {e.matrix.name} expects {len(e.matrix.slots)} arguments, got {len(e.args)}"
             )
         for v, s in zip(e.args, e.matrix.slots):
-            if v.ty != s:
+            if v.ty is not s:
                 raise ApplicationMismatch(
                     f"matrix {e.matrix.name}: argument {v.name} has type "
                     f"{type_str(v.ty)}, slot wants {type_str(s)}"
@@ -520,7 +563,7 @@ def _check(e: Expr) -> Typing:
         if not at.is_positive:
             raise ApplicationMismatch("application argument pattern must be positive")
         assert isinstance(e.fn.ty, Arrow)
-        if at != e.fn.ty.input:
+        if at is not e.fn.ty.input:
             raise ApplicationMismatch(
                 f"{e.fn.name} wants {type_str(e.fn.ty.input)}, argument has {type_str(at)}"
             )
@@ -552,7 +595,7 @@ def _bind(binder: Pattern, bound: Typing, body: Typing) -> Typing:
     """The typing of `let binder = e in k` from the typings of e and k."""
     bt, bfv, bfa = bound
     pt = pattern_type(binder)
-    if pt != bt:
+    if pt is not bt:
         raise PatternTypeMismatch(
             f"binder has type {type_str(pt)}, bound expression has {type_str(bt)}"
         )
@@ -626,7 +669,7 @@ def replace_defs(t: LetTerm, position: int, width: int, mid: tuple[tuple[Pattern
     if checked and typing == typings[n - position]:
         above = t.defs[max(0, n + 1 - len(typings)) : position]
         if not introduced or all(
-            introduced.get(v.name, v.ty) == v.ty
+            introduced.get(v.name, v.ty) is v.ty
             for v in _occurrences([part for d in above for part in d], frozenset())
             if isinstance(v, Variable)
         ):
@@ -692,85 +735,93 @@ def _map_pattern(p: Pattern, env: dict[str, Variable]) -> Pattern:
 # ---------------------------------------------------------------- alpha equivalence
 
 
-class _AlphaEnv:
-    def __init__(self) -> None:
-        self.l2r: dict[str, str] = {}
-        self.r2l: dict[str, str] = {}
-
-    def child(self) -> "_AlphaEnv":
-        c = _AlphaEnv()
-        c.l2r = dict(self.l2r)
-        c.r2l = dict(self.r2l)
-        return c
-
-    def bind(self, a: Variable, b: Variable) -> bool:
-        if a.ty != b.ty:
-            return False
-        self.l2r[a.name] = b.name
-        self.r2l[b.name] = a.name
-        return True
-
-    def match(self, a: Variable, b: Variable) -> bool:
-        if a.ty != b.ty:
-            return False
-        if a.name in self.l2r or b.name in self.r2l:
-            return self.l2r.get(a.name) == b.name and self.r2l.get(b.name) == a.name
-        return a.name == b.name
-
-
-def _alpha_pattern(a: Pattern, b: Pattern, env: _AlphaEnv) -> bool:
-    if isinstance(a, PLeaf) and isinstance(b, PLeaf):
-        return env.bind(a.var, b.var)
-    if isinstance(a, PPair) and isinstance(b, PPair):
-        return _alpha_pattern(a.left, b.left, env) and _alpha_pattern(a.right, b.right, env)
-    return False
-
-
-def _alpha_args(a: Pattern, b: Pattern, env: _AlphaEnv) -> bool:
-    if isinstance(a, PLeaf) and isinstance(b, PLeaf):
-        return env.match(a.var, b.var)
-    if isinstance(a, PPair) and isinstance(b, PPair):
-        return _alpha_args(a.left, b.left, env) and _alpha_args(a.right, b.right, env)
-    return False
-
-
-def _alpha_expr(a: Expr, b: Expr, env: _AlphaEnv) -> bool:
-    if isinstance(a, Var) and isinstance(b, Var):
-        return env.match(a.var, b.var)
-    if isinstance(a, MatApp) and isinstance(b, MatApp):
-        return (
-            a.matrix.name == b.matrix.name
-            and len(a.args) == len(b.args)
-            and all(env.match(x, y) for x, y in zip(a.args, b.args))
-        )
-    if isinstance(a, ArrowApp) and isinstance(b, ArrowApp):
-        return env.match(a.fn, b.fn) and _alpha_args(a.args, b.args, env)
-    if isinstance(a, Pair) and isinstance(b, Pair):
-        return _alpha_expr(a.fst, b.fst, env) and _alpha_expr(a.snd, b.snd, env)
-    if isinstance(a, Lam) and isinstance(b, Lam):
-        inner = env.child()
-        return _alpha_pattern(a.param, b.param, inner) and _alpha_expr(a.body, b.body, inner)
-    if isinstance(a, Let) and isinstance(b, Let):
-        if not _alpha_expr(a.bound, b.bound, env):
-            return False
-        inner = env.child()
-        return _alpha_pattern(a.binder, b.binder, inner) and _alpha_expr(a.body, b.body, inner)
-    return False
+_EXPR, _BIND, _USE, _UNDO = range(4)
+"""The jobs of `alpha_eq`'s walk: compare two expressions; bind two binder
+patterns to each other; match two patterns of used variables; and close a
+scope, undoing the bindings made since it opened."""
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
     """Structural equality up to consistent renaming of bound variables; a
-    let-term never equals a plain expression."""
-    env = _AlphaEnv()
+    let-term never equals a plain expression.
+
+    One walk with an explicit stack of jobs, so nesting depth is not bounded
+    by Python's recursion limit. The name maps `l2r` and `r2l` pair the
+    binders in scope; a closing scope restores them from an undo log, so a
+    binder costs one log entry rather than a copy of the maps."""
     if isinstance(a, LetTerm) != isinstance(b, LetTerm):
         return False
-    if not isinstance(a, LetTerm):
-        return _alpha_expr(a, b, env)
-    if len(a.defs) != len(b.defs):
-        return False
-    # Each binder scopes over everything after it, so one environment grows
-    # definition by definition.
-    for (pa, ea), (pb, eb) in zip(a.defs, b.defs):
-        if not (_alpha_expr(ea, eb, env) and _alpha_pattern(pa, pb, env)):
+    l2r: dict[str, str] = {}
+    r2l: dict[str, str] = {}
+    log: list[tuple[dict[str, str], str, str | None]] = []
+    stack: list[tuple[int, object, object]] = []
+    if isinstance(a, LetTerm):
+        if len(a.defs) != len(b.defs):
             return False
-    return _alpha_args(a.output, b.output, env)
+        # Each binder scopes over everything after it, so the definitions
+        # open no scope of their own.
+        stack.append((_USE, a.output, b.output))
+        for (pa, ea), (pb, eb) in zip(reversed(a.defs), reversed(b.defs)):
+            stack += ((_BIND, pa, pb), (_EXPR, ea, eb))
+    else:
+        stack.append((_EXPR, a, b))
+
+    def match(x: Variable, y: Variable) -> bool:
+        if x.ty is not y.ty:
+            return False
+        if x.name in l2r or y.name in r2l:
+            return l2r.get(x.name) == y.name and r2l.get(y.name) == x.name
+        return x.name == y.name
+
+    while stack:
+        job, x, y = stack.pop()
+        if job == _UNDO:
+            while len(log) > x:
+                names, name, old = log.pop()
+                if old is None:
+                    del names[name]
+                else:
+                    names[name] = old
+            continue
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, PLeaf):
+            if job == _USE:
+                if not match(x.var, y.var):
+                    return False
+            elif x.var.ty is not y.var.ty:
+                return False
+            else:
+                xn, yn = x.var.name, y.var.name
+                log += ((l2r, xn, l2r.get(xn)), (r2l, yn, r2l.get(yn)))
+                l2r[xn], r2l[yn] = yn, xn
+        elif isinstance(x, PPair):
+            stack += ((job, x.right, y.right), (job, x.left, y.left))
+        elif isinstance(x, Var):
+            if not match(x.var, y.var):
+                return False
+        elif isinstance(x, MatApp):
+            if not (
+                x.matrix.name == y.matrix.name
+                and len(x.args) == len(y.args)
+                and all(match(u, w) for u, w in zip(x.args, y.args))
+            ):
+                return False
+        elif isinstance(x, ArrowApp):
+            if not match(x.fn, y.fn):
+                return False
+            stack.append((_USE, x.args, y.args))
+        elif isinstance(x, Pair):
+            stack += ((_EXPR, x.snd, y.snd), (_EXPR, x.fst, y.fst))
+        elif isinstance(x, Lam):
+            stack += ((_UNDO, len(log), None), (_EXPR, x.body, y.body), (_BIND, x.param, y.param))
+        elif isinstance(x, Let):
+            stack += (
+                (_UNDO, len(log), None),
+                (_EXPR, x.body, y.body),
+                (_BIND, x.binder, y.binder),
+                (_EXPR, x.bound, y.bound),
+            )
+        else:
+            return False
+    return True

@@ -7,16 +7,20 @@ tests compare against them rather than against the library's own output.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from lve.syntax import (
     BOOL,
+    Expr,
     Lam,
     Let,
     LetTerm,
     MatApp,
     Pair,
     PLeaf,
+    Pattern,
     PPair,
     StochasticMatrix,
     Var,
@@ -115,6 +119,37 @@ def is_normal_form(term: LetTerm) -> bool:
         elif isinstance(e, Lam):
             stack.append(e.body)
     return True
+
+
+def rename(t, names: dict[str, str]):
+    """`t` with every occurrence of the variables named in `names`, free or
+    bound, renamed. Nodes are rebuilt bottom-up with an explicit stack."""
+    nodes = (Expr, Pattern, LetTerm)
+
+    def parts(x):
+        if isinstance(x, tuple):
+            return [p for y in x for p in parts(y)]
+        return [x] if isinstance(x, nodes) else []
+
+    def new(x):
+        if isinstance(x, Variable):
+            return Variable(names.get(x.name, x.name), x.ty)
+        if isinstance(x, tuple):
+            return tuple(new(y) for y in x)
+        return done[id(x)] if isinstance(x, nodes) else x
+
+    done: dict[int, object] = {}
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        fields = tuple(getattr(node, f.name) for f in dataclasses.fields(node))
+        todo = [p for p in parts(fields) if id(p) not in done]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        done[id(node)] = type(node)(*map(new, fields))
+    return done[id(t)]
 
 
 def _row(k: int) -> list[float]:

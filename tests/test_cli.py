@@ -325,6 +325,14 @@ def test_order_rejects_output_variables(run, sixnode_path, command):
     assert err == "error: --order names 'x3', which occurs in the output pattern\n"
 
 
+@pytest.mark.parametrize("command", ["vef", "vel", "cost", "compare"])
+def test_order_rejects_a_repeated_variable(run, sixnode_path, command):
+    code, out, err = run(command, "--order", "x1,x2,x1", sixnode_path)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --order names 'x1' twice\n"
+
+
 def test_deep_nesting_is_an_input_error(run, tmp_path):
     depth = 3000
     nested = "".join(f"let a{i} = {'C' if i == 1 else f'a{i - 1}'} in " for i in range(1, depth + 1))

@@ -16,9 +16,9 @@ from lve.network import network_to_program
 from lve.orderings import min_degree_order
 from lve.parser import parse_program
 from lve.printer import program_str
-from lve.rewrite import eliminate_seq
-from lve.syntax import free_vars, size, typecheck
-from helpers import chain_network
+from lve.rewrite import eliminate_seq, simplify
+from lve.syntax import Let, alpha_eq, collect_names, free_vars, size, typecheck
+from helpers import chain_network, rename
 
 LENGTH = 2000
 VEL_LENGTH = 1000
@@ -136,3 +136,27 @@ def test_vel_simplifies_the_term_of_a_long_chain(tmp_path, capsys):
     plain = capsys.readouterr().out
     assert main(["vel", "--simplify", str(path)]) == 0
     assert capsys.readouterr().out == plain
+
+
+def test_alpha_eq_compares_the_term_of_a_long_chain():
+    # vel's merged definition nests two lets per eliminated variable; alpha_eq
+    # walks it with an explicit stack and undoes each scope's bindings.
+    assert sys.getrecursionlimit() <= 1000
+    term = network_to_program(chain_network(VEL_LENGTH)).term
+    final, _ = eliminate_seq(term, min_degree_order(term))
+    assert alpha_eq(final, final)
+    cleaned = simplify(final)
+    assert alpha_eq(cleaned, cleaned)
+
+    # The term is closed, so renaming every variable renames binders only.
+    renamed = rename(final, {n: f"{n}_r" for n in collect_names(final)})
+    assert collect_names(renamed).isdisjoint(collect_names(final))
+    assert alpha_eq(final, renamed) and alpha_eq(renamed, final)
+
+    # Under its outermost let, the definition has that let's binder free.
+    (_, bound), = final.defs
+    assert isinstance(bound, Let)
+    inner = bound.body
+    (free,) = {v.name for v in free_vars(inner)} - {v.name for v in free_vars(bound)}
+    assert alpha_eq(inner, rename(inner, {n: f"{n}_r" for n in collect_names(inner) - {free}}))
+    assert not alpha_eq(inner, rename(inner, {free: f"{free}_r"}))

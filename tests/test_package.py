@@ -9,6 +9,7 @@ import types
 import pytest
 
 import lve
+from lve.syntax import Arrow, Bool, Tensor, Variable
 
 SRC = pathlib.Path(lve.__file__).parent
 
@@ -81,3 +82,12 @@ def test_tolerance_is_written_once():
             if isinstance(node, ast.Constant) and node.value == 1e-9:
                 places.append((path.name, lines[node.lineno - 1]))
     assert places == [("syntax.py", "TOL = 1e-9")]
+
+
+def test_types_and_variables_compare_and_hash_by_identity():
+    # They are hash-consed, one object per structure, so `==` and `hash` are
+    # object's own, in C. A structural __eq__ or __hash__, such as @dataclass
+    # adds, would bring back a Python-level walk on every lookup.
+    for cls in (Variable, Bool, Tensor, Arrow):
+        assert cls.__eq__ is object.__eq__, cls.__name__
+        assert cls.__hash__ is object.__hash__, cls.__name__

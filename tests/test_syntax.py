@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import warnings
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,10 +19,16 @@ from lve.errors import (
     TypeCheckError,
     UnusedArrowBinder,
 )
+from lve import syntax
+from lve.network import network_to_program
+from lve.parser import parse_program
+from lve.rewrite import apply_rule, simplify
+from lve.verify import run_suite
 from lve.syntax import (
     BOOL,
     _check,
     Arrow,
+    Bool,
     ArrowApp,
     FreshNames,
     Lam,
@@ -47,7 +56,7 @@ from lve.syntax import (
     typecheck,
     web_size,
 )
-from helpers import bvar, coin_copy_term, matrix
+from helpers import bvar, chain_network, coin_copy_term, matrix
 
 BB = Tensor(BOOL, BOOL)
 AR = Arrow(BOOL, BOOL)
@@ -87,6 +96,89 @@ def test_tensor_left_must_be_positive():
 def test_variable_rejects_mixed_type():
     with pytest.raises(TypeCheckError):
         Variable("v", Tensor(BOOL, AR))
+
+
+def test_bad_types_raise_the_same_errors():
+    # The exact class and message; a failed construction stores nothing.
+    mixed = Tensor(BOOL, AR)
+    before = len(syntax._TABLE)
+    for build, message in (
+        (lambda: Tensor(AR, BOOL), "tensor left component must be positive"),
+        (lambda: Arrow(mixed, BOOL), "arrow input type must be positive"),
+        (lambda: Variable("v", mixed), "variable v has mixed-tensor type (Bool * (Bool -o Bool))"),
+    ):
+        with pytest.raises(TypeCheckError) as err:
+            build()
+        assert type(err.value) is TypeCheckError
+        assert str(err.value) == message
+    assert len(syntax._TABLE) == before
+    with pytest.raises(TypeError, match="not a type"):
+        web_size(bvar("x"))
+
+
+def test_equal_types_and_variables_are_one_object():
+    assert Bool() is BOOL
+    assert Tensor(Bool(), Bool()) is BB
+    assert Arrow(Tensor(BOOL, BOOL), AR) is Arrow(BB, Arrow(BOOL, BOOL))
+    assert Tensor(BOOL, AR) is not Arrow(BOOL, AR)
+    assert Variable("f", Arrow(BOOL, BOOL)) is Variable("f", AR)
+    assert Variable("x", BOOL) is not Variable("x", BB)
+    assert web_size(Arrow(BB, AR)) == 16 and not Tensor(BOOL, AR).is_positive
+    assert repr(Variable("f", AR)) == "Variable(name='f', ty=Arrow(input=Bool(), result=Bool()))"
+    assert repr(Tensor(BOOL, BOOL)) == "Tensor(left=Bool(), right=Bool())"
+
+
+def test_parsed_compiled_and_rewritten_variables_are_the_constructed_ones():
+    program = parse_program(
+        "matrix C : -> Bool = [0.3, 0.7];\n"
+        "matrix D : Bool -> (Bool * Bool) = [1, 0, 0, 0; 0, 0, 0, 1];\n"
+        "matrix M : Bool -> Bool = [0.8, 0.2; 0.1, 0.9];\n"
+        "var p : Bool * Bool;\n"
+        "x = C;\np = D(x);\ny = let x = C in M(x);\nin (p, y)"
+    )
+    term = program.term
+    assert term.defs[1][0].var is Variable("p", BB)
+    assert term.defs[1][1].matrix.out is BB
+    assert term.defs[0][0].var is bvar("x")
+
+    compiled = network_to_program(chain_network(3)).term
+    assert [binder.var for binder, _ in compiled.defs] == [bvar(f"x{i}") for i in (1, 2, 3)]
+    assert all(binder.var is bvar(f"x{i}") for (binder, _), i in zip(compiled.defs, (1, 2, 3)))
+
+    # swap2 abstracts the dependent definition under a fresh arrow variable.
+    swapped = apply_rule(LetTerm(compiled.defs[:2], PLeaf(bvar("x2"))), "swap2", 0)
+    assert swapped.defs[0][0].var is Variable("g__1", AR)
+
+    # simplify renames the inner x apart from the outer one.
+    inner = simplify(term).defs[2][1]
+    assert isinstance(inner, Let) and inner.binder.var is bvar("x__1")
+
+
+def test_types_and_variables_copy_and_pickle_to_themselves():
+    f = Variable("f", Arrow(BB, AR))
+    for node in (BOOL, BB, f.ty, f):
+        assert copy.copy(node) is node
+        assert copy.deepcopy(node) is node
+        assert pickle.loads(pickle.dumps(node)) is node
+    term = coin_copy_term()
+    assert copy.deepcopy(term).defs[0][0].var is term.defs[0][0].var
+
+
+def test_types_and_variables_are_frozen():
+    v = bvar("x")
+    for node, name in ((v, "name"), (v, "ty"), (BB, "left"), (AR, "result"), (BOOL, "is_positive")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(node, name, BOOL)
+    with pytest.raises(FrozenInstanceError):
+        del v.name
+    assert v.name == "x" and v.ty is BOOL
+
+
+def test_a_repeated_suite_adds_no_table_entries():
+    run_suite(5, seed=0)
+    before = len(syntax._TABLE)
+    run_suite(5, seed=0)
+    assert len(syntax._TABLE) == before
 
 
 def test_pattern_helpers():
@@ -255,6 +347,21 @@ def test_alpha_eq_distinguishes_structure():
     a = LetTerm(((PLeaf(x), MatApp(m, ())),), PLeaf(x))
     b = LetTerm((), PLeaf(x))
     assert not alpha_eq(a, b)
+
+
+def test_alpha_eq_respects_scopes():
+    m = matrix("M", 0, [[0.5, 0.5]])
+    x, y = bvar("x"), bvar("y")
+    # A let's binder goes out of scope at its end: the x and y after it are free.
+    def let_then(binder: Variable, after: Variable) -> Pair:
+        return Pair(Let(PLeaf(binder), MatApp(m, ()), Var(binder)), Var(after))
+
+    assert alpha_eq(let_then(x, x), let_then(y, x))
+    assert not alpha_eq(let_then(x, x), let_then(y, y))
+    # \x. \y. x returns the outer binder, \x. \x. x the inner one.
+    assert not alpha_eq(Lam(PLeaf(x), Lam(PLeaf(y), Var(x))), Lam(PLeaf(x), Lam(PLeaf(x), Var(x))))
+    assert not alpha_eq(Lam(PLeaf(x), Lam(PLeaf(x), Var(x))), Lam(PLeaf(x), Lam(PLeaf(y), Var(x))))
+    assert alpha_eq(Lam(PLeaf(x), Lam(PLeaf(y), Var(x))), Lam(PLeaf(y), Lam(PLeaf(x), Var(y))))
 
 
 def nested_lets(term: LetTerm) -> Let:
