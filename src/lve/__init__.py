@@ -30,9 +30,7 @@ from .factors import (
     check_factor_vars,
     marginal,
     partition,
-    product,
     relation_from_factors,
-    sum_out,
 )
 from .network import load_network, network_to_program
 from .orderings import elimination_candidates, min_degree_order, random_order
@@ -46,7 +44,6 @@ from .rewrite import (
     apply_rule,
     eliminate_seq,
     eliminate_term,
-    gather,
     simplify,
 )
 from .syntax import (
@@ -96,11 +93,11 @@ __all__ = [
     "collect_matrices", "denote", "joint_vector", "total_mass_check", "LveError", "ParseError",
     "RewriteError", "TypeCheckError", "Factor", "FactorSet", "VefStep", "constant_factor",
     "contract", "dump_factors", "eliminate", "factor_sets_equal", "factors_of",
-    "check_factor_vars", "marginal", "partition", "product", "relation_from_factors", "sum_out",
+    "check_factor_vars", "marginal", "partition", "relation_from_factors",
     "load_network", "network_to_program", "elimination_candidates", "min_degree_order",
     "random_order", "SourceProgram", "parse_program", "expr_str", "pattern_str",
     "program_str", "term_str", "RULES", "RewriteStep", "SizeBound", "Trace", "apply_rule",
-    "eliminate_seq", "eliminate_term", "gather", "simplify",
+    "eliminate_seq", "eliminate_term", "simplify",
     "Arrow", "ArrowApp", "BOOL", "Bool", "Expr", "FreshNames", "Lam", "Let", "LetTerm", "MatApp",
     "Pair", "PLeaf", "PPair", "Pattern", "StochasticMatrix", "Tensor", "Term", "Var", "Variable",
     "alpha_eq", "collect_names", "free_vars", "pattern_type",

@@ -193,6 +193,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     order = _parse_order(term, args.order, ctx)
+    if free_vars(term):
+        if args.command == "vel" and not args.emit_term:
+            raise NotClosed("vel needs a closed program unless --emit-term is given")
+        if args.command == "compare":
+            raise NotClosed("compare needs a closed program")
     if not (args.command == "compare" and args.json):
         quiet = args.command == "vel" and args.emit_term
         print(f"order: {','.join(v.name for v in order)}", file=sys.stderr if quiet else sys.stdout)
@@ -208,8 +213,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "vel":
-        if free_vars(term) and not args.emit_term:
-            raise NotClosed("vel needs a closed program unless --emit-term is given")
         final, trace = eliminate_seq(term, order)
         if args.simplify:
             final = simplify(final)
@@ -225,8 +228,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     # The one command left is compare.
-    if free_vars(term):
-        raise NotClosed("compare needs a closed program")
     cap = args.web_cap
 
     ctx_d = DenoteContext(web_cap=cap)

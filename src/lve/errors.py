@@ -103,10 +103,6 @@ class InOutput(RewriteError):
     """The variable to eliminate occurs in the output pattern."""
 
 
-class OutputOverlap(RewriteError):
-    """A gather set intersects the output variables."""
-
-
 class ParseError(LveError):
     """Syntax error in a source file, with position information."""
 

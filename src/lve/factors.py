@@ -179,27 +179,6 @@ def contract(
     return Factor(out, table)
 
 
-def product(
-    f: Factor,
-    g: Factor,
-    counter: CostCounter | None = None,
-    cap: int = DEFAULT_WEB_CAP,
-) -> Factor:
-    """Pointwise product over the union of the variable sets."""
-    return contract([f, g], f.vars + g.vars, counter, cap)
-
-
-def sum_out(
-    f: Factor,
-    vs: Iterable[Variable],
-    counter: CostCounter | None = None,
-    cap: int = DEFAULT_WEB_CAP,
-) -> Factor:
-    """Sum the given variables out of a factor; absent variables are ignored."""
-    drop = set(vs)
-    return f if drop.isdisjoint(f.vars) else contract([f], set(f.vars) - drop, counter, cap)
-
-
 def partition(factors: Sequence[Factor], vs: Iterable[Variable]) -> tuple[list[Factor], list[Factor]]:
     """Split into (factors meeting vs, the rest), preserving order."""
     touch = set(vs)

@@ -14,10 +14,13 @@ after it) at a given position in a let-term:
          inside the definition
 
 Every application preserves the term's type and free variables and its
-denotation; swaps preserve the factor multiset on the nose.
+denotation; swaps preserve the factor multiset on the nose. No rule removes a
+name from a term, and swap2's arrow variable is named `g__k` with the
+smallest k free in the term's name census (`syntax.census`), which the term
+carries and each rule hands on: the name is fresh for the whole term.
 
 `eliminate_term` makes one defined variable local: it gathers the definitions
-involving the variable into one (via `gather`), merges the variable's own
+involving the variable into one (`_gather_plan`), merges the variable's own
 definition into it, and drops the variable from the merged binder. The factor
 set of the result equals one elimination step on the factor set of the input,
 which is the bridge to classical variable elimination.
@@ -32,11 +35,9 @@ from .errors import (
     InOutput,
     NotDefined,
     NotPositive,
-    OutputOverlap,
     RewriteError,
     SideConditionViolated,
     TooFewDefinitions,
-    UnknownVariable,
 )
 from .syntax import (
     Arrow,
@@ -55,8 +56,10 @@ from .syntax import (
     Variable,
     _check,
     _map_pattern,
+    census,
     collect_names,
     free_vars,
+    fresh_name,
     nest_vars,
     pattern_fv,
     pattern_remove,
@@ -108,12 +111,13 @@ def apply_rule(
     rule: str,
     position: int,
     var: Variable | None = None,
-    fresh: FreshNames | None = None,
 ) -> LetTerm:
     """Apply one rule at a definition index; checks the side condition and
     that the rule preserves the type and free variables of the suffix from
     that index (the definitions above it are untouched). The check costs the
-    definitions the rule rewrites, not the length of the term (`_checked`)."""
+    definitions the rule rewrites, not the length of the term (`_checked`).
+    swap2 names its arrow variable `g__k`, k the smallest free in the term's
+    census, and the result's census gains that one name."""
     n = len(term.defs)
     binary = rule in (SWAP1, SWAP2, SWAP3, MULT)
     if position < 0 or position >= n or (binary and position + 1 >= n):
@@ -149,15 +153,14 @@ def apply_rule(
         ordered = [v for v in pattern_vars(p1) if v in shared]
         if not ordered or any(v.is_arrow for v in ordered):
             raise SideConditionViolated("swap2 wants a nonempty positive shared set")
-        if fresh is None:
-            fresh = FreshNames(collect_names(term))
         param = nest_vars(ordered)
-        fn = Variable(fresh.fresh("g"), Arrow(pattern_type(param), typecheck(e2)))
+        fn = Variable(fresh_name("g", census(term)), Arrow(pattern_type(param), typecheck(e2)))
         mid = (
             (PLeaf(fn), Lam(param, e2)),
             (p1, e1),
             (p2, ArrowApp(fn, param)),
         )
+        return _checked(term, position, 2, mid, rule, fn.name)
     elif rule == SWAP3:
         arrow, positive = pattern_split(p1)
         if arrow is None or arrow not in free_vars(e2):
@@ -176,13 +179,21 @@ def apply_rule(
     return _checked(term, position, 2, mid, rule)
 
 
-def _checked(term: LetTerm, position: int, width: int, mid: tuple[tuple[Pattern, Expr], ...], rule: str) -> LetTerm:
+def _checked(
+    term: LetTerm,
+    position: int,
+    width: int,
+    mid: tuple[tuple[Pattern, Expr], ...],
+    rule: str,
+    minted: str | None = None,
+) -> LetTerm:
     """The term with the `width` definitions at `position` replaced by `mid`,
     once the suffix from `position` passes the subject-reduction check.
     `replace_defs` types only `mid`, on top of the cached typing of the tail,
     and leaves the new suffix its typing; the old suffix has one cached once
-    its term was typechecked, so the check then compares cached values."""
-    after = replace_defs(term, position, width, mid)
+    its term was typechecked, so the check then compares cached values.
+    `minted` is the one name `mid` introduces, fresh for the term's census."""
+    after = replace_defs(term, position, width, mid, minted)
     _subject_reduction(term.suffix(position), after.suffix(position), rule)
     return after
 
@@ -212,11 +223,11 @@ Plan = list[tuple[int, str | None, Variable | None]]
 """Rule applications in order: (position, rule or None for the applicable swap, elim variable)."""
 
 
-def _apply_plan(term: LetTerm, plan: Plan, fresh: FreshNames) -> tuple[LetTerm, list[RewriteStep]]:
+def _apply_plan(term: LetTerm, plan: Plan) -> tuple[LetTerm, list[RewriteStep]]:
     steps = []
     for position, rule, var in plan:
         rule = rule or _swap_rule(term, position)
-        after = apply_rule(term, rule, position, var, fresh)
+        after = apply_rule(term, rule, position, var)
         steps.append(RewriteStep(rule, position, var, term, after))
         term = after
     return term, steps
@@ -248,32 +259,7 @@ def _gather_plan(term: LetTerm, start: int, targets: frozenset[Variable], fvs: l
     return plan[::-1]
 
 
-def gather(
-    term: LetTerm, targets: frozenset[Variable] | set[Variable], fresh: FreshNames | None = None
-) -> tuple[LetTerm, list[RewriteStep]]:
-    """Rewrite so the first definition is the merge of all definitions that
-    involve the target variables (following arrow links); afterwards the
-    targets occur free in the first definition's expression and nowhere later.
-
-    Targets must be free in the term and disjoint from the output variables.
-    """
-    targets = frozenset(targets)
-    fvs = suffix_free_vars(term)
-    if not targets <= fvs[0]:
-        missing = sorted(v.name for v in targets - fvs[0])
-        raise UnknownVariable(f"gather targets not free in the term: {missing}")
-    if targets & pattern_fv(term.output):
-        raise OutputOverlap("gather targets meet the output pattern")
-    if not term.is_positive:
-        raise NotPositive("gathering is defined on positive terms")
-    if fresh is None:
-        fresh = FreshNames(collect_names(term))
-    return _apply_plan(term, _gather_plan(term, 0, targets, fvs), fresh)
-
-
-def eliminate_term(
-    term: LetTerm, x: Variable, fresh: FreshNames | None = None
-) -> tuple[LetTerm, list[RewriteStep]]:
+def eliminate_term(term: LetTerm, x: Variable) -> tuple[LetTerm, list[RewriteStep]]:
     """Make one defined positive variable local to its definition.
 
     With k the first definition binding x: gather the definitions below k
@@ -289,8 +275,6 @@ def eliminate_term(
         raise NotDefined(f"{x.name} is not defined in the term")
     if x in pattern_fv(term.output):
         raise InOutput(f"{x.name} occurs in the output pattern")
-    if fresh is None:
-        fresh = FreshNames(collect_names(term))
     fvs = suffix_free_vars(term)
     plan: Plan = []
     if x in fvs[k + 1]:
@@ -300,16 +284,17 @@ def eliminate_term(
         plan.append((k, MULT if arrow is None else SWAP3, None))
     plan.append((k, ELIM, x))
     plan.extend((j, None, None) for j in range(k - 1, -1, -1))
-    return _apply_plan(term, plan, fresh)
+    return _apply_plan(term, plan)
 
 
 def eliminate_seq(term: LetTerm, order: Sequence[Variable]) -> tuple[LetTerm, Trace]:
-    """Eliminate several variables left to right, sharing one fresh-name supply."""
-    fresh = FreshNames(collect_names(term))
+    """Eliminate several variables left to right. Each term of the run
+    carries its name census on from the one before, so swap2's names are
+    fresh for the whole run: `g__1`, `g__2`, ... in step order."""
     trace = Trace(term)
     cur = term
     for x in order:
-        cur, steps = eliminate_term(cur, x, fresh)
+        cur, steps = eliminate_term(cur, x)
         trace.steps.extend(steps)
         trace.checkpoints.append((x, cur))
     return cur, trace

@@ -27,7 +27,7 @@ in its body.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass, field
-from typing import Iterable, Iterator
+from typing import Container, Iterable, Iterator
 
 import numpy as np
 
@@ -364,12 +364,15 @@ class LetTerm:
 
     `_typings` caches the typings of the suffixes computed so far, the output
     alone first (see `_suffix_typing`); a suffix term shares its parent's
-    list, since the entries depend only on the definitions from the back."""
+    list, since the entries depend only on the definitions from the back.
+    `_names` caches the term's name census, every variable name it mentions
+    (see `census`); a suffix does not share it."""
 
     defs: tuple[tuple[Pattern, Expr], ...]
     output: Pattern
 
     _typings = None
+    _names = None
 
     @property
     def is_positive(self) -> bool:
@@ -481,16 +484,9 @@ def occurrences(t: Term) -> Iterator[Variable | StochasticMatrix]:
     occurrence, in source order: a let or definition yields its binder, then
     its bound expression, then its body. The walk keeps an explicit stack, so
     nesting depth is not bounded by Python's recursion limit."""
-    return _occurrences([t], frozenset())
-
-
-def _occurrences(stack: list, skip: frozenset[int]) -> Iterator[Variable | StochasticMatrix]:
-    """The walk of `occurrences` from the nodes on `stack`, last first,
-    leaving out the nodes whose `id` is in `skip` and everything below them."""
+    stack = [t]
     while stack:
         e = stack.pop()
-        if skip and id(e) in skip:
-            continue
         if isinstance(e, (PLeaf, Var)):
             yield e.var
         elif isinstance(e, PPair):
@@ -515,8 +511,8 @@ def _occurrences(stack: list, skip: frozenset[int]) -> Iterator[Variable | Stoch
             raise TypeError(f"not a term: {e!r}")
 
 
-def _collect_types(t: Term) -> None:
-    """Reject one variable name used at two types."""
+def _collect_types(t: Term) -> frozenset[str]:
+    """Reject one variable name used at two types; returns the names used."""
     seen: dict[str, Ty] = {}
     for v in occurrences(t):
         if isinstance(v, Variable):
@@ -525,6 +521,7 @@ def _collect_types(t: Term) -> None:
                 raise InconsistentVariableTypes(
                     f"variable {v.name} used at {type_str(old)} and {type_str(v.ty)}"
                 )
+    return frozenset(seen)
 
 
 # ---------------------------------------------------------------- type checking
@@ -614,12 +611,13 @@ def _bind(binder: Pattern, bound: Typing, body: Typing) -> Typing:
 def typecheck(t: Term) -> Ty:
     """Type of a term; raises a TypeCheckError subclass on failure. A let-term's
     definitions are folded from the back, one `_bind` each, and the typings of
-    its suffixes stay cached on it."""
+    its suffixes stay cached on it, as does the census of its names that the
+    consistency pass takes."""
     if not isinstance(t, LetTerm):
         _collect_types(t)
         return _check(t)[0]
     if len(t._typings or ()) <= len(t.defs):
-        _collect_types(t)
+        object.__setattr__(t, "_names", _collect_types(t))
     return _suffix_typing(t, 0)[0]
 
 
@@ -639,25 +637,32 @@ def _suffix_typing(t: LetTerm, i: int) -> Typing:
     return typings[n - i]
 
 
-def replace_defs(t: LetTerm, position: int, width: int, mid: tuple[tuple[Pattern, Expr], ...]) -> LetTerm:
+def replace_defs(
+    t: LetTerm,
+    position: int,
+    width: int,
+    mid: tuple[tuple[Pattern, Expr], ...],
+    minted: str | None = None,
+) -> LetTerm:
     """`t` with definitions position .. position + width - 1 replaced by `mid`,
     typed at the cost of `mid`'s new nodes.
 
-    The consistency pass runs over the new suffix from `position` only when
-    the old suffix never passed it or `mid` mentions a variable the replaced
-    definitions do not. `_bind` then folds over `mid` from the cached typing
-    of the unchanged tail, raising the typing errors of the new definitions.
-    The result caches the typings of the tail and of `mid`. The cached entries
-    above `position` carry over when the typing at `position` is unchanged,
-    since they are functions of it, and when their definitions use no name
-    `mid` introduces at another type."""
+    Precondition: every name `mid` mentions is one the replaced definitions
+    mention, or `minted`, a name fresh for `t`'s census. So the new term's
+    names are `t`'s and `minted`, each still at one type: a suffix that passed
+    the consistency pass needs no second one, and the new term's census is
+    `t`'s plus `minted`. A suffix that never passed it is checked here.
+
+    `_bind` then folds over `mid` from the cached typing of the unchanged
+    tail, raising the typing errors of the new definitions. The result caches
+    the typings of the tail and of `mid`. The cached entries above `position`
+    carry over when the typing at `position` is unchanged, since they are
+    functions of it."""
     n = len(t.defs)
     end = position + width
-    old = t.defs[position:end]
     new = LetTerm(t.defs[:position] + mid + t.defs[end:], t.output)
     checked = len(t._typings or ()) > n - position
-    introduced = _introduced(mid, old) if checked else {}
-    if introduced or not checked:
+    if not checked:
         _collect_types(new.suffix(position))
     typing = _suffix_typing(t, end)
     window = []
@@ -667,33 +672,21 @@ def replace_defs(t: LetTerm, position: int, width: int, mid: tuple[tuple[Pattern
     typings = t._typings
     kept = typings[: n - end + 1] + window
     if checked and typing == typings[n - position]:
-        above = t.defs[max(0, n + 1 - len(typings)) : position]
-        if not introduced or all(
-            introduced.get(v.name, v.ty) is v.ty
-            for v in _occurrences([part for d in above for part in d], frozenset())
-            if isinstance(v, Variable)
-        ):
-            kept += typings[n - position + 1 : n + 1]
+        kept += typings[n - position + 1 : n + 1]
     object.__setattr__(new, "_typings", kept)
+    object.__setattr__(new, "_names", t._names if minted is None else census(t) | {minted})
     return new
 
 
-def _introduced(mid: tuple[tuple[Pattern, Expr], ...], old: tuple[tuple[Pattern, Expr], ...]) -> dict[str, Ty]:
-    """Name and type of each variable `mid` mentions that the definitions
-    `old` neither bind nor use free. The parts of `old` that `mid` takes over
-    (the very objects) are not entered, so the walk costs `mid`'s new nodes."""
-    known: set[Variable] = set()
-    for binder, bound in old:
-        known |= pattern_fv(binder) | free_vars(bound)
-    taken = frozenset(id(part) for d in old for part in d)
-    return {
-        v.name: v.ty
-        for v in _occurrences([part for d in mid for part in d], taken)
-        if isinstance(v, Variable) and v not in known
-    }
-
-
 # ---------------------------------------------------------------- renaming
+
+
+def fresh_name(base: str, used: Container[str]) -> str:
+    """`base__k` with the smallest k whose name is not in `used`."""
+    k = 1
+    while f"{base}__{k}" in used:
+        k += 1
+    return f"{base}__{k}"
 
 
 class FreshNames:
@@ -703,10 +696,7 @@ class FreshNames:
         self.used = set(used)
 
     def fresh(self, base: str) -> str:
-        k = 1
-        while f"{base}__{k}" in self.used:
-            k += 1
-        name = f"{base}__{k}"
+        name = fresh_name(base, self.used)
         self.used.add(name)
         return name
 
@@ -714,6 +704,16 @@ class FreshNames:
 def collect_names(t: Term) -> set[str]:
     """All variable names occurring in a term, free or bound."""
     return {v.name for v in occurrences(t) if isinstance(v, Variable)}
+
+
+def census(t: LetTerm) -> frozenset[str]:
+    """Every variable name `t` mentions, free or bound. It is cached on the
+    term: `typecheck`'s consistency pass leaves it there and `replace_defs`
+    hands it on, so it is collected here only for a term that got it from
+    neither."""
+    if t._names is None:
+        object.__setattr__(t, "_names", frozenset(collect_names(t)))
+    return t._names
 
 
 def collect_matrices(t: Term) -> list[StochasticMatrix]:

@@ -32,14 +32,12 @@ from .rewrite import eliminate_term, size_bound
 from .syntax import (
     TOL,
     Expr,
-    FreshNames,
     LetTerm,
     MatApp,
     Pair,
     Term,
     Var,
     Variable,
-    collect_names,
     free_vars,
     pattern_fv,
     pattern_type,
@@ -208,9 +206,6 @@ class SuiteReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def failures_for(self, *checks: str) -> list[CheckFailure]:
-        return [f for f in self.failures if f.check in checks]
-
 
 ORDER_NAMES = ("identity", "reverse", "random", "min-degree")
 
@@ -276,11 +271,10 @@ def check_instance(
             fail(CheckFailure(instance, order_name, "marginal", "classical elimination marginal is off"))
 
         cur, cur_fs = term, fs0
-        fresh = FreshNames(collect_names(term))
         failed = False
         for x in order:
             try:
-                nxt, steps = eliminate_term(cur, x, fresh)
+                nxt, steps = eliminate_term(cur, x)
             except LveError as err:
                 fail(CheckFailure(instance, order_name, "rewrite", f"{x.name}: {err}"))
                 failed = True

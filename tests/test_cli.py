@@ -349,3 +349,13 @@ def test_deep_nesting_is_a_parse_error_in_the_library():
     nested = "".join(f"let a{i} = {'C' if i == 1 else f'a{i - 1}'} in " for i in range(1, depth + 1))
     with pytest.raises(ParseError, match="^term nests too deeply for Python's recursion limit"):
         parse_program(f"matrix C : -> Bool = [0.3, 0.7];\ny = {nested}a{depth};\nin y")
+
+
+@pytest.mark.parametrize("command", ["vel", "compare"])
+def test_open_program_is_rejected_before_the_order_is_printed(run, tmp_path, command):
+    path = tmp_path / "open.lve"
+    path.write_text("matrix C : -> Bool = [0.3, 0.7];\nx = C;\nin y")
+    code, out, err = run(command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {command} needs a closed program")

@@ -29,9 +29,7 @@ from lve.factors import (
     factors_of,
     marginal,
     partition,
-    product,
     relation_from_factors,
-    sum_out,
 )
 from lve.network import network_to_program
 from lve.orderings import min_degree_order
@@ -91,7 +89,7 @@ def test_product_values():
     rng = np.random.default_rng(0)
     f = rng_factor(rng, [A])
     g = rng_factor(rng, [A, B])
-    h = product(f, g)
+    h = contract([f, g], [A, B])
     assert h.vars == (A, B)
     for asg in enumerate_assignments([A, B]):
         expected = f.value(asg) * g.value(asg)
@@ -100,7 +98,7 @@ def test_product_values():
 
 def test_product_counts_cost():
     counter = CostCounter()
-    product(constant_factor([A]), constant_factor([B]), counter)
+    contract([constant_factor([A]), constant_factor([B])], [A, B], counter)
     assert counter.muladds == 4
     assert counter.max_table == 4
 
@@ -108,7 +106,7 @@ def test_product_counts_cost():
 def test_product_web_cap():
     vs = [bvar(f"v{i}") for i in range(6)]
     with pytest.raises(WebCapExceeded):
-        product(constant_factor(vs[:3]), constant_factor(vs[3:]), cap=32)
+        contract([constant_factor(vs[:3]), constant_factor(vs[3:])], vs, cap=32)
 
 
 def test_product_rejects_type_clash():
@@ -116,13 +114,13 @@ def test_product_rejects_type_clash():
 
     a2 = Variable("a", Tensor(BOOL, BOOL))
     with pytest.raises(SharedVarTypeMismatch):
-        product(constant_factor([A]), constant_factor([a2]))
+        contract([constant_factor([A]), constant_factor([a2])], [A])
 
 
 def test_sum_out_values():
     rng = np.random.default_rng(1)
     f = rng_factor(rng, [A, B, C])
-    g = sum_out(f, [B])
+    g = contract([f], [A, C])
     assert g.vars == (A, C)
     for asg in enumerate_assignments([A, C]):
         total = sum(
@@ -131,18 +129,13 @@ def test_sum_out_values():
         assert g.value(asg) == pytest.approx(total, abs=1e-12)
 
 
-def test_sum_out_no_overlap_is_identity():
-    f = constant_factor([A])
-    assert sum_out(f, [B]) is f
-
-
 def test_contract_equals_product_then_sum():
     rng = np.random.default_rng(2)
     for _ in range(50):
         f = rng_factor(rng, [A, B])
         g = rng_factor(rng, [B, C])
         direct = contract([f, g], [A, C])
-        staged = sum_out(product(f, g), [B])
+        staged = contract([contract([f, g], [A, B, C])], [A, C])
         assert direct.vars == staged.vars
         assert np.allclose(direct.table, staged.table, atol=1e-12)
 
@@ -156,7 +149,7 @@ def test_contract_caps_result_not_product():
     out = contract([f, g], [], cap=8)
     assert out.vars == ()
     with pytest.raises(WebCapExceeded):
-        product(f, g, cap=8)
+        contract([f, g], vs, cap=8)
 
 
 def test_contract_keeping_everything_is_the_product():
@@ -183,8 +176,8 @@ def test_contract_equals_product_then_sum_fold(data):
     keep = data.draw(st.lists(st.sampled_from(union), unique=True)) if union else []
     staged = constant_factor(())
     for f in fs:
-        staged = product(staged, f)
-    staged = sum_out(staged, set(union) - set(keep))
+        staged = contract([staged, f], staged.vars + f.vars)
+    staged = contract([staged], keep)
     direct = contract(fs, keep)
     assert direct.vars == staged.vars
     assert np.allclose(direct.table, staged.table, rtol=1e-12)

@@ -7,6 +7,7 @@ import sys
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from lve import syntax
 from lve.cli import main
@@ -17,8 +18,8 @@ from lve.orderings import min_degree_order
 from lve.parser import parse_program
 from lve.printer import program_str
 from lve.rewrite import eliminate_seq, simplify
-from lve.syntax import Let, alpha_eq, collect_names, free_vars, size, typecheck
-from helpers import chain_network, rename
+from lve.syntax import Let, LetTerm, Variable, alpha_eq, collect_names, free_vars, occurrences, size, typecheck
+from helpers import chain_network, grid_network, rename
 
 LENGTH = 2000
 VEL_LENGTH = 1000
@@ -84,6 +85,32 @@ def test_vel_rules_cost_the_definitions_they_touch(monkeypatch):
     short = typing_calls_per_rule(monkeypatch, 100)
     assert short == typing_calls_per_rule(monkeypatch, VEL_LENGTH)
     assert set(short) == {"_bind", "_check"}
+
+
+@pytest.mark.parametrize("side", [6, 10])
+def test_swap2_mints_its_names_without_a_consistency_pass(monkeypatch, side):
+    # Each term of the run carries its name census on, so swap2 takes the
+    # next free g__k from it and no rule runs the consistency pass again.
+    term = network_to_program(grid_network(side, side)).term
+    typecheck(term)
+    order = min_degree_order(term)
+    passes = []
+    real = syntax._collect_types
+
+    def counted(t):
+        if isinstance(t, LetTerm):
+            passes.append(len(t.defs))
+        return real(t)
+
+    monkeypatch.setattr(syntax, "_collect_types", counted)
+    final, trace = eliminate_seq(term, order)
+    monkeypatch.undo()
+    assert passes == []
+    minted = [s.after.defs[s.position][0].var.name for s in trace.steps if s.rule == "swap2"]
+    assert minted == [f"g__{k}" for k in range(1, len(minted) + 1)]
+    assert minted
+    arrows = {v.name for v in occurrences(final) if isinstance(v, Variable) and v.is_arrow}
+    assert arrows == set(minted)
 
 
 def test_vel_reads_out_a_long_chain(tmp_path, capsys):

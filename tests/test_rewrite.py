@@ -19,14 +19,12 @@ from lve.errors import (
     InOutput,
     NotDefined,
     NotPositive,
-    OutputOverlap,
     PatternTypeMismatch,
     RewriteError,
     SideConditionViolated,
     TooFewDefinitions,
-    UnknownVariable,
 )
-from lve.factors import factor_sets_equal, factors_of
+from lve.factors import eliminate, factor_sets_equal, factors_of
 from lve.orderings import elimination_candidates, min_degree_order
 from lve.parser import parse_program
 from lve.printer import program_str
@@ -35,7 +33,6 @@ from lve.rewrite import (
     apply_rule,
     eliminate_seq,
     eliminate_term,
-    gather,
     simplify,
     size_bound,
 )
@@ -44,7 +41,6 @@ from lve.syntax import (
     TOL,
     Arrow,
     ArrowApp,
-    FreshNames,
     Lam,
     Let,
     LetTerm,
@@ -284,64 +280,32 @@ def test_swap_first_picks_the_applicable_rule():
         apply_rule(LetTerm(((PLeaf(X), MatApp(M1, ())),), PLeaf(X)), "swap1", 0)
 
 
-def test_gather_swaps_a_deep_consumer_up():
-    # The only definition touching x sits below an unrelated one.
+def test_eliminate_term_swaps_a_deep_consumer_up():
+    # The only definition using x sits below an unrelated one: a swap lifts
+    # it next to x's own definition, and mult and elim finish the step.
     term = LetTerm(
-        ((PLeaf(Y), MatApp(M4, ())), (PLeaf(Z), MatApp(M2, (X,)))),
+        ((PLeaf(X), MatApp(M1, ())), (PLeaf(Y), MatApp(M4, ())), (PLeaf(Z), MatApp(M2, (X,)))),
         PPair(PLeaf(Y), PLeaf(Z)),
     )
-    gathered, steps = gather(term, {X})
-    assert [s.rule for s in steps] == ["swap1"]
-    assert X in free_vars(gathered.defs[0][1])
-    assert X not in free_vars(gathered.suffix(1))
-    assert_same_denotation(term, gathered)
+    after, steps = eliminate_term(term, X)
+    assert [(s.rule, s.position) for s in steps] == [("swap1", 1), ("mult", 0), ("elim", 0)]
     # Pure swaps preserve the factor multiset exactly.
-    assert factor_sets_equal(factors_of(term), factors_of(gathered))
+    assert factor_sets_equal(factors_of(steps[0].before), factors_of(steps[0].after))
+    assert factor_sets_equal(factors_of(after), eliminate(factors_of(term), [X]))
+    assert_same_denotation(term, after)
 
 
-def test_gather_merges_two_consumers():
+def test_eliminate_term_merges_two_consumers():
     m5 = matrix("M5", 2, [[0.7, 0.3], [0.4, 0.6], [0.55, 0.45], [0.15, 0.85]])
     term = LetTerm(
-        ((PLeaf(Y), MatApp(M2, (X,))), (PLeaf(Z), MatApp(m5, (X, Y)))),
+        ((PLeaf(X), MatApp(M1, ())), (PLeaf(Y), MatApp(M2, (X,))), (PLeaf(Z), MatApp(m5, (X, Y)))),
         PLeaf(Z),
     )
-    gathered, steps = gather(term, {X})
-    assert [s.rule for s in steps] == ["mult"]
-    assert len(gathered.defs) == 1
-    assert X in free_vars(gathered.defs[0][1])
-    assert_same_denotation(term, gathered)
-
-
-def test_gather_unchanged_when_first_definition_suffices():
-    term = LetTerm(
-        ((PLeaf(Y), MatApp(M2, (X,))), (PLeaf(Z), MatApp(M4, ()))),
-        PPair(PLeaf(Y), PLeaf(Z)),
-    )
-    gathered, steps = gather(term, {X})
-    assert gathered == term and steps == []
-
-
-def test_gather_empty_targets():
-    term = chain_term()
-    gathered, steps = gather(LetTerm(term.defs, PLeaf(Y)), set())
-    assert steps == []
-
-
-def test_gather_rejects_non_free_targets(sixnode_term):
-    with pytest.raises(UnknownVariable):
-        gather(sixnode_term, {bvar("x1")})  # x1 is defined, not free
-
-
-def test_gather_rejects_output_targets():
-    term = LetTerm(((PLeaf(Y), MatApp(M2, (X,))),), PPair(PLeaf(X), PLeaf(Y)))
-    with pytest.raises(OutputOverlap):
-        gather(term, {X})
-
-
-def test_gather_rejects_arrow_output():
-    term = LetTerm(((PLeaf(Y), MatApp(M2, (X,))),), PPair(PLeaf(Y), PLeaf(F)))
-    with pytest.raises(NotPositive):
-        gather(term, {X})
+    after, steps = eliminate_term(term, X)
+    assert [(s.rule, s.position) for s in steps] == [("mult", 1), ("mult", 0), ("elim", 0)]
+    assert len(after.defs) == 1
+    assert factor_sets_equal(factors_of(after), eliminate(factors_of(term), [X]))
+    assert_same_denotation(term, after)
 
 
 def test_eliminate_term_one_variable(sixnode_term):
@@ -423,7 +387,7 @@ def _damage_mid(monkeypatch, change):
     """Pass every rule's new definitions through `change` before the check."""
     real = rewrite._checked
     monkeypatch.setattr(
-        rewrite, "_checked", lambda term, position, width, mid, rule: real(term, position, width, change(mid), rule)
+        rewrite, "_checked", lambda term, position, width, mid, *rest: real(term, position, width, change(mid), *rest)
     )
 
 
@@ -460,39 +424,34 @@ def test_window_check_rejects_a_binder_of_the_wrong_type(monkeypatch, checked):
         apply_rule(term, "mult", 0)
 
 
-class _Reuse(FreshNames):
-    """A name supply that hands out one fixed name."""
+# ---------------------------------------------------------------- swap2's names
+#
+# swap2 names its arrow variable from the term's name census, which
+# typechecking leaves on the term and every rule hands on.
 
-    def __init__(self, name: str):
-        super().__init__()
-        self.name = name
-
-    def fresh(self, base: str) -> str:
-        return self.name
+G1 = bvar("g__1")
 
 
 @checked_or_not
-def test_window_check_rejects_a_fresh_name_the_tail_uses(checked):
-    q = bvar("q")
-    term = LetTerm(
-        chain_term().defs + ((PLeaf(q), MatApp(M4, ())),),
-        PPair(PLeaf(Y), PLeaf(q)),
-    )
-    _maybe_typecheck(term, checked)
-    with pytest.raises(InconsistentVariableTypes, match=r"^variable q used at \(Bool -o Bool\) and Bool$"):
-        apply_rule(term, "swap2", 0, fresh=_Reuse("q"))
-
-
-@checked_or_not
-def test_a_fresh_name_used_above_the_window_is_left_to_the_whole_term(checked):
-    # As ever, the rule checks the suffix from its position only; the clash
-    # with a definition above it shows once the whole term is checked.
-    q = bvar("q")
-    term = LetTerm(((PLeaf(q), MatApp(M4, ())),) + chain_term().defs, PLeaf(Y))
-    _maybe_typecheck(term, checked)
-    after = apply_rule(term, "swap2", 1, fresh=_Reuse("q"))
-    with pytest.raises(InconsistentVariableTypes):
-        typecheck(after)
+@pytest.mark.parametrize(
+    "term, position",
+    [
+        (LetTerm(((PLeaf(G1), MatApp(M4, ())),) + chain_term().defs, PPair(PLeaf(G1), PLeaf(Y))), 1),
+        (LetTerm(chain_term().defs + ((PLeaf(G1), MatApp(M4, ())),), PPair(PLeaf(Y), PLeaf(G1))), 0),
+    ],
+    ids=["above", "below"],
+)
+def test_swap2_names_its_arrow_fresh_for_the_whole_term(checked, term, position):
+    # g__1 is taken, above or below the window, so swap2 mints g__2, and the
+    # result's census is the term's with that one name added. Each run gets
+    # a new LetTerm, so no census is left over from the other parametrization.
+    term = _maybe_typecheck(LetTerm(term.defs, term.output), checked)
+    after = apply_rule(term, "swap2", position)
+    fn = after.defs[position][0].var
+    assert fn == Variable("g__2", Arrow(BOOL, BOOL))
+    assert after._names == {"g__1", "g__2", "x", "y"}
+    typecheck(after)
+    assert_same_denotation(term, after)
 
 
 def test_cached_typings_match_a_reparsed_copy():
