@@ -16,14 +16,16 @@ after it) at a given position in a let-term:
 Every application preserves the term's type and free variables and its
 denotation; swaps preserve the factor multiset on the nose. No rule removes a
 name from a term, and swap2's arrow variable is named `g__k` with the
-smallest k free in the term's name census (`syntax.census`), which the term
-carries and each rule hands on: the name is fresh for the whole term.
+smallest k free in the term's name census (`LetTerm._names`), which typing
+the term leaves on it and each rule hands on: the name is fresh for the whole
+term.
 
 `eliminate_term` makes one defined variable local: it gathers the definitions
 involving the variable into one (`_gather_plan`), merges the variable's own
 definition into it, and drops the variable from the merged binder. The factor
-set of the result equals one elimination step on the factor set of the input,
-which is the bridge to classical variable elimination.
+set of the result equals one elimination step on the factor set of the input
+(for a barren variable, as a product), which is the bridge to classical
+variable elimination.
 """
 
 from __future__ import annotations
@@ -52,14 +54,15 @@ from .syntax import (
     PLeaf,
     PPair,
     Pattern,
+    Typing,
     Var,
     Variable,
     _check,
     _map_pattern,
-    census,
     collect_names,
     free_vars,
     fresh_name,
+    let_typings,
     nest_vars,
     pattern_fv,
     pattern_remove,
@@ -69,8 +72,6 @@ from .syntax import (
     pattern_vars,
     replace_defs,
     size,
-    suffix_free_vars,
-    typecheck,
 )
 
 SWAP1 = "swap1"
@@ -114,7 +115,8 @@ def apply_rule(
 ) -> LetTerm:
     """Apply one rule at a definition index; checks the side condition and
     that the rule preserves the type and free variables of the suffix from
-    that index (the definitions above it are untouched). The check costs the
+    that index (the definitions above it are untouched). The term is typed
+    once, on the first rule applied to it; after that, the check costs the
     definitions the rule rewrites, not the length of the term (`_checked`).
     swap2 names its arrow variable `g__k`, k the smallest free in the term's
     census, and the result's census gains that one name."""
@@ -123,6 +125,7 @@ def apply_rule(
     if position < 0 or position >= n or (binary and position + 1 >= n):
         raise TooFewDefinitions(f"rule {rule} needs {'two definitions' if binary else 'a definition'} at index {position}")
 
+    typings = let_typings(term)
     p1, e1 = term.defs[position]
 
     if rule == ELIM:
@@ -130,7 +133,7 @@ def apply_rule(
             raise ValueError("elim needs the variable to drop")
         if var not in pattern_fv(p1):
             raise SideConditionViolated(f"{var.name} not bound at definition {position}")
-        if var in free_vars(term.suffix(position + 1)):
+        if var in typings[n - position - 1][1]:
             raise SideConditionViolated(f"{var.name} still used after definition {position}")
         residual = pattern_remove(p1, var)
         if residual is None:
@@ -154,7 +157,7 @@ def apply_rule(
         if not ordered or any(v.is_arrow for v in ordered):
             raise SideConditionViolated("swap2 wants a nonempty positive shared set")
         param = nest_vars(ordered)
-        fn = Variable(fresh_name("g", census(term)), Arrow(pattern_type(param), typecheck(e2)))
+        fn = Variable(fresh_name("g", term._names), Arrow(pattern_type(param), _check(e2)[0]))
         mid = (
             (PLeaf(fn), Lam(param, e2)),
             (p1, e1),
@@ -188,22 +191,23 @@ def _checked(
     minted: str | None = None,
 ) -> LetTerm:
     """The term with the `width` definitions at `position` replaced by `mid`,
-    once the suffix from `position` passes the subject-reduction check.
-    `replace_defs` types only `mid`, on top of the cached typing of the tail,
-    and leaves the new suffix its typing; the old suffix has one cached once
-    its term was typechecked, so the check then compares cached values.
-    `minted` is the one name `mid` introduces, fresh for the term's census."""
+    once the suffix from `position` passes the subject-reduction check: its
+    cached typing before and after. `replace_defs` types only `mid`, on top
+    of the cached typing of the tail, and the new term caches its typings
+    when that at `position` is unchanged; otherwise `let_typings` types the
+    new term whole, for the check to report. `minted` is the one name `mid`
+    introduces, fresh for the term's census."""
     after = replace_defs(term, position, width, mid, minted)
-    _subject_reduction(term.suffix(position), after.suffix(position), rule)
+    before_typing = let_typings(term)[len(term.defs) - position]
+    _subject_reduction(before_typing, let_typings(after)[len(after.defs) - position], rule)
     return after
 
 
-def _subject_reduction(before: LetTerm, after: LetTerm, rule: str) -> LetTerm:
-    if typecheck(after) != typecheck(before):
+def _subject_reduction(before: Typing, after: Typing, rule: str) -> None:
+    if after[0] is not before[0]:
         raise RewriteError(f"{rule} changed the type")
-    if free_vars(after) != free_vars(before):
+    if after[1] != before[1]:
         raise RewriteError(f"{rule} changed the free variables")
-    return after
 
 
 # ---------------------------------------------------------------- guided application
@@ -265,7 +269,15 @@ def eliminate_term(term: LetTerm, x: Variable) -> tuple[LetTerm, list[RewriteSte
     With k the first definition binding x: gather the definitions below k
     that use x (or k's arrow variable) into definition k + 1, merge it into
     k, drop x from k's binder, then swap the merged definition up past
-    definitions k - 1, ..., 0."""
+    definitions k - 1, ..., 0.
+
+    When x is barren (nothing below k uses it) and k binds x alone, dropping
+    x would leave an empty binder, so k is first merged with a neighbour: the
+    next definition (mult), or for the last definition the ones above it
+    (mult, or swap3 for one binding an arrow) until the binder holds more
+    than x. The neighbour's factor absorbs the scalar that summing out x's
+    factor gives, so the factor set matches one vef step as a product, not
+    as a multiset."""
     if not term.is_positive:
         raise NotPositive("elimination is defined on positive terms")
     if x.is_arrow:
@@ -275,13 +287,22 @@ def eliminate_term(term: LetTerm, x: Variable) -> tuple[LetTerm, list[RewriteSte
         raise NotDefined(f"{x.name} is not defined in the term")
     if x in pattern_fv(term.output):
         raise InOutput(f"{x.name} occurs in the output pattern")
-    fvs = suffix_free_vars(term)
+    fvs = [typing[1] for typing in reversed(let_typings(term))]
     plan: Plan = []
     if x in fvs[k + 1]:
         arrow, _ = pattern_split(term.defs[k][0])
         targets = frozenset((x,)) if arrow is None else frozenset((x, arrow))
         plan = _gather_plan(term, k + 1, targets, fvs)
         plan.append((k, MULT if arrow is None else SWAP3, None))
+    elif isinstance(term.defs[k][0], PLeaf):
+        if k + 1 < len(term.defs):
+            plan.append((k, MULT, None))
+        else:
+            for k in range(k - 1, -1, -1):
+                arrow, positive = pattern_split(term.defs[k][0])
+                plan.append((k, MULT if arrow is None else SWAP3, None))
+                if positive is not None:
+                    break
     plan.append((k, ELIM, x))
     plan.extend((j, None, None) for j in range(k - 1, -1, -1))
     return _apply_plan(term, plan)

@@ -362,11 +362,10 @@ def pattern_to_expr(p: Pattern) -> Expr:
 class LetTerm:
     """A chain of definitions ending in an output pattern.
 
-    `_typings` caches the typings of the suffixes computed so far, the output
-    alone first (see `_suffix_typing`); a suffix term shares its parent's
-    list, since the entries depend only on the definitions from the back.
-    `_names` caches the term's name census, every variable name it mentions
-    (see `census`); a suffix does not share it."""
+    `_typings` caches the typings of all its suffixes, the output alone first
+    (see `let_typings`), and `_names` its name census, every variable name it
+    mentions. Both are set together, once the whole term has typechecked, or
+    not at all."""
 
     defs: tuple[tuple[Pattern, Expr], ...]
     output: Pattern
@@ -384,13 +383,6 @@ class LetTerm:
             out.update(pattern_vars(binder))
         return frozenset(out)
 
-    def suffix(self, i: int) -> "LetTerm":
-        """Definitions i.. and the output, sharing the cached typings."""
-        t = LetTerm(self.defs[i:], self.output)
-        if self._typings is not None:
-            object.__setattr__(t, "_typings", self._typings)
-        return t
-
 
 Term = Expr | LetTerm
 
@@ -399,42 +391,12 @@ Term = Expr | LetTerm
 
 
 def free_vars(t: Term) -> frozenset[Variable]:
-    """Free variables, read off a cached typing when there is one; never
-    typechecks."""
+    """Free variables, read off the term's typing (`let_typings` for a
+    let-term, `_check` for an expression); raises the TypeCheckError of an
+    ill-typed term."""
     if isinstance(t, LetTerm):
-        typings = t._typings
-        if typings is not None and len(typings) > len(t.defs):
-            return typings[len(t.defs)][1]
-        return suffix_free_vars(t)[0]
-    typing = getattr(t, "_typing", None)
-    if typing is not None:
-        return typing[1]
-    if isinstance(t, Var):
-        return frozenset((t.var,))
-    if isinstance(t, MatApp):
-        return frozenset(t.args)
-    if isinstance(t, ArrowApp):
-        return pattern_fv(t.args) | {t.fn}
-    if isinstance(t, Pair):
-        return free_vars(t.fst) | free_vars(t.snd)
-    if isinstance(t, Lam):
-        return free_vars(t.body) - pattern_fv(t.param)
-    if isinstance(t, Let):
-        return free_vars(t.bound) | (free_vars(t.body) - pattern_fv(t.binder))
-    raise TypeError(f"not a term: {t!r}")
-
-
-def suffix_free_vars(t: LetTerm) -> list[frozenset[Variable]]:
-    """Free variables of every suffix: entry i for definitions i.. and the
-    output, the last entry for the output alone. They are read off the cached
-    suffix typings, and folded from the back with the let scoping step for
-    the suffixes not typed yet."""
-    n = len(t.defs)
-    fvs = [typing[1] for typing in (t._typings or ())[: n + 1]] or [pattern_fv(t.output)]
-    for binder, bound in reversed(t.defs[: n + 1 - len(fvs)]):
-        fvs.append(free_vars(bound) | (fvs[-1] - pattern_fv(binder)))
-    fvs.reverse()
-    return fvs
+        return let_typings(t)[-1][1]
+    return _check(t)[1]
 
 
 # ---------------------------------------------------------------- size
@@ -609,32 +571,28 @@ def _bind(binder: Pattern, bound: Typing, body: Typing) -> Typing:
 
 
 def typecheck(t: Term) -> Ty:
-    """Type of a term; raises a TypeCheckError subclass on failure. A let-term's
-    definitions are folded from the back, one `_bind` each, and the typings of
-    its suffixes stay cached on it, as does the census of its names that the
-    consistency pass takes."""
+    """Type of a term; raises a TypeCheckError subclass on failure."""
     if not isinstance(t, LetTerm):
         _collect_types(t)
         return _check(t)[0]
-    if len(t._typings or ()) <= len(t.defs):
-        object.__setattr__(t, "_names", _collect_types(t))
-    return _suffix_typing(t, 0)[0]
+    return let_typings(t)[-1][0]
 
 
-def _suffix_typing(t: LetTerm, i: int) -> Typing:
-    """The typing of definitions i.. and the output, folded from the back and
-    cached on the term as far as the fold has gone. The caller has run the
-    consistency pass over that suffix, so a cached entry also stands for a
-    suffix that passed it."""
+def let_typings(t: LetTerm) -> list[Typing]:
+    """The typings of all suffixes of `t`, the output alone first: entry
+    len(t.defs) - i is that of definitions i.. and the output. The first call
+    runs the consistency pass and folds the definitions from the back, one
+    `_bind` each, then caches the typings and the name census together; when
+    either raises, nothing is cached."""
     typings = t._typings
     if typings is None:
+        names = _collect_types(t)
         typings = [_check(pattern_to_expr(t.output))]
+        for binder, bound in reversed(t.defs):
+            typings.append(_bind(binder, _check(bound), typings[-1]))
         object.__setattr__(t, "_typings", typings)
-    n = len(t.defs)
-    for j in range(n - len(typings), i - 1, -1):
-        binder, bound = t.defs[j]
-        typings.append(_bind(binder, _check(bound), typings[-1]))
-    return typings[n - i]
+        object.__setattr__(t, "_names", names)
+    return typings
 
 
 def replace_defs(
@@ -649,32 +607,23 @@ def replace_defs(
 
     Precondition: every name `mid` mentions is one the replaced definitions
     mention, or `minted`, a name fresh for `t`'s census. So the new term's
-    names are `t`'s and `minted`, each still at one type: a suffix that passed
-    the consistency pass needs no second one, and the new term's census is
-    `t`'s plus `minted`. A suffix that never passed it is checked here.
+    names are `t`'s and `minted`, each still at one type: it needs no second
+    consistency pass, and its census is `t`'s plus `minted`.
 
-    `_bind` then folds over `mid` from the cached typing of the unchanged
-    tail, raising the typing errors of the new definitions. The result caches
-    the typings of the tail and of `mid`. The cached entries above `position`
-    carry over when the typing at `position` is unchanged, since they are
-    functions of it."""
+    `_bind` folds over `mid` from the typing of the unchanged tail, raising
+    the typing errors of the new definitions. When the typing at `position`
+    comes out unchanged, so do those above it, which are functions of it, and
+    the new term caches all its typings; otherwise it caches none."""
+    typings = let_typings(t)
     n = len(t.defs)
     end = position + width
     new = LetTerm(t.defs[:position] + mid + t.defs[end:], t.output)
-    checked = len(t._typings or ()) > n - position
-    if not checked:
-        _collect_types(new.suffix(position))
-    typing = _suffix_typing(t, end)
-    window = []
+    kept = typings[: n - end + 1]
     for binder, bound in reversed(mid):
-        typing = _bind(binder, _check(bound), typing)
-        window.append(typing)
-    typings = t._typings
-    kept = typings[: n - end + 1] + window
-    if checked and typing == typings[n - position]:
-        kept += typings[n - position + 1 : n + 1]
-    object.__setattr__(new, "_typings", kept)
-    object.__setattr__(new, "_names", t._names if minted is None else census(t) | {minted})
+        kept.append(_bind(binder, _check(bound), kept[-1]))
+    if kept[-1] == typings[n - position]:
+        object.__setattr__(new, "_typings", kept + typings[n - position + 1 :])
+        object.__setattr__(new, "_names", t._names if minted is None else t._names | {minted})
     return new
 
 
@@ -704,16 +653,6 @@ class FreshNames:
 def collect_names(t: Term) -> set[str]:
     """All variable names occurring in a term, free or bound."""
     return {v.name for v in occurrences(t) if isinstance(v, Variable)}
-
-
-def census(t: LetTerm) -> frozenset[str]:
-    """Every variable name `t` mentions, free or bound. It is cached on the
-    term: `typecheck`'s consistency pass leaves it there and `replace_defs`
-    hands it on, so it is collected here only for a term that got it from
-    neither."""
-    if t._names is None:
-        object.__setattr__(t, "_names", frozenset(collect_names(t)))
-    return t._names
 
 
 def collect_matrices(t: Term) -> list[StochasticMatrix]:

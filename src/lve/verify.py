@@ -315,7 +315,7 @@ def check_instance(
             cur, cur_fs = nxt, nxt_fs
         if failed:
             continue
-        if not factor_sets_equal(cur_fs, eliminate(fs0, order, ctx.web_cap)):
+        if not factor_sets_equal(cur_fs, vef):
             fail(
                 CheckFailure(
                     instance, order_name, "facts-seq", "rewritten factors differ from classical elimination"

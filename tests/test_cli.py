@@ -359,3 +359,59 @@ def test_open_program_is_rejected_before_the_order_is_printed(run, tmp_path, com
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {command} needs a closed program")
+
+
+BARREN = {
+    # wet is a barren node under the query rain, and x under the query y:
+    # no definition below uses it.
+    "rain.json": (
+        json.dumps(
+            {
+                "variables": [{"name": "rain"}, {"name": "wet"}],
+                "nodes": [
+                    {"var": "rain", "parents": [], "cpt": [[0.2, 0.8]]},
+                    {"var": "wet", "parents": ["rain"], "cpt": [[0.9, 0.1], [0.3, 0.7]]},
+                ],
+                "query": ["rain"],
+            }
+        ),
+        [0.2, 0.8],
+    ),
+    "copy.lve": ("matrix C : -> Bool = [0.3, 0.7];\nx = C;\ny = C;\nin y", [0.3, 0.7]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BARREN))
+def test_vel_eliminates_a_barren_node(run, tmp_path, name):
+    text, expected = BARREN[name]
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, _ = run("vel", str(path))
+    assert code == 0
+    assert out.splitlines()[-2:] == [f"t: {expected[0]}", f"f: {expected[1]}"]
+    code, out, _ = run("compare", "--json", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["agree"]
+    assert np.allclose(payload["vel"]["values"], payload["vef"]["values"], atol=1e-9, rtol=0)
+    assert np.allclose(payload["vef"]["values"], expected, atol=1e-9, rtol=0)
+
+
+def test_barren_node_keeps_its_mass_off_the_simplex(run, tmp_path):
+    # C's row sums to 1.2: the eliminated x leaves that scalar on the marginal
+    # of y, which merging x's definition with y's keeps.
+    path = tmp_path / "scaled.lve"
+    path.write_text(
+        "matrix C : -> Bool = [0.3, 0.9];\nmatrix E : -> Bool = [0.5, 0.5];\nx = C;\ny = E;\nin y"
+    )
+    for command in ("denote", "vel"):
+        code, out, _ = run(command, "--no-stochastic-check", str(path))
+        assert code == 0
+        assert out.splitlines()[-2:] == ["t: 0.6", "f: 0.6"]
+    code, out, _ = run("compare", "--no-stochastic-check", str(path))
+    assert code == 0
+    lines = out.splitlines()
+    for route in ("denote", "facts", "vef", "vel"):
+        at = lines.index(f"{route}:")
+        assert lines[at + 1 : at + 3] == ["t: 0.6", "f: 0.6"]
+    assert lines[-1] == "agree: yes"

@@ -23,6 +23,7 @@ from lve.errors import (
     RewriteError,
     SideConditionViolated,
     TooFewDefinitions,
+    TypeCheckError,
 )
 from lve.factors import eliminate, factor_sets_equal, factors_of
 from lve.orderings import elimination_candidates, min_degree_order
@@ -50,6 +51,7 @@ from lve.syntax import (
     PPair,
     Var,
     Variable,
+    collect_names,
     free_vars,
     typecheck,
 )
@@ -308,6 +310,41 @@ def test_eliminate_term_merges_two_consumers():
     assert_same_denotation(term, after)
 
 
+G = Variable("g", Arrow(BOOL, BOOL))
+
+
+@pytest.mark.parametrize(
+    "term, rules",
+    [
+        # x's neighbour is the next definition.
+        (LetTerm(((PLeaf(X), MatApp(M1, ())), (PLeaf(Y), MatApp(M4, ()))), PLeaf(Y)), ["mult", "elim"]),
+        # x is last: its neighbour is the one above.
+        (LetTerm(((PLeaf(Y), MatApp(M4, ())), (PLeaf(X), MatApp(M2, (Y,)))), PLeaf(Y)), ["mult", "elim"]),
+        # The one above binds only an arrow: x merges upwards until the
+        # binder holds a positive variable besides x.
+        (
+            LetTerm(
+                (
+                    (PLeaf(Y), MatApp(M4, ())),
+                    (PLeaf(G), Lam(PLeaf(Z), MatApp(M2, (Z,)))),
+                    (PLeaf(X), ArrowApp(G, PLeaf(Y))),
+                ),
+                PLeaf(Y),
+            ),
+            ["swap3", "mult", "elim"],
+        ),
+    ],
+    ids=["next", "above", "above-arrow"],
+)
+def test_eliminate_term_merges_a_barren_definition(term, rules):
+    # Nothing below uses x and its binder holds x alone, so dropping x would
+    # leave an empty binder: its definition first merges with a neighbour.
+    after, steps = eliminate_term(term, X)
+    assert [s.rule for s in steps] == rules
+    assert X not in after.defined_vars()
+    assert_same_denotation(term, after)
+
+
 def test_eliminate_term_one_variable(sixnode_term):
     x1 = order_by_name(sixnode_term, ["x1"])[0]
     after, steps = eliminate_term(sixnode_term, x1)
@@ -424,6 +461,14 @@ def test_window_check_rejects_a_binder_of_the_wrong_type(monkeypatch, checked):
         apply_rule(term, "mult", 0)
 
 
+def test_a_rule_types_the_whole_term_first():
+    # The window is fine, but the definition above it binds a Bool to an
+    # arrow: the rule reports it rather than rewriting below it.
+    term = LetTerm(((PLeaf(U), Var(F)),) + chain_term().defs, PPair(PLeaf(X), PLeaf(Y)))
+    with pytest.raises(TypeCheckError, match=r"^binder has type Bool, bound expression has \(Bool -o Bool\)$"):
+        apply_rule(term, "mult", 1)
+
+
 # ---------------------------------------------------------------- swap2's names
 #
 # swap2 names its arrow variable from the term's name census, which
@@ -456,7 +501,8 @@ def test_swap2_names_its_arrow_fresh_for_the_whole_term(checked, term, position)
 
 def test_cached_typings_match_a_reparsed_copy():
     # Every step's term carries the typings of all its suffixes, and they are
-    # what checking the printed and reparsed term from scratch gives.
+    # what checking the printed and reparsed term from scratch gives; its
+    # census, which swap2 mints names from, is every name the term mentions.
     for seed in range(10):
         term = random_network(seed).term
         typecheck(term)
@@ -468,6 +514,7 @@ def test_cached_typings_match_a_reparsed_copy():
                 copy = parse_program(program_str(after)).term
                 typecheck(copy)
                 assert after._typings == copy._typings
+                assert after._names == frozenset(collect_names(after))
 
 
 # ---------------------------------------------------------------- cleanup pass
@@ -566,11 +613,12 @@ from lve.errors import InvalidAxes, RewriteError, UnknownVariable
 from lve.factors import Factor, eliminate, factors_of, marginal
 from lve.parser import parse_program
 from lve.rewrite import _subject_reduction
+from lve.syntax import let_typings
 
 one = parse_program("matrix C : -> Bool = [0.3, 0.7];\\nx = C;\\nin x").term
 two = parse_program("matrix C : -> Bool = [0.3, 0.7];\\nx = C;\\ny = C;\\nin (x, y)").term
 try:
-    _subject_reduction(one, two, "mult")
+    _subject_reduction(let_typings(one)[-1], let_typings(two)[-1], "mult")
 except RewriteError as err:
     print("rewrite:", err)
 try:

@@ -16,6 +16,7 @@ from lve.errors import (
     InconsistentVariableTypes,
     InvalidPattern,
     NonPositiveLamParam,
+    PatternTypeMismatch,
     TypeCheckError,
     UnusedArrowBinder,
 )
@@ -310,6 +311,19 @@ def test_free_vars():
     assert _check(e2)[2] == frozenset({f})  # the free arrow variables
 
 
+def test_free_vars_of_an_ill_typed_term_raise_its_type_error():
+    # free_vars reads the typing, so an ill-typed term has none to read off.
+    f, x, y = Variable("f", AR), bvar("x"), bvar("y")
+    with pytest.raises(ArrowSharing):
+        free_vars(Pair(ArrowApp(f, PLeaf(x)), ArrowApp(f, PLeaf(y))))
+    # The lower definition types, the upper one does not: a let-term caches
+    # its typings and census whole or not at all.
+    term = LetTerm(((PLeaf(y), Var(f)), (PLeaf(x), Var(y))), PLeaf(x))
+    with pytest.raises(PatternTypeMismatch):
+        free_vars(term)
+    assert term._typings is None and term._names is None
+
+
 def test_coin_copy_typechecks():
     assert typecheck(coin_copy_term()) == BB
 
@@ -382,7 +396,6 @@ def test_let_term_round_trip():
     assert term.is_positive
     assert {v.name for v in term.defined_vars()} == {"v", "v'"}
     assert typecheck(nested_lets(term)) == typecheck(term)
-    assert term.suffix(1).defs == term.defs[1:]
 
 
 names = st.sampled_from(["a", "b", "c", "d"])
