@@ -29,7 +29,6 @@ from .factors import (
     factors_of,
     check_factor_vars,
     marginal,
-    partition,
     relation_from_factors,
 )
 from .network import load_network, network_to_program
@@ -69,6 +68,7 @@ from .syntax import (
     alpha_eq,
     collect_matrices,
     collect_names,
+    factor_scopes,
     free_vars,
     pattern_type,
     pattern_vars,
@@ -93,14 +93,14 @@ __all__ = [
     "collect_matrices", "denote", "joint_vector", "total_mass_check", "LveError", "ParseError",
     "RewriteError", "TypeCheckError", "Factor", "FactorSet", "VefStep", "constant_factor",
     "contract", "dump_factors", "eliminate", "factor_sets_equal", "factors_of",
-    "check_factor_vars", "marginal", "partition", "relation_from_factors",
+    "check_factor_vars", "marginal", "relation_from_factors",
     "load_network", "network_to_program", "elimination_candidates", "min_degree_order",
     "random_order", "SourceProgram", "parse_program", "expr_str", "pattern_str",
     "program_str", "term_str", "RULES", "RewriteStep", "SizeBound", "Trace", "apply_rule",
     "eliminate_seq", "eliminate_term", "simplify",
     "Arrow", "ArrowApp", "BOOL", "Bool", "Expr", "FreshNames", "Lam", "Let", "LetTerm", "MatApp",
     "Pair", "PLeaf", "PPair", "Pattern", "StochasticMatrix", "Tensor", "Term", "Var", "Variable",
-    "alpha_eq", "collect_names", "free_vars", "pattern_type",
+    "alpha_eq", "collect_names", "factor_scopes", "free_vars", "pattern_type",
     "pattern_vars", "size", "type_str", "typecheck", "GeneratorConfig", "SuiteReport",
     "brute_force_joint", "check_instance", "random_network", "run_suite", "Assignment", "dim",
     "element_index", "enumerate_web", "ht", "web_size",

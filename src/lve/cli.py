@@ -66,9 +66,9 @@ def _load(path: str, check_stochastic: bool) -> SourceProgram:
     return program
 
 
-def _parse_order(term: LetTerm, names: str | None, ctx: DenoteContext) -> list[Variable]:
+def _parse_order(term: LetTerm, names: str | None) -> list[Variable]:
     if names is None:
-        return min_degree_order(term, ctx)
+        return min_degree_order(term)
     by_name = {v.name: v for v in term.defined_vars()}
     output = pattern_fv(term.output)
     order: dict[Variable, None] = {}
@@ -186,13 +186,13 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "orderings":
         if args.heuristic == "min-degree":
-            order = min_degree_order(term, ctx)
+            order = min_degree_order(term)
         else:
             order = random_order(term, args.seed)
         print(",".join(v.name for v in order))
         return 0
 
-    order = _parse_order(term, args.order, ctx)
+    order = _parse_order(term, args.order)
     if free_vars(term):
         if args.command == "vel" and not args.emit_term:
             raise NotClosed("vel needs a closed program unless --emit-term is given")

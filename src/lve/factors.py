@@ -4,10 +4,12 @@ A factor pairs a variable set with a nonnegative table over that set's web;
 tables are dense numpy arrays with one axis per variable, axes sorted by
 variable name, so the C-order flattening is the canonical web enumeration.
 Elimination of a variable multiplies the factors mentioning it and sums it
-out; a let-term induces a factor set with one factor per definition (arrow
-variables are folded away eagerly) plus a constant factor on the output
-variables, and the term's denotation is recovered by multiplying everything
-and summing the internal variables.
+out. A let-term induces a factor set with one factor per definition plus a
+constant factor on the output variables, and the term's denotation is
+recovered by multiplying everything and summing the internal variables.
+Which variables each factor spans, and which arrow definitions fold into
+their consumer, is decided from the types alone by `syntax.factor_scopes`;
+`factors_of` only fills in the tables.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .errors import (
     BinderCapture,
     InvalidAxes,
     NonFinite,
-    NotCanonicalized,
     SharedVarTypeMismatch,
     UnknownVariable,
     WebCapExceeded,
@@ -38,6 +39,7 @@ from .syntax import (
     LetTerm,
     Pattern,
     Variable,
+    factor_scopes,
     free_vars,
     pattern_fv,
     pattern_split,
@@ -179,14 +181,6 @@ def contract(
     return Factor(out, table)
 
 
-def partition(factors: Sequence[Factor], vs: Iterable[Variable]) -> tuple[list[Factor], list[Factor]]:
-    """Split into (factors meeting vs, the rest), preserving order."""
-    touch = set(vs)
-    hit = [f for f in factors if touch & set(f.vars)]
-    miss = [f for f in factors if not (touch & set(f.vars))]
-    return hit, miss
-
-
 # ---------------------------------------------------------------- factors of a let-term
 
 
@@ -217,68 +211,36 @@ def definition_factor(
     return Factor(union, table)
 
 
-def _check_binder_convention(term: LetTerm) -> None:
-    fv_names = {v.name for v in free_vars(term)}
-    seen: set[str] = set()
-    for binder, _ in term.defs:
-        for v in pattern_vars(binder):
-            if v.name in seen:
-                raise NotCanonicalized(f"binder variable {v.name} bound twice")
-            if v.name in fv_names:
-                raise NotCanonicalized(f"binder variable {v.name} shadows a free variable")
-            seen.add(v.name)
-
-
 def factors_of(term: LetTerm, ctx: DenoteContext | None = None) -> FactorSet:
-    """The factor multiset of a let-term.
-
-    One factor per definition, processed back to front; a definition binding an
-    arrow variable that the output does not mention is folded into the unique
-    factor consuming that arrow, summing the arrow variable out on the spot.
-    """
+    """The factor multiset of a let-term: a table over each of its
+    `factor_scopes`, in their order; an arrow definition folded into a scope
+    multiplies in its table and sums the arrow out on the spot."""
     if ctx is None:
         ctx = DenoteContext()
-    _check_binder_convention(term)
     counter = CostCounter()
-    out_fv = pattern_fv(term.output)
-    facts: list[Factor] = [constant_factor(out_fv)]
-    for binder, bound in reversed(term.defs):
-        fac = definition_factor(binder, bound, ctx, counter)
-        arrow, _ = pattern_split(binder)
-        if arrow is not None and arrow not in out_fv:
-            hit, miss = partition(facts, {arrow})
-            if len(hit) != 1:
-                raise NotCanonicalized(
-                    f"arrow variable {arrow.name} consumed by {len(hit)} factors"
-                )
+    facts: list[Factor] = []
+    for scope, defs in factor_scopes(term):
+        tables = [definition_factor(*term.defs[i], ctx, counter) for i in defs]
+        fac = tables[0] if tables else constant_factor(scope)
+        for i, folded in zip(defs[1:], tables[1:]):
             # The fold charges its product's web once and peaks at its result.
-            union = set(fac.vars + hit[0].vars)
-            merged = contract([fac, hit[0]], union - {arrow}, None, ctx.web_cap)
-            counter.count(muladds=_web(union), table=merged.table.size)
-            facts = [merged] + miss
-        else:
-            facts = [fac] + facts
+            union = set(folded.vars + fac.vars)
+            fac = contract([folded, fac], union - {pattern_split(term.defs[i][0])[0]}, None, ctx.web_cap)
+            counter.count(muladds=_web(union), table=fac.table.size)
+        facts.append(fac)
     return FactorSet(facts, counter)
 
 
-def check_factor_vars(term: LetTerm, ctx: DenoteContext | None = None) -> bool:
-    """Verify the variable census of a term's factor set: free variables, plus
-    arrow variables of the output not free in the term, plus the positive
-    variables of every binder, as a disjoint union."""
-    fs = factors_of(term, ctx)
-    seen = fs.vars()
+def check_factor_vars(term: LetTerm) -> bool:
+    """Verify the variable census of a term's factor scopes: free variables,
+    plus arrow variables of the output not free in the term, plus the
+    positive variables of every binder, as a disjoint union."""
     fv = free_vars(term)
     out_arrows = frozenset(v for v in pattern_fv(term.output) if v.is_arrow) - fv
-    parts: list[frozenset[Variable]] = [fv, out_arrows]
-    for binder, _ in term.defs:
-        arrow, positive = pattern_split(binder)
-        parts.append(pattern_fv(positive) if positive is not None else frozenset())
-    total = 0
-    union: set[Variable] = set()
-    for p in parts:
-        total += len(p)
-        union.update(p)
-    return len(union) == total and seen == frozenset(union)
+    parts = [fv, out_arrows] + [frozenset(v for v in pattern_vars(b) if not v.is_arrow) for b, _ in term.defs]
+    union = frozenset().union(*parts)
+    scoped = frozenset().union(*(scope for scope, _ in factor_scopes(term)))
+    return sum(map(len, parts)) == len(union) and scoped == union
 
 
 def relation_from_factors(term: LetTerm, ctx: DenoteContext | None = None) -> Relation:
@@ -377,18 +339,24 @@ def factors_allclose(a: Factor, b: Factor) -> bool:
     return a.vars == b.vars and bool(np.max(np.abs(a.table - b.table), initial=0.0) <= TOL)
 
 
-def factor_sets_equal(xs: FactorSet | Sequence[Factor], ys: FactorSet | Sequence[Factor]) -> bool:
-    """Multiset equality: match factors by variable set, then tables within TOL."""
-    left = list(xs.factors if isinstance(xs, FactorSet) else xs)
-    right = list(ys.factors if isinstance(ys, FactorSet) else ys)
-    if len(left) != len(right):
-        return False
-    for f in left:
+def unmatched_factors(
+    xs: FactorSet | Sequence[Factor], ys: FactorSet | Sequence[Factor]
+) -> tuple[list[Factor], list[Factor]]:
+    """The factors of each side left over once equal ones, the same variables
+    and tables within TOL, are paired off."""
+    left, right = [], list(ys.factors if isinstance(ys, FactorSet) else ys)
+    for f in xs.factors if isinstance(xs, FactorSet) else xs:
         match = next((i for i, g in enumerate(right) if factors_allclose(f, g)), None)
         if match is None:
-            return False
-        right.pop(match)
-    return True
+            left.append(f)
+        else:
+            right.pop(match)
+    return left, right
+
+
+def factor_sets_equal(xs: FactorSet | Sequence[Factor], ys: FactorSet | Sequence[Factor]) -> bool:
+    """Multiset equality: match factors by variable set, then tables within TOL."""
+    return unmatched_factors(xs, ys) == ([], [])
 
 
 def dump_factors(fs: FactorSet | Sequence[Factor]) -> str:

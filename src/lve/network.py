@@ -20,6 +20,7 @@ query tuple.
 
 from __future__ import annotations
 
+import heapq
 import json
 import re
 from pathlib import Path
@@ -76,10 +77,11 @@ def load_network(path: str | Path) -> SourceProgram:
     return network_to_program(data)
 
 
-def _read_variables(data: dict) -> list[str]:
+def _read_variables(data: dict) -> dict[str, None]:
+    """The declared names, in file order, as the keys of a dict."""
     if not isinstance(data.get("variables"), list) or not data["variables"]:
         raise NetworkFormatError("missing or empty 'variables' list")
-    names: list[str] = []
+    names: dict[str, None] = {}
     for entry in data["variables"]:
         if not isinstance(entry, dict) or "name" not in entry:
             raise NetworkFormatError(f"variable entry {entry!r} lacks a name")
@@ -90,11 +92,11 @@ def _read_variables(data: dict) -> list[str]:
             raise NetworkFormatError(f"bad variable name {name!r}")
         if name in names:
             raise NetworkFormatError(f"variable {name} listed twice")
-        names.append(name)
+        names[name] = None
     return names
 
 
-def _read_nodes(data: dict, names: list[str]) -> dict[str, tuple[list[str], list]]:
+def _read_nodes(data: dict, names: dict[str, None]) -> dict[str, tuple[list[str], list]]:
     if not isinstance(data.get("nodes"), list):
         raise NetworkFormatError("missing 'nodes' list")
     nodes: dict[str, tuple[list[str], list]] = {}
@@ -130,22 +132,30 @@ def _read_nodes(data: dict, names: list[str]) -> dict[str, tuple[list[str], list
 
 
 def _topo_order(nodes: dict[str, tuple[list[str], list]]) -> list[str]:
-    placed: set[str] = set()
+    """Kahn's algorithm: of the nodes whose parents are all placed, the one
+    listed first goes next."""
+    names = list(nodes)
+    index = {name: i for i, name in enumerate(names)}
+    waiting = [len(nodes[name][0]) for name in names]
+    children: list[list[int]] = [[] for _ in names]
+    for i, name in enumerate(names):
+        for p in nodes[name][0]:
+            children[index[p]].append(i)
+    ready = [i for i, count in enumerate(waiting) if not count]  # ascending: a heap
     order: list[str] = []
-    pending = list(nodes)
-    while pending:
-        ready = next(
-            (n for n in pending if all(p in placed for p in nodes[n][0])), None
-        )
-        if ready is None:
-            raise CyclicNetwork(f"cycle through {', '.join(sorted(pending))}")
-        pending.remove(ready)
-        placed.add(ready)
-        order.append(ready)
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(names[i])
+        for c in children[i]:
+            waiting[c] -= 1
+            if not waiting[c]:
+                heapq.heappush(ready, c)
+    if len(order) < len(names):
+        raise CyclicNetwork(f"cycle through {', '.join(sorted(n for n, i in index.items() if waiting[i]))}")
     return order
 
 
-def _read_query(data: dict, names: list[str]) -> list[str]:
+def _read_query(data: dict, names: dict[str, None]) -> list[str]:
     query = data.get("query")
     if not isinstance(query, list) or not query:
         raise NetworkFormatError("missing or empty 'query' list")

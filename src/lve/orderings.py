@@ -1,13 +1,13 @@
-"""Elimination orders over a term's internal variables."""
+"""Elimination orders over a term's internal variables. They read types
+only: the factors' variable sets come from `syntax.factor_scopes`, and no
+table is built."""
 
 from __future__ import annotations
 
 import heapq
 import random
 
-from .denote import DenoteContext
-from .factors import factors_of
-from .syntax import LetTerm, Variable, pattern_fv
+from .syntax import LetTerm, Variable, factor_scopes, pattern_fv
 
 
 def elimination_candidates(term: LetTerm) -> list[Variable]:
@@ -19,19 +19,19 @@ def elimination_candidates(term: LetTerm) -> list[Variable]:
     )
 
 
-def min_degree_order(term: LetTerm, ctx: DenoteContext | None = None) -> list[Variable]:
+def min_degree_order(term: LetTerm, ctx: object = None) -> list[Variable]:
     """Greedy order: repeatedly pick the candidate with the fewest neighbours
-    in the interaction graph of the factors, connecting its neighbours as if
-    eliminated. Ties break by name.
+    in the interaction graph of the factor scopes, connecting its neighbours
+    as if eliminated. Ties break by name. `ctx` is ignored.
 
     The candidates wait in a heap keyed on (degree, rank in name order). A
     candidate whose neighbourhood changes is pushed again with its new
     degree, and a popped entry whose degree is out of date, or whose
     variable is gone, is dropped."""
     adj: dict[Variable, set[Variable]] = {}
-    for f in factors_of(term, ctx).factors:
-        for v in f.vars:
-            adj.setdefault(v, set()).update(u for u in f.vars if u != v)
+    for scope, _ in factor_scopes(term):
+        for v in scope:
+            adj.setdefault(v, set()).update(scope - {v})
     candidates = elimination_candidates(term)
     rank = {v: i for i, v in enumerate(candidates)}
     for v in candidates:

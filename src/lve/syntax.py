@@ -17,6 +17,8 @@ applications f x..., pairs, lambdas over positive patterns, and lets binding a
 pattern. A let-term is the special shape "p1 = e1; ...; pn = en in out" used by
 factor extraction and rewriting: a flat tuple of definitions, which typing,
 scoping and every traversal walk directly, never as a nested let chain.
+Its typings also give each factor's variable set (`factor_scopes`), which
+ordering and factor extraction share.
 
 Linearity discipline: positive variables may be shared, arrow variables are
 linear. Binary typing rules require the free arrow variables of their premises
@@ -37,6 +39,7 @@ from .errors import (
     InconsistentVariableTypes,
     InvalidPattern,
     NonPositiveLamParam,
+    NotCanonicalized,
     PatternTypeMismatch,
     TypeCheckError,
     UnusedArrowBinder,
@@ -625,6 +628,44 @@ def replace_defs(
         object.__setattr__(new, "_typings", kept + typings[n - position + 1 :])
         object.__setattr__(new, "_names", t._names if minted is None else t._names | {minted})
     return new
+
+
+# ---------------------------------------------------------------- factor scopes
+
+
+def factor_scopes(t: LetTerm) -> list[tuple[frozenset[Variable], tuple[int, ...]]]:
+    """The variable set of each factor of `t`, with the definitions folded
+    into it, read off the typings alone, in `factors.factors_of`'s order. A
+    definition's scope is its bound's free variables and its binder's; the
+    output's variables make one more, of no definition. From the back, a
+    definition binding an arrow the output does not mention folds into the
+    one scope holding that arrow, by union less the arrow, and the result
+    moves to the front. Raises `NotCanonicalized` when a binder variable is
+    bound twice or shadows a free variable."""
+    free = {v.name for v in let_typings(t)[-1][1]}
+    binders = [pattern_vars(binder) for binder, _ in t.defs]
+    seen: set[str] = set()
+    for pv in binders:
+        for v in pv:
+            if v.name in seen:
+                raise NotCanonicalized(f"binder variable {v.name} bound twice")
+            if v.name in free:
+                raise NotCanonicalized(f"binder variable {v.name} shadows a free variable")
+            seen.add(v.name)
+    out = pattern_fv(t.output)
+    scopes = [(out, ())]  # the front last
+    for i in range(len(t.defs) - 1, -1, -1):
+        pv = binders[i]
+        scope, defs = _check(t.defs[i][1])[1].union(pv), (i,)
+        arrow = pv[-1]  # a binder's arrow is its last variable
+        if arrow.is_arrow and arrow not in out:
+            hit = [j for j, (held, _) in enumerate(scopes) if arrow in held]
+            if len(hit) != 1:
+                raise NotCanonicalized(f"arrow variable {arrow.name} consumed by {len(hit)} factors")
+            held, folded = scopes.pop(hit[0])
+            scope, defs = (scope | held) - {arrow}, folded + defs
+        scopes.append((scope, defs))
+    return scopes[::-1]
 
 
 # ---------------------------------------------------------------- renaming

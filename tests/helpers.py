@@ -177,3 +177,26 @@ def grid_network(rows: int, cols: int) -> dict:
             names.append(f"v{i}_{j}")
             nodes.append({"var": names[-1], "parents": parents, "cpt": cpt})
     return {"variables": [{"name": v} for v in names], "nodes": nodes, "query": [names[-1]]}
+
+
+def _flat_network(parents: dict[str, list[str]], query: list[str]) -> dict:
+    nodes = [
+        {"var": v, "parents": ps, "cpt": [[0.25, 0.75]] * 2 ** len(ps)} for v, ps in parents.items()
+    ]
+    return {"variables": [{"name": v} for v in parents], "nodes": nodes, "query": query}
+
+
+def chain(n: int) -> dict:
+    """c0 -> c1 -> ... -> c(n-1), querying the last; every row [0.25, 0.75]."""
+    names = [f"c{i}" for i in range(n)]
+    return _flat_network({v: names[i - 1 : i] for i, v in enumerate(names)}, [names[-1]])
+
+
+def grid(rows: int, cols: int) -> dict:
+    """A rows x cols grid as in grid_network, every row [0.25, 0.75]."""
+    parents = {
+        f"v{i}_{j}": ([f"v{i - 1}_{j}"] if i else []) + ([f"v{i}_{j - 1}"] if j else [])
+        for i in range(rows)
+        for j in range(cols)
+    }
+    return _flat_network(parents, [f"v{rows - 1}_{cols - 1}"])

@@ -7,6 +7,9 @@ import json
 import numpy as np
 import pytest
 
+import lve.cli
+import lve.factors
+import lve.orderings
 from lve.cli import main
 from lve.denote import denote, joint_vector
 from lve.errors import ParseError
@@ -415,3 +418,20 @@ def test_barren_node_keeps_its_mass_off_the_simplex(run, tmp_path):
         at = lines.index(f"{route}:")
         assert lines[at + 1 : at + 3] == ["t: 0.6", "f: 0.6"]
     assert lines[-1] == "agree: yes"
+
+
+@pytest.mark.parametrize("command", ["vef", "cost"])
+def test_vef_and_cost_extract_the_factors_once(run, sixnode_path, monkeypatch, command):
+    # The min-degree order reads factor scopes, not factors.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return lve.factors.factors_of(*args, **kwargs)
+
+    for module in (lve.cli, lve.orderings):
+        monkeypatch.setattr(module, "factors_of", counting, raising=False)
+    code, out, _ = run(command, sixnode_path)
+    assert code == 0
+    assert out.startswith("order: x1,x4,x2,x5\n")
+    assert len(calls) == 1

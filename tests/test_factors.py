@@ -28,7 +28,6 @@ from lve.factors import (
     factors_allclose,
     factors_of,
     marginal,
-    partition,
     relation_from_factors,
 )
 from lve.network import network_to_program
@@ -202,12 +201,6 @@ def test_star_past_einsum_operand_limit_matches_denote():
     values = marginal(fs, term.output)
     assert np.allclose(values, denote(term).matrix.reshape(-1), atol=1e-12)
     assert np.allclose(values, [0.3, 0.7], atol=1e-12)
-
-
-def test_partition():
-    f, g = constant_factor([A]), constant_factor([B])
-    hit, miss = partition([f, g], [A])
-    assert hit == [f] and miss == [g]
 
 
 def test_definition_factor_values():

@@ -18,6 +18,7 @@ from lve.network import load_network, network_to_program
 from lve.parser import parse_program
 from lve.printer import program_str
 from lve.syntax import alpha_eq, pattern_vars, typecheck
+from helpers import chain_network, grid_network
 
 
 def _base_net() -> dict:
@@ -76,6 +77,31 @@ def test_definition_order_is_topological_with_file_tiebreak():
     assert [p.var.name for p, _ in prog.term.defs] == ["b", "a"]
 
 
+def _scan_order(data: dict) -> list[str]:
+    """The definition order by a scan of the unplaced nodes per placement:
+    the first in file order whose parents are all placed."""
+    parents = {node["var"]: node["parents"] for node in data["nodes"]}
+    placed: list[str] = []
+    while len(placed) < len(parents):
+        placed.append(next(n for n in parents if n not in placed and set(parents[n]) <= set(placed)))
+    return placed
+
+
+def _reversed(data: dict) -> dict:
+    return {**data, "nodes": data["nodes"][::-1]}
+
+
+def test_reverse_listed_networks_compile_to_the_same_definitions(samples_dir):
+    sixnode = json.loads((samples_dir / "sixnode.json").read_text())
+    for data in (sixnode, chain_network(30), grid_network(4, 5)):
+        for listed in (data, _reversed(data)):
+            defined = [p.var.name for p, _ in network_to_program(listed).term.defs]
+            assert defined == _scan_order(listed)
+    # A chain has one topological order, so listing it backwards changes nothing.
+    chain = chain_network(30)
+    assert program_str(network_to_program(_reversed(chain)).term) == program_str(network_to_program(chain).term)
+
+
 def test_query_tuple_order_and_nesting():
     data = _base_net()
     data["query"] = ["wet", "rain"]
@@ -100,6 +126,18 @@ def test_cycle_detected():
         "query": ["a"],
     }
     with pytest.raises(CyclicNetwork):
+        network_to_program(data)
+
+
+def test_cycle_message_names_every_unplaced_node():
+    # d is placed; e waits on the cycle a -> b -> c -> a.
+    parents = {"e": ["c"], "a": ["c"], "b": ["a"], "d": [], "c": ["b"]}
+    data = {
+        "variables": [{"name": v} for v in parents],
+        "nodes": [{"var": v, "parents": ps, "cpt": [[0.5, 0.5]] * 2 ** len(ps)} for v, ps in parents.items()],
+        "query": ["d"],
+    }
+    with pytest.raises(CyclicNetwork, match=r"^cycle through a, b, c, e$"):
         network_to_program(data)
 
 

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from lve.cost import CostCounter
+from lve.denote import DenoteContext
 from lve.factors import factors_of
 from lve.network import network_to_program
 from lve.orderings import elimination_candidates, min_degree_order, random_order
 from lve.syntax import BOOL
 from lve.verify import GeneratorConfig, random_network
+from lve.rewrite import eliminate_seq
+from helpers import SIXNODE_ORDER_REV, chain, grid, order_by_name
 
 
 def test_candidates_are_hidden_positive_vars(sixnode_term):
@@ -28,6 +32,17 @@ def test_min_degree_covers_all_candidates(sixnode_term):
         "x4",
         "x5",
     ]
+
+
+def test_min_degree_leaves_the_context_untouched(sixnode_term):
+    # Ordering reads the types alone: it charges the context nothing and
+    # memoizes no denotation, also on rewritten terms holding arrows.
+    _, trace = eliminate_seq(sixnode_term, order_by_name(sixnode_term, SIXNODE_ORDER_REV))
+    for term in [sixnode_term] + [t for _, t in trace.checkpoints]:
+        ctx = DenoteContext()
+        min_degree_order(term, ctx)
+        assert ctx.counter == CostCounter()
+        assert ctx._cache == {}
 
 
 def test_random_order_is_a_seeded_permutation(sixnode_term):
@@ -60,27 +75,6 @@ def scan_min_degree_order(term):
         remaining.remove(pick)
         order.append(pick)
     return order
-
-
-def _network(parents: dict[str, list[str]], query: list[str]) -> dict:
-    nodes = [
-        {"var": v, "parents": ps, "cpt": [[0.25, 0.75]] * 2 ** len(ps)} for v, ps in parents.items()
-    ]
-    return {"variables": [{"name": v} for v in parents], "nodes": nodes, "query": query}
-
-
-def chain(n: int) -> dict:
-    names = [f"c{i}" for i in range(n)]
-    return _network({v: names[i - 1 : i] for i, v in enumerate(names)}, [names[-1]])
-
-
-def grid(rows: int, cols: int) -> dict:
-    parents = {
-        f"v{i}_{j}": ([f"v{i - 1}_{j}"] if i else []) + ([f"v{i}_{j - 1}"] if j else [])
-        for i in range(rows)
-        for j in range(cols)
-    }
-    return _network(parents, [f"v{rows - 1}_{cols - 1}"])
 
 
 def test_min_degree_heap_matches_the_scan():

@@ -66,8 +66,10 @@ def _lve_imports(module: str) -> set[str]:
         # Rewriting and printing are syntax alone.
         ("rewrite", {"denote", "factors"}),
         ("printer", {"denote", "factors"}),
+        # Ordering reads the factors' variable sets off the types.
+        ("orderings", {"factors", "denote"}),
     ],
-    ids=["denote", "rewrite", "printer"],
+    ids=["denote", "rewrite", "printer", "orderings"],
 )
 def test_layering(module, forbidden):
     assert not _lve_imports(module) & forbidden

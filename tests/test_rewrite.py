@@ -13,7 +13,7 @@ import pytest
 
 import lve
 from lve import rewrite
-from lve.denote import DenoteContext, denote, joint_vector
+from lve.denote import denote, joint_vector
 from lve.errors import (
     InconsistentVariableTypes,
     InOutput,
@@ -594,7 +594,7 @@ def test_simplify_keeps_definition_structure(sixnode_term):
     ]
     for seed in range(20):
         term = random_network(seed).term
-        finals += [eliminate_seq(term, order)[0] for order in _orders(term, seed, DenoteContext()).values()]
+        finals += [eliminate_seq(term, order)[0] for order in _orders(term, seed).values()]
     for final in finals:
         cleaned = simplify(final)
         assert len(cleaned.defs) == len(final.defs)

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from lve.denote import denote
+from lve.factors import Factor, FactorSet, constant_factor
+from lve.network import network_to_program
+from lve.parser import parse_program
 from lve.printer import program_str
 from lve.syntax import free_vars, pattern_vars, typecheck
 from lve.verify import (
@@ -13,12 +16,14 @@ from lve.verify import (
     MAX_QUERY,
     GeneratorConfig,
     SuiteReport,
+    ORDER_NAMES,
+    _same_factors,
     brute_force_joint,
     check_instance,
     random_network,
     run_suite,
 )
-from helpers import coin_copy_term, coin_matrix
+from helpers import bvar, coin_copy_term, coin_matrix
 
 
 def test_brute_force_matches_semantics_on_coin_copy():
@@ -112,6 +117,46 @@ def test_check_instance_clean_on_sixnode(sixnode_term):
     check_instance(sixnode_term, 0, report)
     assert report.ok
     assert report.failures == []
+
+
+RAIN_WET_QUERY_RAIN = {
+    "variables": [{"name": "rain"}, {"name": "wet"}],
+    "nodes": [
+        {"var": "rain", "parents": [], "cpt": [[0.2, 0.8]]},
+        {"var": "wet", "parents": ["rain"], "cpt": [[0.9, 0.1], [0.05, 0.95]]},
+    ],
+    "query": ["rain"],
+}
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        network_to_program(RAIN_WET_QUERY_RAIN).term,
+        parse_program("matrix C : -> Bool = [0.3, 0.7];\nx = C;\ny = C;\nin y\n").term,
+    ],
+    ids=["rain-wet", "two-coins"],
+)
+def test_check_instance_clean_with_a_barren_node(term):
+    # wet and x are barren: no definition uses them. vel merges such a
+    # definition into a neighbour, which matches vef's step as a product.
+    report = SuiteReport(1, ORDER_NAMES)
+    check_instance(term, 0, report)
+    assert report.failures == []
+
+
+def test_a_barren_step_compares_only_the_differing_product():
+    rain = bvar("rain")
+    prior = Factor((rain,), np.array([0.2, 0.8]))
+    summed = constant_factor([rain])
+    other = Factor((rain,), np.array([0.3, 0.7]))
+    cap = 2**20
+    # vel's merged factor against vef's pair: equal as a product only.
+    assert _same_factors(FactorSet([prior]), FactorSet([summed, prior]), True, cap)
+    assert not _same_factors(FactorSet([prior]), FactorSet([summed, prior]), False, cap)
+    assert not _same_factors(FactorSet([other]), FactorSet([summed, prior]), True, cap)
+    # A scalar and a constant factor of one are the same function.
+    assert _same_factors(FactorSet([prior, constant_factor([])]), FactorSet([prior, summed]), True, cap)
 
 
 def test_run_suite_small_batch():
