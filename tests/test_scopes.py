@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import permutations
 
 import lve.factors
@@ -10,7 +11,7 @@ from lve.factors import check_factor_vars, eliminate, factors_of
 from lve.network import network_to_program
 from lve.orderings import min_degree_order
 from lve.rewrite import ELIM, eliminate_seq
-from lve.syntax import factor_scopes, pattern_fv, web_size
+from lve.syntax import factor_scopes, free_vars, pattern_fv, web_size
 from lve.verify import _orders, random_network
 from helpers import SIXNODE_ORDER_FWD, chain, grid, order_by_name
 
@@ -55,7 +56,7 @@ def test_rewriting_costs_what_elimination_costs(sixnode_term):
     for data in [chain(n) for n in (1, 2, 17, 60)] + [grid(r, c) for r, c in ((2, 2), (3, 5), (5, 5), (6, 4))]:
         term = network_to_program(data).term
         cases.append((term, min_degree_order(term)))
-    checked, mismatches = 0, []
+    checked, mismatches, unfolded = 0, [], Counter()
     for term, order in cases:
         vef = eliminate(factors_of(term), order)
         _, trace = eliminate_seq(term, order)
@@ -66,8 +67,12 @@ def test_rewriting_costs_what_elimination_costs(sixnode_term):
             checked += 1
             if _web(scope) != st.product_table:
                 mismatches.append((s.var.name, _web(scope), st.product_table))
+            binder, bound = s.before.defs[s.position]
+            alone = _web(free_vars(bound) | pattern_fv(binder))
+            unfolded[(alone > st.product_table) - (alone < st.product_table)] += 1
     assert checked == 1216
     assert mismatches == []
+    assert (unfolded[1], unfolded[-1]) == (474, 6)
 
 
 def test_ordering_and_the_census_check_denote_nothing(sixnode_term, monkeypatch):
