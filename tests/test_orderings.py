@@ -7,9 +7,9 @@ from lve.denote import DenoteContext
 from lve.factors import factors_of
 from lve.network import network_to_program
 from lve.orderings import elimination_candidates, min_degree_order, random_order
+from lve.rewrite import eliminate_seq
 from lve.syntax import BOOL
 from lve.verify import GeneratorConfig, random_network
-from lve.rewrite import eliminate_seq
 from helpers import SIXNODE_ORDER_REV, chain, grid, order_by_name
 
 
