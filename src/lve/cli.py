@@ -242,8 +242,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     val_e = marginal(fs, term.output, cap)
 
     final, trace = eliminate_seq(term, order)
-    ctx_l = DenoteContext(web_cap=cap)
-    fs_l = factors_of(final, ctx_l)
+    fs_l = factors_of(final, DenoteContext(web_cap=cap))
+    vel_muladds, vel_max = fs_l.counter.muladds, fs_l.counter.max_table
     val_l = marginal(fs_l, term.output, cap)
 
     diff = 0.0
@@ -256,7 +256,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         ("denote", val_d, ctx_d.counter.muladds, ctx_d.counter.max_table),
         ("facts", val_f, ctx_f.counter.muladds, ctx_f.counter.max_table),
         ("vef", val_e, vef_muladds, vef_max),
-        ("vel", val_l, fs_l.counter.muladds, fs_l.counter.max_table),
+        ("vel", val_l, vel_muladds, vel_max),
     ]
     if args.json:
         payload: dict = {

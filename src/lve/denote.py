@@ -14,13 +14,16 @@ axis; a pattern's web is left-major over its leaves, so a column axis splits
 the same way into one axis per leaf. On those axes the pair, let and lambda
 clauses are each one `np.einsum` call with an integer label per variable.
 This module keeps its own clauses and shares no code with the factor engine,
-which it serves as the reference for.
+which it serves as the reference for: the factor reading of a definition
+(`factors.definition_factor`) never calls it, and the tests check the two
+against each other.
 
 Denotations are memoized by subterm identity (not structure) in a
 DenoteContext, which also threads a multiply counter and the web-size cap; the
 counter makes interpretation cost observable: a pair charges rows x n1 x n2
 multiply-adds, a let rows x n_bound x n_body, and every clause its result as
-a table.
+a table. The context also holds the factor reading's memo, which `denote`
+does not use.
 """
 
 from __future__ import annotations
@@ -84,12 +87,21 @@ def _dims(vs: tuple[Variable, ...]) -> list[int]:
 
 
 class DenoteContext:
-    """Memo table, cost counter, and web cap for one denotation pipeline."""
+    """Memo table, cost counter, and web cap for one denotation pipeline.
+
+    `definitions` and `readings` are the factor reading's memos
+    (`factors.factors_of`). `definitions` maps the identity of the bound of
+    a scope's last definition to the scope's definitions, their factor and
+    the charges reading them made, and a scope of no definition (a set of
+    variables) to its constant factor; `readings` maps the identity of a
+    definition's bound to its reading (`factors._Reading.record`)."""
 
     def __init__(self, web_cap: int = DEFAULT_WEB_CAP):
         self.counter = CostCounter()
         self.web_cap = web_cap
         self._cache: dict[int, tuple[object, Relation]] = {}
+        self.definitions: dict = {}
+        self.readings: dict[int, tuple] = {}
 
     def lookup(self, e: object) -> Relation | None:
         hit = self._cache.get(id(e))

@@ -10,20 +10,28 @@ recovered by multiplying everything and summing the internal variables.
 Which variables each factor spans, and which arrow definitions fold into
 their consumer, is decided from the types alone by `syntax.factor_scopes`;
 `factors_of` only fills in the tables.
+
+A definition's table is read off its bound expression as factor
+contractions (`_Reading`), never through `denote`, which stays the
+independent reference: variables and arrows are identifications of indices,
+and each `let` contracts the factors of the indices it leaves behind, one
+index at a time, as one step of `eliminate` would. Reading a term vel has
+rewritten therefore costs what `eliminate` costs for the same order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .cost import DEFAULT_WEB_CAP, CostCounter
-from .denote import DenoteContext, Relation, denote
+from .denote import DenoteContext, Relation
 from .errors import (
     BinderCapture,
     InvalidAxes,
@@ -33,16 +41,24 @@ from .errors import (
     WebCapExceeded,
 )
 from .syntax import (
+    BOOL,
     TOL,
+    ArrowApp,
     Expr,
     FreshNames,
+    Lam,
+    Let,
     LetTerm,
+    MatApp,
+    Pair,
     Pattern,
+    PLeaf,
+    Ty,
+    Var,
     Variable,
     factor_scopes,
     free_vars,
     pattern_fv,
-    pattern_split,
     pattern_type,
     pattern_vars,
     web_size,
@@ -63,8 +79,9 @@ class Factor:
     table: np.ndarray
 
     def __post_init__(self) -> None:
-        if list(self.vars) != sorted(self.vars, key=lambda v: v.name):
-            raise InvalidAxes(f"factor axes {[v.name for v in self.vars]} are not sorted by name")
+        names = [v.name for v in self.vars]
+        if names != sorted(names):
+            raise InvalidAxes(f"factor axes {names} are not sorted by name")
         arr = np.asarray(self.table, dtype=float)
         dims = tuple(web_size(v.ty) for v in self.vars)
         if arr.shape != dims:
@@ -181,7 +198,314 @@ def contract(
     return Factor(out, table)
 
 
-# ---------------------------------------------------------------- factors of a let-term
+# ---------------------------------------------------------------- reading definitions
+
+
+@functools.cache
+def _atom(k: int) -> Variable:
+    """The k-th index of a reading. A reading's factors span these indices
+    alone, never the term's variables, so the names need only differ from
+    each other."""
+    return Variable(f"#{k}", BOOL)
+
+
+def _leaves(ty: Ty) -> int:
+    """The Bool leaves of a type: every web is a power of two."""
+    return web_size(ty).bit_length() - 1
+
+
+class _Table(NamedTuple):
+    """A factor inside a reading: one axis per index, in the order given and
+    unchecked. `contract` takes it as it takes a `Factor`."""
+
+    vars: tuple[Variable, ...]
+    table: np.ndarray
+
+
+def _table(table: np.ndarray, atoms: Sequence[Variable]) -> _Table:
+    """A table over the given indices; an index named twice keeps the
+    diagonal."""
+    if len(set(atoms)) < len(atoms):
+        distinct = list(dict.fromkeys(atoms))
+        table = np.einsum(table, [distinct.index(a) for a in atoms], list(range(len(distinct))))
+        atoms = distinct
+    return _Table(tuple(atoms), table)
+
+
+class _Reading:
+    """One group of definitions read as a factor expression.
+
+    Every value is a tuple of Bool indices, one per leaf of its type, left to
+    right; an arrow's input leaves come before its result's, as in its web.
+    So a `Var` is the indices of its variable, a `Pair` joins its two tuples,
+    a `MatApp` adds its matrix's table over the arguments' indices and fresh
+    result indices, and a `Lam` is fresh parameter indices followed by its
+    body's. An `ArrowApp` identifies the arrow's input indices with the
+    argument's (a union-find, `alias`) and is its result indices. No arrow is
+    a web, and no `Var` a table.
+
+    A `Let` binds its binder's leaves to the bound's indices. Once its body
+    is read, an index of the bound that neither the body's value nor a
+    positive variable in scope carries (`uses`) is summed out: the factors
+    that mention it are contracted, one index at a time, like a vef bucket.
+    Arrow variables are linear, so only positive bindings are counted. The
+    indices of a variable free in the group (`free`) and those summed
+    already are `fixed`: no `Let` sums them. The walk keeps an explicit
+    stack (`read`), and a node whose reading the context recorded is not
+    walked (`reuse`)."""
+
+    def __init__(self, counter: CostCounter, cap: int, readings: dict):
+        self.counter = counter
+        self.cap = cap
+        self.readings = readings
+        self.factors: list[Factor | _Table] = []
+        self.env: dict[Variable, tuple[Variable, ...]] = {}
+        self.free: dict[Variable, tuple[Variable, ...]] = {}
+        self.fixed: set[Variable] = set()
+        self.uses: dict[Variable, int] = defaultdict(int)
+        self.alias: dict[Variable, Variable] = {}
+        self.fresh = 0
+
+    def atoms(self, n: int) -> tuple[Variable, ...]:
+        self.fresh += n
+        return tuple(_atom(k) for k in range(self.fresh - n, self.fresh))
+
+    def find(self, a: Variable) -> Variable:
+        alias = self.alias
+        while a in alias:
+            a = alias[a]
+        return a
+
+    def lookup(self, v: Variable) -> tuple[Variable, ...]:
+        got = self.env.get(v) or self.free.get(v)
+        if got is None:
+            got = self.free[v] = self.atoms(_leaves(v.ty))
+            self.fixed.update(got)
+        return got
+
+    def bind(self, p: Pattern, value: tuple[Variable, ...], undo: list) -> None:
+        if isinstance(p, PLeaf):
+            parts = [(p.var, value)]
+        else:
+            parts, at = [], 0
+            for v in pattern_vars(p):
+                n = _leaves(v.ty)
+                parts.append((v, value[at : at + n]))
+                at += n
+        for v, part in parts:
+            undo.append((v, self.env.get(v)))
+            self.env[v] = part
+            if not v.is_arrow:
+                for a in part:
+                    self.uses[self.find(a)] += 1
+
+    def unbind(self, undo: list, mark: int) -> None:
+        while len(undo) > mark:
+            v, old = undo.pop()
+            if not v.is_arrow:
+                for a in self.env[v]:
+                    self.uses[self.find(a)] -= 1
+            if old is None:
+                del self.env[v]
+            else:
+                self.env[v] = old
+
+    def identify(self, a: Variable, b: Variable) -> None:
+        a, b = self.find(a), self.find(b)
+        if a is not b:
+            self.alias[a] = b
+            self.uses[b] += self.uses.pop(a, 0)
+            if a in self.fixed:
+                self.fixed.add(b)
+
+    def resolved(self) -> list[Factor | _Table]:
+        """The factors, with every identified index under its representative."""
+        if self.alias:
+            for k, f in enumerate(self.factors):
+                atoms = tuple(map(self.find, f.vars))
+                if atoms != f.vars:
+                    self.factors[k] = _table(f.table, atoms)
+        return self.factors
+
+    def sum_out(self, bound: tuple[Variable, ...], value: tuple[Variable, ...]) -> None:
+        kept = None
+        for a in map(self.find, bound):
+            if a in self.fixed or self.uses.get(a):
+                continue
+            if kept is None:
+                kept = set(map(self.find, value))
+            if a in kept:
+                continue
+            self.fixed.add(a)
+            hit, rest = [], []
+            for f in self.resolved():
+                (hit if a in f.vars else rest).append(f)
+            if not hit:
+                hit = [constant_factor((a,))]
+            keep = set(chain.from_iterable(f.vars for f in hit))
+            keep.discard(a)
+            self.factors = rest
+            rest.append(contract(hit, keep, self.counter, self.cap))
+
+    def reuse(self, got: tuple) -> tuple[Variable, ...] | None:
+        """The indices of the value of a bound whose reading is recorded
+        (`record`), its factors added under this reading's indices and its
+        charges made again; None where the bound's free variables share an
+        index here."""
+        _, factors, value, free, muladds, max_table = got
+        rename: dict[Variable, Variable] = {}
+        for v, atoms in free:
+            rename.update(zip(atoms, map(self.find, self.lookup(v))))
+        if len(set(rename.values())) < len(rename):
+            return None
+        for a in chain(value, *(f.vars for f in factors)):
+            if a not in rename:
+                rename[a] = self.atoms(1)[0]
+        self.factors += [_Table(tuple(rename[a] for a in f.vars), f.table) for f in factors]
+        self.counter.count(muladds, max_table)
+        return tuple(rename[a] for a in value)
+
+    def record(self, e: Expr) -> tuple[Variable, ...]:
+        """`read(e)`, keeping the reading when `e` applies no free arrow and
+        its free variables have distinct indices. Such a reading touches
+        only the factors it adds, and it is the same wherever `e` occurs up
+        to its indices: a later reading of a term vel builds around `e`
+        takes it in place of reading `e` again (`reuse`)."""
+        fv = free_vars(e)
+        if id(e) in self.readings or any(v.is_arrow for v in fv):
+            return self.read(e)
+        outer, self.counter = self.counter, CostCounter()
+        mark = len(self.factors)
+        value = self.read(e)
+        own, self.counter = self.counter, outer
+        outer.merge(own)
+        free = tuple((v, tuple(map(self.find, self.lookup(v)))) for v in fv)
+        atoms = [a for _, part in free for a in part]
+        if len(set(atoms)) == len(atoms):
+            factors = tuple(self.resolved()[mark:])
+            self.readings[id(e)] = (e, factors, tuple(map(self.find, value)), free, own.muladds, own.max_table)
+        return value
+
+    def read(self, e: Expr) -> tuple[Variable, ...]:
+        """The indices of an expression's value, its factors added. The walk
+        keeps an explicit stack with a frame per open `Let`, `Pair` or `Lam`:
+        the node, the value of its first child once read (a `Lam`'s
+        parameter indices), and the undo mark of the bindings it makes."""
+        stack: list[list] = []
+        undo: list = []
+        node = e
+        recorded = self.readings.get
+        while True:
+            got = recorded(id(node))
+            value = None if got is None else self.reuse(got)
+            if value is None:
+                if isinstance(node, Let):
+                    stack.append([node, None, len(undo)])
+                    node = node.bound
+                    continue
+                if isinstance(node, Pair):
+                    stack.append([node, None, 0])
+                    node = node.fst
+                    continue
+                if isinstance(node, Lam):
+                    param = self.atoms(_leaves(pattern_type(node.param)))
+                    stack.append([node, param, len(undo)])
+                    self.bind(node.param, param, undo)
+                    node = node.body
+                    continue
+                value = self._leaf(node)
+            while stack:
+                frame = stack[-1]
+                parent, first, mark = frame
+                if first is None:
+                    frame[1] = value
+                    if isinstance(parent, Let):
+                        self.bind(parent.binder, value, undo)
+                        node = parent.body
+                    else:
+                        node = parent.snd
+                    break
+                stack.pop()
+                if isinstance(parent, Let):
+                    self.unbind(undo, mark)
+                    self.sum_out(first, value)
+                else:
+                    if isinstance(parent, Lam):
+                        self.unbind(undo, mark)
+                    value = first + value
+            else:
+                return value
+
+    def _leaf(self, e: Expr) -> tuple[Variable, ...]:
+        if isinstance(e, Var):
+            return self.lookup(e.var)
+        if isinstance(e, MatApp):
+            args = tuple(chain.from_iterable(map(self.lookup, e.args)))
+            out = self.atoms(_leaves(e.matrix.out))
+            atoms = args + out
+            self.factors.append(_table(e.matrix.entries.reshape((2,) * len(atoms)), atoms))
+            return out
+        if isinstance(e, ArrowApp):
+            fn = self.lookup(e.fn)
+            args = tuple(chain.from_iterable(map(self.lookup, pattern_vars(e.args))))
+            for a, b in zip(fn, args):
+                self.identify(a, b)
+            return fn[len(args) :]
+        raise TypeError(f"not an expression: {e!r}")
+
+    def factor(self, scope: Iterable[Variable]) -> Factor:
+        """The product of the factors over the scope's variables, every other
+        index summed out. A variable's axis spans its indices, left-major; an
+        index two axes share is tied to a copy by an identity factor, and one
+        in no factor spans ones."""
+        axes = sorted_vars(scope)
+        cols: list[Variable] = []
+        extra: list[_Table] = []
+        for v in axes:
+            for a in map(self.find, self.lookup(v)):
+                if a in cols:
+                    copy = self.atoms(1)[0]
+                    extra.append(_Table((a, copy), np.eye(2)))
+                    a = copy
+                cols.append(a)
+        factors = self.resolved() + extra
+        held = set(chain.from_iterable(f.vars for f in factors))
+        missing = [a for a in cols if a not in held]
+        if missing:
+            factors.append(constant_factor(missing))
+        if len(factors) == 1 and len(factors[0].vars) == len(cols):
+            g = factors[0]
+        else:
+            g = contract(factors, cols, self.counter, self.cap)
+        table = g.table.transpose([g.vars.index(a) for a in cols])
+        return Factor(axes, table.reshape([web_size(v.ty) for v in axes]))
+
+
+def _read_definitions(
+    defs: Sequence[tuple[Pattern, Expr]], scope: Iterable[Variable], counter: CostCounter, cap: int, readings: dict
+) -> Factor:
+    """The factor of definitions read together, in order, over `scope`: an
+    arrow one of them binds and a later one applies is identified, never
+    built. A lone matrix application is its matrix's table, transposed to
+    sorted axes. Raises `BinderCapture` when a binder variable occurs free
+    in its own definition."""
+    for binder, bound in defs:
+        capture = free_vars(bound) & pattern_fv(binder)
+        if capture:
+            raise BinderCapture(f"binder variables {sorted(v.name for v in capture)} occur free in the definition")
+    binder, bound = defs[0]
+    if len(defs) == 1 and isinstance(bound, MatApp):
+        # Entries are left-major over the arguments in application order,
+        # then over the binder's leaves.
+        axes = bound.args + pattern_vars(binder)
+        order = sorted(range(len(axes)), key=lambda k: axes[k].name)
+        table = bound.matrix.entries.reshape([web_size(v.ty) for v in axes]).transpose(order)
+        return Factor(tuple(axes[k] for k in order), table)
+    reading = _Reading(counter, cap, readings)
+    undo: list = []
+    for binder, bound in defs:
+        reading.bind(binder, reading.record(bound), undo)
+    return reading.factor(scope)
 
 
 def definition_factor(
@@ -191,44 +515,49 @@ def definition_factor(
     counter: CostCounter | None = None,
 ) -> Factor:
     """The factor of one definition: its variables are the free variables of
-    the expression plus the binder's variables, its value the denotation entry."""
+    the expression plus the binder's variables, its value the bound
+    expression read as a factor expression (`_Reading`)."""
     if ctx is None:
         ctx = DenoteContext()
-    fve = free_vars(bound)
-    pv = pattern_fv(binder)
-    if fve & pv:
-        raise BinderCapture(
-            f"binder variables {sorted(v.name for v in fve & pv)} occur free in the definition"
-        )
-    rel = denote(bound, ctx)
-    # A denotation's rows range over exactly the free variables, sorted, so
-    # the matrix reshapes to one axis per variable.
-    axes = rel.vars + pattern_vars(binder)
-    union = sorted_vars(axes)
-    table = rel.matrix.reshape([web_size(v.ty) for v in axes]).transpose([axes.index(v) for v in union])
-    if counter is not None:
-        counter.count(table=table.size)
-    return Factor(union, table)
+    scope = free_vars(bound) | pattern_fv(binder)
+    counter = CostCounter() if counter is None else counter
+    return _read_definitions(((binder, bound),), scope, counter, ctx.web_cap, ctx.readings)
 
 
 def factors_of(term: LetTerm, ctx: DenoteContext | None = None) -> FactorSet:
     """The factor multiset of a let-term: a table over each of its
-    `factor_scopes`, in their order; an arrow definition folded into a scope
-    multiplies in its table and sums the arrow out on the spot."""
+    `factor_scopes`, in their order, reading the definitions folded into a
+    scope together. The context keeps each scope's factor by the identity
+    of its definitions, with the charges reading them made, which a hit
+    charges again, and the output's constant factor by its variables; it
+    also keeps the readings of bound expressions that a later definition
+    may nest (`_Reading.record`). Either way a term's counters do not depend
+    on what the context has read before."""
     if ctx is None:
         ctx = DenoteContext()
+    memo = ctx.definitions
     counter = CostCounter()
     facts: list[Factor] = []
     for scope, defs in factor_scopes(term):
-        tables = [definition_factor(*term.defs[i], ctx, counter) for i in defs]
-        fac = tables[0] if tables else constant_factor(scope)
-        for i, folded in zip(defs[1:], tables[1:]):
-            # The fold charges its product's web once and peaks at its result.
-            union = set(folded.vars + fac.vars)
-            fac = contract([folded, fac], union - {pattern_split(term.defs[i][0])[0]}, None, ctx.web_cap)
-            counter.count(muladds=_web(union), table=fac.table.size)
-        facts.append(fac)
+        if not defs:
+            ones = memo.get(scope)
+            if ones is None:
+                ones = memo[scope] = constant_factor(scope)
+            facts.append(ones)
+            continue
+        group = tuple(term.defs[i] for i in sorted(defs))
+        hit = memo.get(id(group[-1][1]))
+        if hit is None or len(hit[0]) != len(group) or not all(map(_same_definition, hit[0], group)):
+            own = CostCounter()
+            fac = _read_definitions(group, scope, own, ctx.web_cap, ctx.readings)
+            hit = memo[id(group[-1][1])] = (group, fac, own.muladds, own.max_table)
+        counter.count(hit[2], hit[3])
+        facts.append(hit[1])
     return FactorSet(facts, counter)
+
+
+def _same_definition(a: tuple[Pattern, Expr], b: tuple[Pattern, Expr]) -> bool:
+    return a[0] is b[0] and a[1] is b[1]
 
 
 def check_factor_vars(term: LetTerm) -> bool:
@@ -243,8 +572,12 @@ def check_factor_vars(term: LetTerm) -> bool:
     return sum(map(len, parts)) == len(union) and scoped == union
 
 
-def relation_from_factors(term: LetTerm, ctx: DenoteContext | None = None) -> Relation:
-    """Rebuild a let-term's denotation from its factor set alone.
+def relation_from_factors(
+    term: LetTerm, ctx: DenoteContext | None = None, fs: FactorSet | None = None
+) -> Relation:
+    """Rebuild a let-term's denotation from its factor set alone: `fs`, or
+    `factors_of(term, ctx)` when it is not given. The context's counter is
+    charged the factor set's counters and the readout.
 
     Rows where a variable shared between the free variables and the output
     disagrees are zero; all other entries come from the factor product with
@@ -252,11 +585,13 @@ def relation_from_factors(term: LetTerm, ctx: DenoteContext | None = None) -> Re
     """
     if ctx is None:
         ctx = DenoteContext()
-    fs = factors_of(term, ctx)
+    if fs is None:
+        fs = factors_of(term, ctx)
+    counter = CostCounter(fs.counter.muladds, fs.counter.max_table)
     rows = sorted_vars(free_vars(term))
-    matrix = _readout(fs, rows, term.output, ctx.web_cap)
-    fs.counter.count(table=matrix.size)
-    ctx.counter.merge(fs.counter)
+    matrix = _readout(FactorSet(fs.factors, counter), rows, term.output, ctx.web_cap)
+    counter.count(table=matrix.size)
+    ctx.counter.merge(counter)
     return Relation(rows, pattern_type(term.output), matrix)
 
 

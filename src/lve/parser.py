@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import NestingTooDeep, ParseError, UndeclaredArrowVariable, UndeclaredMatrix
 from .syntax import (
@@ -54,19 +55,22 @@ from .syntax import (
 
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>\s+|\#[^\n]*)
-    | (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
+      (?P<ws>[^\S\n]+|\#[^\n]*)
+    | (?P<nl>\n)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+    | (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
     | (?P<punct>->|-o|[()\[\],;:*=\\.])
+    | (?P<bad>.)
     """,
     re.VERBOSE,
 )
+"""One group matches at every offset, so the matches tile the text; a
+newline is a match of its own, so no other whitespace needs counting."""
 
 _KEYWORDS = {"matrix", "var", "let", "in", "Bool"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -74,27 +78,26 @@ class Token:
 
 
 def _tokenize(text: str) -> list[Token]:
+    """The tokens, each with its line and its column, counted in characters
+    from one; the column is the offset from where the line starts."""
     out: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        lexeme = m.group(0)
-        if m.lastgroup != "ws":
-            kind = m.lastgroup or ""
-            if kind == "ident" and lexeme in _KEYWORDS:
-                kind = lexeme
-            out.append(Token(kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    out.append(Token("eof", "", line, col))
+    line, start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        if kind == "nl":
+            line += 1
+            start = m.end()
+            continue
+        pos = m.start()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - start + 1)
+        lexeme = m.group()
+        if kind == "ident" and lexeme in _KEYWORDS:
+            kind = lexeme
+        out.append(Token(kind, lexeme, line, pos - start + 1))
+    out.append(Token("eof", "", line, len(text) - start + 1))
     return out
 
 

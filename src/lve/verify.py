@@ -260,7 +260,8 @@ def check_instance(
     brute = brute_force_joint(term)
     if not (base.vars == brute.vars and _close(base.matrix, brute.matrix)):
         fail(CheckFailure(instance, None, "brute", "enumeration disagrees with the semantics"))
-    rebuilt = relation_from_factors(term, ctx)
+    fs0 = factors_of(term, ctx)
+    rebuilt = relation_from_factors(term, ctx, fs0)
     if not (base.vars == rebuilt.vars and _close(base.matrix, rebuilt.matrix)):
         fail(CheckFailure(instance, None, "semfacts", "factor product disagrees with the semantics"))
     if not check_factor_vars(term):
@@ -269,7 +270,6 @@ def check_instance(
     if not mass.ok:
         fail(CheckFailure(instance, None, "mass", f"mass {mass.mass!r}, expected {mass.expected}"))
 
-    fs0 = factors_of(term, ctx)
     base_marg = joint_vector(base)
 
     for order_name, order in _orders(term, order_seed).items():

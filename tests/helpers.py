@@ -11,8 +11,11 @@ import dataclasses
 
 import numpy as np
 
+from lve.denote import denote
+from lve.factors import Factor, definition_factor, factors_allclose, relation_from_factors
 from lve.syntax import (
     BOOL,
+    TOL,
     Expr,
     Lam,
     Let,
@@ -23,10 +26,17 @@ from lve.syntax import (
     Pattern,
     PPair,
     StochasticMatrix,
+    Tensor,
+    Term,
+    Ty,
     Var,
     Variable,
     pattern_to_expr,
+    pattern_vars,
+    typecheck,
+    web_size,
 )
+from lve.webs import sorted_vars
 
 # Joint distribution of samples/sixnode.lve over (x3, x6), web order
 # (t,t), (t,f), (f,t), (f,f): frozen from an exhaustive enumeration over all
@@ -92,6 +102,38 @@ def coin_pair_expr(p: float = 0.3) -> Pair:
 # Expected joints for the 0.3-biased coin, web order (t,t), (t,f), (f,t), (f,f).
 COIN_COPY_JOINT = (0.3, 0.0, 0.0, 0.7)
 COIN_PAIR_JOINT = (0.09, 0.21, 0.21, 0.49)
+
+
+def denoted_factor(binder: Pattern, bound: Expr) -> Factor:
+    """A definition's factor through `denote`, the reference the factor
+    reading is checked against: the denotation's rows are the free
+    variables, sorted, and its column splits into the binder's leaves."""
+    rel = denote(bound)
+    axes = rel.vars + pattern_vars(binder)
+    union = sorted_vars(axes)
+    table = rel.matrix.reshape([web_size(v.ty) for v in axes]).transpose([axes.index(v) for v in union])
+    return Factor(union, table)
+
+
+def _binder(ty: Ty, k: int = 0) -> Pattern:
+    """A binder of the given type over fresh variables `_out<k>`, ...; a
+    mixed tensor splits, as no variable has its type."""
+    if ty.is_positive or not isinstance(ty, Tensor):
+        return PLeaf(Variable(f"_out{k}", ty))
+    return PPair(PLeaf(Variable(f"_out{k}", ty.left)), _binder(ty.right, k + 1))
+
+
+def assert_reading_agrees(t: Term) -> None:
+    """The factor reading of every definition of `t` (of `t` itself under a
+    fresh binder, for an expression) agrees with `denote` within TOL; for a
+    let-term, so does the relation rebuilt from its factor set."""
+    defs = t.defs if isinstance(t, LetTerm) else ((_binder(typecheck(t)), t),)
+    for binder, bound in defs:
+        assert factors_allclose(definition_factor(binder, bound), denoted_factor(binder, bound))
+    if isinstance(t, LetTerm):
+        rebuilt, direct = relation_from_factors(t), denote(t)
+        assert rebuilt.vars == direct.vars
+        assert np.allclose(rebuilt.matrix, direct.matrix, rtol=0, atol=TOL)
 
 
 def order_by_name(term: LetTerm, names) -> list[Variable]:

@@ -14,7 +14,7 @@ from lve.cli import main
 from lve.denote import denote, joint_vector
 from lve.errors import ParseError
 from lve.parser import parse_program
-from helpers import SIXNODE_JOINT
+from helpers import SIXNODE_JOINT, grid_network
 
 
 @pytest.fixture
@@ -188,7 +188,9 @@ def test_compare_text(run, sixnode_path):
     assert "denote cost: muladds=216 max_table=32" in lines
     assert "facts cost: muladds=252 max_table=64" in lines
     assert "vef cost: muladds=76 max_table=16" in lines
-    assert "vel cost: muladds=4 max_table=4 steps=14" in lines
+    # vel's cost is the evaluation of the rewritten term, read before the
+    # marginal as vef's is: the same contractions as vef's.
+    assert "vel cost: muladds=76 max_table=16 steps=14" in lines
     assert lines[-1] == "agree: yes"
 
 
@@ -201,6 +203,8 @@ def test_compare_json_forward(run, sixnode_path):
     assert payload["max_diff"] <= 1e-9
     assert payload["vef"]["max_table"] == 16
     assert payload["vel"]["steps"] == 14
+    for route in ("vef", "vel"):
+        assert (payload[route]["muladds"], payload[route]["max_table"]) == (76, 16)
     for route in ("denote", "facts", "vef", "vel"):
         assert np.allclose(payload[route]["values"], SIXNODE_JOINT, atol=1e-9)
 
@@ -211,6 +215,8 @@ def test_compare_json_reverse(run, sixnode_path):
     payload = json.loads(out)
     assert payload["agree"] is True
     assert payload["vef"]["max_table"] == 32
+    for route in ("vef", "vel"):
+        assert (payload[route]["muladds"], payload[route]["max_table"]) == (160, 32)
 
 
 def test_missing_file(run, capsys):
@@ -435,3 +441,23 @@ def test_vef_and_cost_extract_the_factors_once(run, sixnode_path, monkeypatch, c
     assert code == 0
     assert out.startswith("order: x1,x4,x2,x5\n")
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [6, 12])
+def test_vel_answers_grids_at_the_default_cap(run, tmp_path, n):
+    # Reading the rewritten term contracts what vef contracts, so vel needs
+    # no table larger than vef's (2^9 at n = 6, 2^20 at n = 12).
+    path = tmp_path / f"grid{n}.json"
+    path.write_text(json.dumps(grid_network(n, n)))
+    code, out, _ = run("vel", str(path))
+    assert code == 0
+    vel = [float(line.split(": ")[1]) for line in out.splitlines()[-2:]]
+    code, out, _ = run("vef", str(path))
+    assert code == 0
+    # vef's factors: the query's, the output's constant ones and any scalars.
+    lines = out.splitlines()
+    vef = np.ones(2)
+    for head, values in zip(lines[1:-2:2], lines[2:-2:2]):
+        assert head in ("factor (scalar)", f"factor v{n - 1}_{n - 1}:Bool")
+        vef = vef * np.array([float(x) for x in values.split()])
+    assert np.allclose(vel, vef, atol=1e-9, rtol=0)

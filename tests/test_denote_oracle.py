@@ -5,6 +5,9 @@ digit helpers: every relation is a flat (rows, cols) matrix and each clause
 gathers rows and columns through index arrays. `denote` lays the same tables
 out with one axis per variable and contracts them with `np.einsum`; the two
 must agree on row variables, entries (to 1e-12) and the cost counter.
+Every term compared is also a gate for the factor reading
+(`factors.definition_factor`): each of its definitions must read as the
+factor its denotation gives (`helpers.assert_reading_agrees`).
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from lve.syntax import (
 )
 from lve.verify import random_network
 from lve.webs import check_web_cap, sorted_vars
-from helpers import bvar, coin_matrix, grid_network, matrix
+from helpers import assert_reading_agrees, bvar, coin_matrix, grid_network, matrix
 
 # ---------------------------------------------------------------- the oracle
 
@@ -196,6 +199,7 @@ def assert_matches_oracle(t: Term) -> None:
         old_ctx.counter.muladds,
         old_ctx.counter.max_table,
     )
+    assert_reading_agrees(t)
 
 
 def test_random_networks_and_their_rewrite_steps_match_the_oracle():

@@ -31,8 +31,10 @@ from lve.factors import (
     relation_from_factors,
 )
 from lve.network import network_to_program
-from lve.orderings import min_degree_order
-from lve.syntax import BOOL, LetTerm, MatApp, PLeaf, PPair, Tensor, Var, Variable, web_size
+from lve.orderings import min_degree_order, random_order
+from lve.rewrite import eliminate_seq
+from lve.syntax import BOOL, Let, LetTerm, MatApp, PLeaf, PPair, Tensor, Var, Variable, web_size
+from lve.verify import random_network
 from lve.webs import enumerate_assignments, sorted_vars
 from helpers import (
     SIXNODE_JOINT,
@@ -40,6 +42,7 @@ from helpers import (
     SIXNODE_MAX_TABLE_REV,
     SIXNODE_ORDER_FWD,
     SIXNODE_ORDER_REV,
+    assert_reading_agrees,
     bvar,
     coin_copy_term,
     matrix,
@@ -343,3 +346,51 @@ def test_coin_copy_factors():
     assert len(fs) == 3
     values = marginal(fs, term.output)
     assert np.allclose(values, [0.3, 0.0, 0.0, 0.7], atol=1e-12)
+
+
+def test_reading_agrees_with_denote_on_a_vel_run(sixnode_term):
+    # Every term of the run: swap2's lambdas and arrow applications, swap3's
+    # and mult's nested lets, and the arrow folds between definitions.
+    _, trace = eliminate_seq(sixnode_term, order_by_name(sixnode_term, SIXNODE_ORDER_FWD))
+    assert {s.rule for s in trace.steps} == {"swap1", "swap2", "swap3", "mult", "elim"}
+    for term in [sixnode_term] + [s.after for s in trace.steps]:
+        assert_reading_agrees(term)
+
+
+def test_a_context_that_read_before_gives_the_same_factors_and_charges(sixnode_term):
+    """One context across a vel run, as `check_instance` reads it, gives
+    each term the factors and counters a fresh context gives: a definition
+    read again returns its factor, and a bound nested in a new definition
+    is taken from its recorded reading, charging again what the first
+    reading charged."""
+    cases = [(sixnode_term, order_by_name(sixnode_term, names)) for names in (SIXNODE_ORDER_FWD, SIXNODE_ORDER_REV)]
+    for i in range(8):
+        term = random_network(i).term
+        cases.append((term, random_order(term, i)))
+    for term, order in cases:
+        _, trace = eliminate_seq(term, order)
+        ctx = DenoteContext()
+        for t in [term] + [s.after for s in trace.steps]:
+            warm, fresh = factors_of(t, ctx), factors_of(t)
+            assert (warm.counter.muladds, warm.counter.max_table) == (fresh.counter.muladds, fresh.counter.max_table)
+            assert factor_sets_equal(warm, fresh)
+            again = factors_of(t, ctx)
+            assert all(f is g for f, g in zip(warm.factors[:-1], again.factors))
+        assert ctx.readings
+
+
+def test_a_recorded_reading_is_not_taken_where_its_variables_coincide():
+    # The bound e reads x and y apart; nested under `let y = x`, both are one
+    # index, where e's contraction is smaller than the recorded one.
+    x, y, c = bvar("x"), bvar("y"), bvar("c")
+    paired = matrix("Paired", 2, [[0.9, 0.1], [0.6, 0.4], [0.3, 0.7], [0.2, 0.8]])
+    m = matrix("M", 1, [[0.8, 0.2], [0.1, 0.9]])
+    e = Let(PLeaf(c), MatApp(paired, (x, y)), MatApp(m, (c,)))
+    first = LetTerm(((PLeaf(bvar("a")), e),), PLeaf(bvar("a")))
+    second = LetTerm(((PLeaf(bvar("b")), Let(PLeaf(y), Var(x), e)),), PLeaf(bvar("b")))
+    ctx = DenoteContext()
+    factors_of(first, ctx)
+    warm, fresh = factors_of(second, ctx), factors_of(second)
+    assert (warm.counter.muladds, warm.counter.max_table) == (fresh.counter.muladds, fresh.counter.max_table)
+    assert factor_sets_equal(warm, fresh)
+    assert_reading_agrees(second)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from lve.denote import denote, joint_vector
 from lve.errors import ParseError, UndeclaredArrowVariable, UndeclaredMatrix
-from lve.parser import parse_program
+from lve.parser import Token, _tokenize, parse_program
 from lve.printer import expr_str, matrix_decl_str, pattern_str, program_str, term_str
 from lve.syntax import (
     BOOL,
@@ -194,3 +196,93 @@ def test_expr_str_application():
         "matrix M : Bool * Bool -> Bool = [1, 0; 1, 0; 1, 0; 0, 1];\ny = M(a, b);\nin y"
     )
     assert expr_str(prog.term.defs[0][1]) == "M(a, b)"
+
+
+# ---------------------------------------------------------------- tokens and positions
+
+
+_REFERENCE_RE = re.compile(
+    r"""
+      (?P<ws>\s+|\#[^\n]*)
+    | (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+    | (?P<punct>->|-o|[()\[\],;:*=\\.])
+    """,
+    re.VERBOSE,
+)
+
+
+def _reference_tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """The tokenizer the parser had before: one match at a time, counting
+    the newlines and columns of every lexeme, whitespace included."""
+    out = []
+    line, col, pos = 1, 1, 0
+    while pos < len(text):
+        m = _REFERENCE_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        lexeme = m.group(0)
+        if m.lastgroup != "ws":
+            kind = m.lastgroup or ""
+            if kind == "ident" and lexeme in {"matrix", "var", "let", "in", "Bool"}:
+                kind = lexeme
+            out.append((kind, lexeme, line, col))
+        newlines = lexeme.count("\n")
+        if newlines:
+            line += newlines
+            col = len(lexeme) - lexeme.rfind("\n")
+        else:
+            col += len(lexeme)
+        pos = m.end()
+    out.append(("eof", "", line, col))
+    return out
+
+
+# One source per kind of error the parser reports, with its message. Tabs,
+# carriage returns and comments each count as columns of their line.
+PARSE_ERRORS = [
+    ("# a comment\n\tx = M(y) $ ;", ParseError, "2:11: unexpected character '$'"),
+    ("matrix M : -> Bool = [0.5, 0.5]\r\nx = M;\nin x", ParseError, "2:1: expected ';', found 'x'"),
+    ("var f :\n   ;", ParseError, "2:4: expected a type, found ';'"),
+    ("matrix M : -> Bool = [1, 0];\nmatrix M : -> Bool = [1, 0];\nx = M;\nin x", ParseError, "2:8: M declared twice"),
+    ("matrix M : -> Bool = [1, 0, 0];\nx = M;\nin x", ParseError, "1:30: matrix M: row of length 3, output web has 2"),
+    ("matrix M : Bool -> Bool = [1, 0];\nx = M(y);\nin x", ParseError, "1:32: matrix M: 1 rows, input web has 2"),
+    ("matrix M : -> Bool = [1, 0];\nx = M;\nin M", ParseError, "3:4: M is a matrix, not a variable"),
+    ("matrix M : Bool -> Bool = [1, 0; 0, 1];\n  x = M;\nin x", ParseError, "2:7: matrix M takes 1 arguments, got 0"),
+    ("x = y;\n  # no output\n", ParseError, "3:1: expected a definition or 'in'"),
+    ("x = y;\nin x x", ParseError, "2:6: trailing input 'x'"),
+    ("x = N;\n\nin x", UndeclaredMatrix, "line 1: matrix N is not declared"),
+    ("x = y;\ny2 = f(y);\nin x", UndeclaredArrowVariable, "line 2: f is applied but not declared with an arrow type"),
+]
+
+
+@pytest.mark.parametrize("source, error, message", PARSE_ERRORS)
+def test_parse_errors_keep_their_messages_and_positions(source, error, message):
+    with pytest.raises(error) as info:
+        parse_program(source)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_token_streams_match_the_reference_tokenizer(samples_dir, golden_dir):
+    texts = [p.read_text() for p in sorted(samples_dir.glob("*.lve")) + sorted(golden_dir.glob("*.lve"))]
+    texts += [source for source, _, _ in PARSE_ERRORS] + ["\r\n\t x\x0b=\x0cy; in x", ""]
+    for text in texts:
+        try:
+            expected = _reference_tokenize(text)
+        except ParseError as err:
+            with pytest.raises(ParseError, match=re.escape(str(err))):
+                _tokenize(text)
+        else:
+            assert _tokenize(text) == [Token(*t) for t in expected]
+
+
+def test_token_positions_on_sixnode(sixnode_text):
+    tokens = _tokenize(sixnode_text)
+    assert tokens[:3] == [Token("matrix", "matrix", 4, 1), Token("ident", "M1", 4, 8), Token("punct", ":", 4, 11)]
+    assert tokens[-4:] == [
+        Token("punct", ",", 17, 7),
+        Token("ident", "x6", 17, 9),
+        Token("punct", ")", 17, 11),
+        Token("eof", "", 18, 1),
+    ]

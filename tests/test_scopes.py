@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 from collections import Counter
 from itertools import permutations
 
-import lve.factors
 from lve.factors import check_factor_vars, eliminate, factors_of
 from lve.network import network_to_program
 from lve.orderings import min_degree_order
@@ -34,21 +34,10 @@ def test_scopes_are_the_variable_sets_of_the_factors(sixnode_term):
     assert folds > 0
 
 
-def test_rewriting_costs_what_elimination_costs(sixnode_term):
-    """Rewriting costs what VE costs, checked on the types alone. For each
-    eliminated variable x, take the term just before vel's elim step drops
-    x: the factor scope holding x there has the web of vef's product table
-    for x's step (`VefStep.product_table`).
-
-    The inputs are sixnode under all 24 orders, `random_network(i)` for
-    i < 60 under `verify._orders`, and the chains and grids of the
-    min-degree tests under min-degree: 1216 steps, all equal. The scope has
-    to fold each arrow definition into the one consuming its arrow, as
-    `factor_scopes` does. The merged definition's own scope, which counts an
-    arrow leaf as one variable over its whole web, differs on 480 of those
-    steps (474 over, 6 under); at x3's step of `random_network(5)` under
-    `random_order(t, 5)` it reads 64 against 32. That per-definition reading
-    was the open gap between vel's static peak and vef's `max_table`."""
+def _cases(sixnode_term):
+    """sixnode under all 24 orders, `random_network(i)` for i < 60 under
+    `verify._orders`, and the chains and grids of the min-degree tests under
+    min-degree."""
     cases = [(sixnode_term, list(p)) for p in permutations(min_degree_order(sixnode_term))]
     for i in range(60):
         term = random_network(i).term
@@ -56,8 +45,24 @@ def test_rewriting_costs_what_elimination_costs(sixnode_term):
     for data in [chain(n) for n in (1, 2, 17, 60)] + [grid(r, c) for r, c in ((2, 2), (3, 5), (5, 5), (6, 4))]:
         term = network_to_program(data).term
         cases.append((term, min_degree_order(term)))
+    return cases
+
+
+def test_rewriting_costs_what_elimination_costs(sixnode_term):
+    """Rewriting costs what VE costs, checked on the types alone. For each
+    eliminated variable x, take the term just before vel's elim step drops
+    x: the factor scope holding x there has the web of vef's product table
+    for x's step (`VefStep.product_table`).
+
+    The inputs are `_cases`: 1216 steps, all equal. The scope has
+    to fold each arrow definition into the one consuming its arrow, as
+    `factor_scopes` does. The merged definition's own scope, which counts an
+    arrow leaf as one variable over its whole web, differs on 480 of those
+    steps (474 over, 6 under); at x3's step of `random_network(5)` under
+    `random_order(t, 5)` it reads 64 against 32. That per-definition reading
+    was the open gap between vel's static peak and vef's `max_table`."""
     checked, mismatches, unfolded = 0, [], Counter()
-    for term, order in cases:
+    for term, order in _cases(sixnode_term):
         vef = eliminate(factors_of(term), order)
         _, trace = eliminate_seq(term, order)
         elims = [s for s in trace.steps if s.rule == ELIM]
@@ -75,12 +80,37 @@ def test_rewriting_costs_what_elimination_costs(sixnode_term):
     assert (unfolded[1], unfolded[-1]) == (474, 6)
 
 
+def test_evaluating_the_rewritten_term_costs_what_elimination_costs(sixnode_term):
+    """The numeric half of the claim: reading vel's final term as factor
+    contractions (`factors_of`) charges exactly vef's muladds and max_table
+    for the same order, on all 272 `_cases`. Each let that drops a variable
+    contracts the factors mentioning it, in the order vef's bucket lists
+    them, so not even the pairwise folds differ. The readout through
+    `denote` cost 3x vef's muladds and twice its peak on a chain, and 2^21
+    against 2^9 on a 6x6 grid."""
+    gaps = []
+    cases = _cases(sixnode_term)
+    for term, order in cases:
+        vef = eliminate(factors_of(term), order)
+        final, _ = eliminate_seq(term, order)
+        vel = factors_of(final).counter
+        if (vel.muladds, vel.max_table) != (vef.counter.muladds, vef.counter.max_table):
+            gaps.append((vel.muladds, vel.max_table, vef.counter.muladds, vef.counter.max_table))
+    assert len(cases) == 272
+    assert gaps == []
+
+
 def test_ordering_and_the_census_check_denote_nothing(sixnode_term, monkeypatch):
+    # Every denotation, however `denote` was imported, runs its clauses.
+    # (`lve.denote` the attribute is the function; the module is imported.)
     def no_denote(*args, **kwargs):
         raise AssertionError("denote called")
 
-    monkeypatch.setattr(lve.factors, "denote", no_denote)
+    denote_module = importlib.import_module("lve.denote")
+    monkeypatch.setattr(denote_module, "denote", no_denote)
+    monkeypatch.setattr(denote_module, "_clause", no_denote)
     _, trace = eliminate_seq(sixnode_term, order_by_name(sixnode_term, SIXNODE_ORDER_FWD))
     for term in [sixnode_term] + [s.after for s in trace.steps]:
         assert check_factor_vars(term)
         min_degree_order(term)
+        factors_of(term)
