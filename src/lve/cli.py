@@ -5,7 +5,7 @@
     lve facts FILE            the factor multiset of the term
     lve vef FILE              classical variable elimination on the factors
     lve vel FILE              variable elimination by term rewriting
-    lve compare FILE          both routes side by side; exit 1 on mismatch
+    lve compare FILE          all four routes side by side; exit 1 on mismatch
     lve cost FILE             operation counts of the classical route
     lve orderings FILE        an elimination order from a heuristic
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .cost import DEFAULT_WEB_CAP
 from .denote import DenoteContext, denote, joint_vector, total_mass_check
-from .errors import InOutput, LveError, NonFinite, NotClosed, RepeatedInOrder, UnknownVariable
+from .errors import InOutput, LveError, NonFinite, NotClosed, RepeatedInOrder, UnknownVariable, WebCapExceeded
 from .factors import dump_factors, eliminate, factors_of, marginal, relation_from_factors
 from .network import load_network
 from .orderings import min_degree_order, random_order
@@ -43,6 +43,9 @@ from .syntax import (
     typecheck,
 )
 from .webs import enumerate_web
+
+
+COMPARE_ROUTES = ("denote", "facts", "vef", "vel")
 
 
 def _fmt(v: float) -> str:
@@ -228,62 +231,87 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     # The one command left is compare.
-    cap = args.web_cap
-
-    ctx_d = DenoteContext(web_cap=cap)
-    val_d = joint_vector(denote(term, ctx_d))
-
-    ctx_f = DenoteContext(web_cap=cap)
-    val_f = joint_vector(relation_from_factors(term, ctx_f))
-
-    ctx_e = DenoteContext(web_cap=cap)
-    fs = eliminate(factors_of(term, ctx_e), order, cap)
-    vef_muladds, vef_max = fs.counter.muladds, fs.counter.max_table
-    val_e = marginal(fs, term.output, cap)
-
-    final, trace = eliminate_seq(term, order)
-    fs_l = factors_of(final, DenoteContext(web_cap=cap))
-    vel_muladds, vel_max = fs_l.counter.muladds, fs_l.counter.max_table
-    val_l = marginal(fs_l, term.output, cap)
-
+    ran, skipped, steps = _compare_routes(term, order, args.web_cap)
     diff = 0.0
-    for row in zip(val_d, val_f, val_e, val_l):
+    for row in zip(*(values for values, _, _ in ran.values())):
         xs = [float(x) for x in row]
         diff = max(diff, max(xs) - min(xs))
     agree = diff <= TOL
 
-    paths = [
-        ("denote", val_d, ctx_d.counter.muladds, ctx_d.counter.max_table),
-        ("facts", val_f, ctx_f.counter.muladds, ctx_f.counter.max_table),
-        ("vef", val_e, vef_muladds, vef_max),
-        ("vel", val_l, vel_muladds, vel_max),
-    ]
     if args.json:
         payload: dict = {
             "order": [v.name for v in order],
             "output": [v.name for v in pattern_vars(term.output)],
             "web": [str(e) for e in enumerate_web(pattern_type(term.output))],
         }
-        for name, values, muladds, max_table in paths:
-            payload[name] = {
-                "values": [float(v) for v in values],
-                "muladds": muladds,
-                "max_table": max_table,
-            }
-        payload["vel"]["steps"] = len(trace.steps)
+        for name in COMPARE_ROUTES:
+            if name in skipped:
+                payload[name] = {"skipped": str(skipped[name])}
+            else:
+                values, muladds, max_table = ran[name]
+                payload[name] = {"values": [float(v) for v in values], "muladds": muladds, "max_table": max_table}
+        if "vel" in ran:
+            payload["vel"]["steps"] = steps
         payload["max_diff"] = diff
         payload["agree"] = agree
         print(json.dumps(payload))
     else:
-        for name, values, _, _ in paths:
-            print(f"{name}:")
-            _print_marginal(term, values)
-        for name, _, muladds, max_table in paths:
-            extra = f" steps={len(trace.steps)}" if name == "vel" else ""
+        for name in COMPARE_ROUTES:
+            if name in skipped:
+                print(f"{name}: skipped ({skipped[name]})")
+            else:
+                print(f"{name}:")
+                _print_marginal(term, ran[name][0])
+        for name, (_, muladds, max_table) in ran.items():
+            extra = f" steps={steps}" if name == "vel" else ""
             print(f"{name} cost: muladds={muladds} max_table={max_table}{extra}")
         print(f"max_diff: {diff:.3g}")
         print(f"agree: {'yes' if agree else 'no'}")
     return 0 if agree else 1
+
+
+def _compare_routes(
+    term: LetTerm, order: list[Variable], cap: int
+) -> tuple[dict[str, tuple], dict[str, WebCapExceeded], int]:
+    """Run `compare`'s routes in COMPARE_ROUTES order: each one's marginal,
+    muladds and max_table, the routes that needed a table over the cap, and
+    vel's rewrite step count. A route over the cap is skipped; the values of
+    the others are compared, so at least two must run, else the first
+    route's error is raised. vef's and vel's counters are read before
+    `marginal`, so both count the evaluation alone."""
+    steps = 0
+
+    def by_denote():
+        ctx = DenoteContext(web_cap=cap)
+        return joint_vector(denote(term, ctx)), ctx.counter.muladds, ctx.counter.max_table
+
+    def by_facts():
+        ctx = DenoteContext(web_cap=cap)
+        return joint_vector(relation_from_factors(term, ctx)), ctx.counter.muladds, ctx.counter.max_table
+
+    def by_vef():
+        fs = eliminate(factors_of(term, DenoteContext(web_cap=cap)), order, cap)
+        muladds, max_table = fs.counter.muladds, fs.counter.max_table
+        return marginal(fs, term.output, cap), muladds, max_table
+
+    def by_vel():
+        nonlocal steps
+        final, trace = eliminate_seq(term, order)
+        steps = len(trace.steps)
+        fs = factors_of(final, DenoteContext(web_cap=cap))
+        muladds, max_table = fs.counter.muladds, fs.counter.max_table
+        return marginal(fs, term.output, cap), muladds, max_table
+
+    ran: dict[str, tuple] = {}
+    skipped: dict[str, WebCapExceeded] = {}
+    for name, route in zip(COMPARE_ROUTES, (by_denote, by_facts, by_vef, by_vel)):
+        try:
+            ran[name] = route()
+        except WebCapExceeded as err:
+            skipped[name] = err
+    if len(ran) < 2:
+        raise next(iter(skipped.values()))
+    return ran, skipped, steps
 
 
 if __name__ == "__main__":

@@ -11,19 +11,28 @@ and result.
 The rows of a matrix are left-major over the sorted variables, so the matrix
 reshapes for free into a tensor with one axis per row variable and one column
 axis; a pattern's web is left-major over its leaves, so a column axis splits
-the same way into one axis per leaf. On those axes the pair, let and lambda
-clauses are each one `np.einsum` call with an integer label per variable.
-This module keeps its own clauses and shares no code with the factor engine,
-which it serves as the reference for: the factor reading of a definition
-(`factors.definition_factor`) never calls it, and the tests check the two
-against each other.
+the same way into one axis per leaf. On those axes each clause groups the
+variables into a few sets and is one batched matrix product between
+transposes: a let is (S, B, L) @ (S, L, K x column) over the rows both sides
+share (S), the bound's other rows (B), the binder leaves the body uses (L)
+and the body's other rows (K); a pair is the outer product (S, B1 x c1, 1) @
+(S, 1, B2 x c2); a lambda multiplies nothing and only transposes, broadcasting
+the parameter leaves its body does not use. A transpose whose permutation is
+the identity is skipped. This module keeps its own clauses and shares no code
+with the factor engine, which it serves as the reference for: the factor
+reading of a definition (`factors.definition_factor`) never calls it, and the
+tests check the two against each other.
 
 Denotations are memoized by subterm identity (not structure) in a
 DenoteContext, which also threads a multiply counter and the web-size cap; the
 counter makes interpretation cost observable: a pair charges rows x n1 x n2
 multiply-adds, a let rows x n_bound x n_body, and every clause its result as
-a table. The context also holds the factor reading's memo, which `denote`
-does not use.
+a table. A let-term is folded from its output up, one definition at a time,
+and each step is memoized on the identity of its `(binder, bound)` pair and of
+the relation it folds into: a rewritten term that shares its tail with one
+denoted before (`syntax.replace_defs`) folds only the definitions up to the
+end of the rewritten window again. A memo hit charges nothing. The context
+also holds the factor reading's memo, which `denote` does not use.
 """
 
 from __future__ import annotations
@@ -61,45 +70,61 @@ from .syntax import (
 )
 from .webs import check_web_cap, ht, sorted_vars
 
-_MAX_LABELS = 52
-"""Integer sublists label einsum axes with range(52)."""
+_MAX_AXES = 52
+"""The most variables, leaves and columns a clause may span, einsum's label
+count: a wider clause raises `WebCapExceeded` before any table is built
+(numpy arrays take at most 64 axes)."""
 
 
 @dataclass
 class Relation:
     """A denotation: row space (variables), column space (type), and the
     table, its rows left-major over `vars` and C-ordered, so that it reshapes
-    for free to one axis per variable (`_axes`)."""
+    for free to one axis per variable (`_regroup`)."""
 
     vars: tuple[Variable, ...]
     ty: Ty
     matrix: np.ndarray
 
 
-def _axes(rel: Relation, cols: list[int] | None = None) -> np.ndarray:
-    """The table with one axis per row variable, then the column axis, or the
-    given axes splitting it; a free reshape of the C-ordered matrix."""
-    return rel.matrix.reshape(_dims(rel.vars) + (cols if cols is not None else [-1]))
-
-
-def _dims(vs: tuple[Variable, ...]) -> list[int]:
+def _dims(vs) -> list[int]:
     return [web_size(v.ty) for v in vs]
+
+
+def _size(vs) -> int:
+    return math.prod(_dims(vs))
+
+
+def _regroup(table: np.ndarray, vars: tuple[Variable, ...], order: tuple[Variable, ...]) -> np.ndarray:
+    """A table whose rows are left-major over `vars`, with its rows left-major
+    over `order`, a permutation of `vars`: the table itself when the order is
+    the same, else a transposed view with one axis per variable (a free
+    reshape of the C-ordered table), then one column axis."""
+    if order == vars:
+        return table
+    split = table.reshape(_dims(vars) + [-1])
+    return split.transpose([vars.index(v) for v in order] + [len(vars)])
 
 
 class DenoteContext:
     """Memo table, cost counter, and web cap for one denotation pipeline.
 
-    `definitions` and `readings` are the factor reading's memos
-    (`factors.factors_of`). `definitions` maps the identity of the bound of
-    a scope's last definition to the scope's definitions, their factor and
-    the charges reading them made, and a scope of no definition (a set of
-    variables) to its constant factor; `readings` maps the identity of a
-    definition's bound to its reading (`factors._Reading.record`)."""
+    `_folds` maps the identities of a definition and of the relation it is
+    folded into (`denote` on a let-term) to the result, keeping both key
+    objects alive, as `_cache` keeps its subterms, so that an identity is
+    never reused while its entry stands. `definitions` and `readings` are the
+    factor reading's memos (`factors.factors_of`). `definitions` maps the
+    identity of the bound of a scope's last definition to the scope's
+    definitions, their factor and the charges reading them made, and a scope
+    of no definition (a set of variables) to its constant factor; `readings`
+    maps the identity of a definition's bound to its reading
+    (`factors._Reading.record`)."""
 
     def __init__(self, web_cap: int = DEFAULT_WEB_CAP):
         self.counter = CostCounter()
         self.web_cap = web_cap
         self._cache: dict[int, tuple[object, Relation]] = {}
+        self._folds: dict[tuple[int, int], tuple[tuple, Relation, Relation]] = {}
         self.definitions: dict = {}
         self.readings: dict[int, tuple] = {}
 
@@ -125,24 +150,32 @@ def denote(t: Term, ctx: DenoteContext | None = None) -> Relation:
     typecheck(t)
     if not isinstance(t, LetTerm):
         return _denote(t, ctx)
-    rel = _denote(pattern_to_expr(t.output), ctx)
-    for binder, bound in reversed(t.defs):
-        rel = _let(binder, _denote(bound, ctx), rel, ctx)
+    rel = ctx.lookup(t.output)
+    if rel is None:
+        rel = ctx.store(t.output, _denote(pattern_to_expr(t.output), ctx))
+    for d in reversed(t.defs):
+        hit = ctx._folds.get((id(d), id(rel)))
+        if hit is not None and hit[0] is d and hit[1] is rel:
+            rel = hit[2]
+            continue
+        new = _let(d[0], _denote(d[1], ctx), rel, ctx)
+        new.matrix.flags.writeable = False
+        ctx._folds[id(d), id(rel)] = (d, rel, new)
+        rel = new
     return ctx.store(t, rel)
 
 
-def _table(ctx: DenoteContext, vars: tuple[Variable, ...], ty: Ty) -> int:
-    """Check a result table against the cap before it is computed, charge it
-    as a table, and return its row count."""
-    rows = math.prod(_dims(vars))
-    check_web_cap(rows * web_size(ty), ctx.web_cap)
-    ctx.counter.count(table=rows * web_size(ty))
+def _table(ctx: DenoteContext, rows: int, cols: int) -> int:
+    """Check a result table of `rows` x `cols` against the cap before it is
+    computed, charge it as a table, and return its row count."""
+    check_web_cap(rows * cols, ctx.web_cap)
+    ctx.counter.count(table=rows * cols)
     return rows
 
 
-def _check_labels(n: int) -> None:
-    if n > _MAX_LABELS:
-        raise WebCapExceeded(f"einsum over {n} axes, it takes {_MAX_LABELS}")
+def _check_axes(n: int) -> None:
+    if n > _MAX_AXES:
+        raise WebCapExceeded(f"clause over {n} axes, more than the {_MAX_AXES} of an einsum")
 
 
 def _denote(e: Expr, ctx: DenoteContext) -> Relation:
@@ -150,21 +183,18 @@ def _denote(e: Expr, ctx: DenoteContext) -> Relation:
     memo yet. The walk keeps an explicit stack, so nesting depth is not
     bounded by Python's recursion limit: a node is pushed back above its
     children and its clause runs once they are denoted."""
+    rel = ctx.lookup(e)
+    if rel is not None:
+        return rel
     stack = [(e, False)]
     while stack:
         node, ready = stack.pop()
         if ready:
-            ctx.store(node, _clause(node, ctx))
+            rel = ctx.store(node, _clause(node, ctx))
         elif ctx.lookup(node) is None:
             stack.append((node, True))
-            if isinstance(node, Pair):
-                stack += ((node.snd, False), (node.fst, False))
-            elif isinstance(node, Lam):
-                stack.append((node.body, False))
-            elif isinstance(node, Let):
-                stack += ((node.body, False), (node.bound, False))
-    rel = ctx.lookup(e)
-    assert isinstance(rel, Relation)
+            stack += ((c, False) for c in reversed(_children(node)))
+    # `e` was not in the memo, so its clause ran last.
     return rel
 
 
@@ -172,99 +202,133 @@ def _clause(e: Expr, ctx: DenoteContext) -> Relation:
     """One clause of the semantics, on the denotations of the children, which
     are in the memo."""
     if isinstance(e, Var):
-        return Relation((e.var,), e.var.ty, np.eye(_table(ctx, (e.var,), e.var.ty)))
+        n = web_size(e.var.ty)
+        return Relation((e.var,), e.var.ty, np.eye(_table(ctx, n, n)))
 
     if isinstance(e, MatApp):
         # Entries are left-major over the arguments in application order.
         rows = sorted_vars(e.args)
-        n_out = web_size(e.matrix.out)
-        n = _table(ctx, rows, e.matrix.out)
-        table = e.matrix.entries.reshape([web_size(s) for s in e.matrix.slots] + [n_out])
-        table = table.transpose([e.args.index(v) for v in rows] + [len(rows)])
-        return Relation(rows, e.matrix.out, table.reshape(n, n_out))
+        entries = e.matrix.entries
+        _table(ctx, *entries.shape)
+        return Relation(rows, e.matrix.out, _regroup(entries, e.args, rows).reshape(entries.shape))
 
     if isinstance(e, ArrowApp):
         # The arrow's web is input-major, element (a, c) at a * n_out + c, so
         # the identity on it, with its column split into the argument leaves
         # and the result, is the delta linking arrow, argument and result.
         fty = e.fn.ty
-        assert isinstance(fty, Arrow)
+        if not isinstance(fty, Arrow):
+            raise TypeError(f"not an arrow: {e.fn!r}")
         leaves = pattern_vars(e.args)
         rows = sorted_vars(leaves + (e.fn,))
         n_fn, n_out = web_size(fty), web_size(fty.result)
-        n = _table(ctx, rows, fty.result)
-        delta = np.eye(n_fn).reshape([n_fn] + _dims(leaves) + [n_out])
-        axes = (e.fn,) + leaves
-        table = delta.transpose([axes.index(v) for v in rows] + [len(axes)])
-        return Relation(rows, fty.result, table.reshape(n, n_out))
+        n = _table(ctx, n_fn * n_fn // n_out, n_out)
+        delta = np.eye(n_fn).reshape(n, n_out)
+        return Relation(rows, fty.result, _regroup(delta, (e.fn,) + leaves, rows).reshape(n, n_out))
+
+    if not isinstance(e, (Pair, Lam, Let)):
+        raise TypeError(f"not an expression: {e!r}")
+    children = [ctx.lookup(c) for c in _children(e)]
+    if any(c is None for c in children):
+        raise TypeError(f"children not denoted yet: {e!r}")
 
     if isinstance(e, Pair):
-        r1, r2 = ctx.lookup(e.fst), ctx.lookup(e.snd)
-        assert isinstance(r1, Relation) and isinstance(r2, Relation)
-        label = {v: i for i, v in enumerate(r1.vars)}
-        labels2 = [label.setdefault(v, len(label)) for v in r2.vars]
-        rows = sorted_vars(label)
-        c1, c2 = len(label), len(label) + 1
-        _check_labels(c2 + 1)
+        # (S, B1 x c1, 1) @ (S, 1, B2 x c2): an outer product batched over
+        # the rows both sides share; its axes go to sorted rows, c1, c2.
+        r1, r2 = children
+        shared: list[Variable] = []
+        only2: list[Variable] = []
+        for v in r2.vars:
+            (shared if v in r1.vars else only2).append(v)
+        left = (*shared, *(v for v in r1.vars if v not in shared))
+        rows = sorted_vars(r1.vars + tuple(only2)) if only2 else r1.vars
+        _check_axes(len(rows) + 2)
         ty = Tensor(r1.ty, r2.ty)
-        n = _table(ctx, rows, ty)
-        ctx.counter.count(muladds=n * r1.matrix.shape[1] * r2.matrix.shape[1])
-        table = np.einsum(
-            _axes(r1), [*range(len(r1.vars)), c1], _axes(r2), labels2 + [c2], [label[v] for v in rows] + [c1, c2]
-        )
+        c1, c2 = r1.matrix.shape[1], r2.matrix.shape[1]
+        n = _table(ctx, r1.matrix.shape[0] * _size(only2), c1 * c2)
+        ctx.counter.count(muladds=n * c1 * c2)
+        n_shared = _size(shared)
+        a = _regroup(r1.matrix, r1.vars, left).reshape(n_shared, -1, 1)
+        b = _regroup(r2.matrix, r2.vars, (*shared, *only2)).reshape(n_shared, 1, -1)
+        table = np.matmul(a, b)
+        if left != rows:
+            # Axes: left, c1, only2, c2.
+            axis = {v: i for i, v in enumerate(left)}
+            axis.update((v, len(left) + 1 + i) for i, v in enumerate(only2))
+            table = table.reshape(_dims(left) + [c1] + _dims(only2) + [c2])
+            table = table.transpose([axis[v] for v in rows] + [len(left), len(rows) + 1])
         return Relation(rows, ty, table.reshape(n, -1))
 
     if isinstance(e, Lam):
         # The parameter's leaves move from rows to columns, left-major like
-        # the parameter's web; a leaf the body does not use spans ones.
-        rb = ctx.lookup(e.body)
-        assert isinstance(rb, Relation)
+        # the parameter's web; a leaf the body does not use spans a
+        # broadcast axis.
+        (rb,) = children
         leaves = pattern_vars(e.param)
-        label = {v: i for i, v in enumerate(rb.vars)}
-        unused = [v for v in leaves if v not in label]
-        leaf_labels = [label.setdefault(v, len(label)) for v in leaves]
-        rows = sorted_vars(v for v in rb.vars if v not in leaves)
-        col = len(label)
-        _check_labels(col + 1)
+        rows = tuple(v for v in rb.vars if v not in leaves)
+        used = tuple(v for v in leaves if v in rb.vars)
+        _check_axes(len(rb.vars) + len(leaves) - len(used) + 1)
         ty = Arrow(pattern_type(e.param), rb.ty)
-        n = _table(ctx, rows, ty)
-        operands: list = [_axes(rb), [*range(len(rb.vars)), col]]
-        for v in unused:
-            operands += [np.ones(web_size(v.ty)), [label[v]]]
-        table = np.einsum(*operands, [label[v] for v in rows] + leaf_labels + [col])
+        n = _table(ctx, rb.matrix.shape[0] // _size(used), web_size(ty))
+        table = _regroup(rb.matrix, rb.vars, rows + used)
+        if len(used) < len(leaves):
+            table = table.reshape([n] + _dims(used) + [-1])
+            table = np.expand_dims(table, [1 + i for i, v in enumerate(leaves) if v not in used])
+            table = np.broadcast_to(table, [n] + _dims(leaves) + [rb.matrix.shape[1]])
         return Relation(rows, ty, table.reshape(n, -1))
 
-    if isinstance(e, Let):
-        rb, rk = ctx.lookup(e.bound), ctx.lookup(e.body)
-        assert isinstance(rb, Relation) and isinstance(rk, Relation)
-        return _let(e.binder, rb, rk, ctx)
+    rb, rk = children
+    return _let(e.binder, rb, rk, ctx)
 
-    raise TypeError(f"not an expression: {e!r}")
+
+def _children(e: Expr) -> tuple[Expr, ...]:
+    """The subexpressions whose denotations the clause of `e` reads, in the
+    order it takes them."""
+    if isinstance(e, Pair):
+        return (e.fst, e.snd)
+    if isinstance(e, Lam):
+        return (e.body,)
+    if isinstance(e, Let):
+        return (e.bound, e.body)
+    return ()
 
 
 def _let(binder: Pattern, rb: Relation, rk: Relation, ctx: DenoteContext) -> Relation:
     """`let binder = e in k` from the denotations of e and k: the bound value
-    summed over the binder's web. The bound value's column splits into the
-    binder's leaves, left-major like the binder's web; each leaf has a label
-    of its own, apart from a row of e with its name that it shadows in k, and
-    a leaf k does not use is summed out."""
+    summed over the binder's web, as one batched product
+    (S, B, L) @ (S, L, K x column).
+
+    The bound value's column splits into the binder's leaves, left-major like
+    the binder's web, and a leaf k does not use is summed out first. A leaf
+    shadows a row of e with its name: in k the name is the leaf. The other
+    rows of k are S when e has them too, else K; e's other rows are B."""
     leaves = pattern_vars(binder)
-    label = {v: i for i, v in enumerate(rb.vars)}
-    leaf = {v: len(label) + i for i, v in enumerate(leaves)}
-    labels_k = [leaf[v] if v in leaf else label.setdefault(v, len(label) + len(leaf)) for v in rk.vars]
-    rows = sorted_vars(label)
-    col = len(label) + len(leaf)
-    _check_labels(col + 1)
-    n = _table(ctx, rows, rk.ty)
+    shared: list[Variable] = []
+    used: list[Variable] = []
+    body: list[Variable] = []
+    for v in rk.vars:
+        (used if v in leaves else shared if v in rb.vars else body).append(v)
+    _check_axes(len(rb.vars) + len(leaves) + len(body) + 1)
+    n_shared, n_used = _size(shared), _size(used)
+    n = _table(ctx, rb.matrix.shape[0] * _size(body), rk.matrix.shape[1])
     ctx.counter.count(muladds=n * rb.matrix.shape[1] * rk.matrix.shape[1])
-    table = np.einsum(
-        _axes(rb, _dims(leaves)),
-        [*range(len(rb.vars)), *leaf.values()],
-        _axes(rk),
-        labels_k + [col],
-        [label[v] for v in rows] + [col],
-    )
-    return Relation(rows, rk.ty, table.reshape(n, -1))
+
+    a = rb.matrix
+    if tuple(used) != leaves:
+        # Sum the unused leaves out and put the used ones in k's order.
+        kept = tuple(v for v in leaves if v in used)
+        split = a.reshape([-1] + _dims(leaves))
+        if len(kept) < len(leaves):
+            split = split.sum(axis=tuple(1 + i for i, v in enumerate(leaves) if v not in used))
+        a = split.transpose([0] + [1 + kept.index(v) for v in used]).reshape(-1, n_used)
+    only = tuple(v for v in rb.vars if v not in shared)
+    a = _regroup(a, rb.vars, (*shared, *only)).reshape(n_shared, -1, n_used)
+    b = _regroup(rk.matrix, rk.vars, (*shared, *used, *body)).reshape(n_shared, n_used, -1)
+    # Rows of the product: shared, only, body.
+    table = np.matmul(a, b).reshape(n, -1)
+    order = (*shared, *only, *body)
+    rows = sorted_vars(order) if body else rb.vars
+    return Relation(rows, rk.ty, _regroup(table, order, rows).reshape(n, -1))
 
 
 def joint_vector(rel: Relation) -> np.ndarray:

@@ -14,7 +14,7 @@ from lve.cli import main
 from lve.denote import denote, joint_vector
 from lve.errors import ParseError
 from lve.parser import parse_program
-from helpers import SIXNODE_JOINT, grid_network
+from helpers import SIXNODE_JOINT, chain_network, grid_network
 
 
 @pytest.fixture
@@ -217,6 +217,44 @@ def test_compare_json_reverse(run, sixnode_path):
     assert payload["vef"]["max_table"] == 32
     for route in ("vef", "vel"):
         assert (payload[route]["muladds"], payload[route]["max_table"]) == (160, 32)
+
+
+@pytest.mark.parametrize("net", [grid_network(12, 12), chain_network(2000)], ids=["grid12x12", "chain2000"])
+def test_compare_skips_a_route_over_the_cap(run, tmp_path, net):
+    # The facts route multiplies every factor into one joint table (2^144
+    # entries on the grid); it is skipped, and the three others still agree.
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(net))
+    code, out, _ = run("compare", str(path))
+    assert code == 0
+    lines = out.splitlines()
+    skipped = [line for line in lines if line.startswith("facts: skipped (web of size ")]
+    assert len(skipped) == 1 and skipped[0].endswith(" exceeds cap 1048576)")
+    assert [line.split(" cost:")[0] for line in lines if " cost: " in line] == ["denote", "vef", "vel"]
+    assert lines[-1] == "agree: yes"
+    code, out, _ = run("compare", "--json", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload["facts"]) == ["skipped"]
+    assert payload["facts"]["skipped"] == skipped[0][len("facts: skipped (") : -1]
+    assert payload["agree"] is True and payload["max_diff"] <= 1e-9
+    for route in ("denote", "vef", "vel"):
+        assert len(payload[route]["values"]) == 2
+
+
+def test_compare_needs_two_routes_under_the_cap(run, sixnode_path):
+    # On the forward order the peak tables are denote 32, facts 64, vef and
+    # vel 16: a cap of 16 leaves two routes to compare, a cap of 8 none, and
+    # then the first route's error is reported as bad input.
+    code, out, _ = run("compare", "--web-cap", "16", "--order", "x1,x2,x4,x5", sixnode_path)
+    assert code == 0
+    lines = out.splitlines()
+    assert "denote: skipped (web of size 32 exceeds cap 16)" in lines
+    assert "facts: skipped (web of size 64 exceeds cap 16)" in lines
+    assert lines[-1] == "agree: yes"
+    code, out, err = run("compare", "--web-cap", "8", "--order", "x1,x2,x4,x5", sixnode_path)
+    assert code == 2
+    assert err.strip() == "error: web of size 16 exceeds cap 8"
 
 
 def test_missing_file(run, capsys):

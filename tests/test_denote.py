@@ -5,9 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from lve.cost import CostCounter
 from lve.denote import DenoteContext, collect_matrices, denote, joint_vector, total_mass_check
 from lve.errors import LveError, NotClosed, WebCapExceeded
+from lve.factors import eliminate, factors_of, marginal
 from lve.network import network_to_program
+from lve.orderings import min_degree_order
+from lve.rewrite import eliminate_seq
 from lve.syntax import (
     BOOL,
     Arrow,
@@ -21,12 +25,15 @@ from lve.syntax import (
     Tensor,
     Var,
     Variable,
+    replace_defs,
     typecheck,
 )
 from helpers import (
     COIN_COPY_JOINT,
     COIN_PAIR_JOINT,
     SIXNODE_JOINT,
+    SIXNODE_ORDER_FWD,
+    SIXNODE_ORDER_REV,
     bvar,
     chain_network,
     coin_copy_term,
@@ -34,6 +41,7 @@ from helpers import (
     coin_pair_expr,
     grid_network,
     matrix,
+    order_by_name,
 )
 
 
@@ -190,6 +198,86 @@ def test_denote_costs_are_pinned(net, muladds, max_table):
     ctx = DenoteContext()
     denote(network_to_program(net).term, ctx)
     assert (ctx.counter.muladds, ctx.counter.max_table) == (muladds, max_table)
+
+
+@pytest.mark.parametrize("shape", [(r, c) for r in range(8, 12) for c in range(8, 12)] + [(12, 12)])
+def test_denote_agrees_with_elimination_on_grids(shape):
+    # Every grid shape the benchmark runs, and one more: lets over up to a
+    # dozen shared, bound-only and body-only rows, each one matrix product.
+    term = network_to_program(grid_network(*shape)).term
+    fs = factors_of(term)
+    expected = marginal(eliminate(fs, min_degree_order(term)), term.output)
+    assert np.allclose(joint_vector(denote(term)), expected, atol=1e-9, rtol=0)
+
+
+def _same(a, b) -> bool:
+    return a.vars == b.vars and a.ty == b.ty and np.array_equal(a.matrix, b.matrix)
+
+
+def _shared_tail(before: LetTerm, after: LetTerm) -> int:
+    """How many of the last definitions the two terms share as objects."""
+    k = 0
+    while k < min(len(before.defs), len(after.defs)) and before.defs[-1 - k] is after.defs[-1 - k]:
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("names", [SIXNODE_ORDER_FWD, SIXNODE_ORDER_REV])
+def test_one_context_denotes_a_vel_run_as_fresh_contexts_do(sixnode_term, names):
+    _, trace = eliminate_seq(sixnode_term, order_by_name(sixnode_term, names))
+    ctx, fresh = DenoteContext(), CostCounter()
+    for step in trace.steps:
+        for t in (step.before, step.after):
+            one = DenoteContext()
+            assert _same(denote(t, ctx), denote(t, one))
+            fresh.merge(one.counter)
+        # A step's term folds again only the definitions above the tail it
+        # shares with the term before it, whose output it shares too.
+        assert step.after.output is step.before.output
+        folds = len(ctx._folds)
+        denote(replace_defs(step.after, 0, 0, ()), ctx)
+        assert len(ctx._folds) == folds
+    # A hit charges nothing, so the shared context charged less.
+    assert ctx.counter.muladds < fresh.muladds
+
+
+def test_a_replaced_window_folds_again_up_to_its_end(sixnode_term):
+    defs = sixnode_term.defs
+    for p in range(len(defs)):
+        for w in range(1, len(defs) - p + 1):
+            ctx = DenoteContext()
+            denote(sixnode_term, ctx)
+            # The same definitions as new pairs: the bounds are in the memo,
+            # the pairs are not, and neither is anything folded above them.
+            mid = tuple((binder, bound) for binder, bound in defs[p : p + w])
+            variant = replace_defs(sixnode_term, p, w, mid)
+            folds = len(ctx._folds)
+            assert _same(denote(variant, ctx), denote(sixnode_term))
+            assert len(ctx._folds) - folds == p + len(mid)
+            assert _shared_tail(sixnode_term, variant) == len(defs) - p - w
+
+
+def test_a_vel_step_folds_again_up_to_the_end_of_its_window(sixnode_term):
+    _, trace = eliminate_seq(sixnode_term, order_by_name(sixnode_term, SIXNODE_ORDER_REV))
+    for step in trace.steps:
+        ctx = DenoteContext()
+        denote(step.before, ctx)
+        folds = len(ctx._folds)
+        denote(step.after, ctx)
+        assert len(ctx._folds) - folds == len(step.after.defs) - _shared_tail(step.before, step.after)
+
+
+def test_dropped_terms_never_leave_a_stale_fold():
+    # Each round builds new objects, often where the last round's were
+    # freed; the context keeps what it keys on alive, so no identity repeats.
+    ctx = DenoteContext()
+    x, y = bvar("x"), bvar("y")
+    for k in range(200):
+        p = (k % 17 + 1) / 19
+        m = matrix("M", 1, [[p, 1 - p], [1 - p, p]])
+        term = LetTerm(((PLeaf(x), MatApp(coin_matrix(p), ())), (PLeaf(y), MatApp(m, (x,)))), PPair(PLeaf(x), PLeaf(y)))
+        assert _same(denote(term, ctx), denote(term))
+        del term, m
 
 
 def test_collect_matrices_order(sixnode_term):
