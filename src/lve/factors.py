@@ -680,13 +680,19 @@ def unmatched_factors(
     """The factors of each side left over once equal ones, the same variables
     and tables within TOL, are paired off."""
     left, right = [], list(ys.factors if isinstance(ys, FactorSet) else ys)
+    # Only factors over the same variables can pair: each x takes the first
+    # one left, in `right`'s order, whose table is close.
+    unpaired: dict[tuple[Variable, ...], list[int]] = {}
+    for i, g in enumerate(right):
+        unpaired.setdefault(g.vars, []).append(i)
     for f in xs.factors if isinstance(xs, FactorSet) else xs:
-        match = next((i for i, g in enumerate(right) if factors_allclose(f, g)), None)
+        same = unpaired.get(f.vars, [])
+        match = next((k for k, i in enumerate(same) if factors_allclose(f, right[i])), None)
         if match is None:
             left.append(f)
         else:
-            right.pop(match)
-    return left, right
+            same.pop(match)
+    return left, [right[i] for i in sorted(i for same in unpaired.values() for i in same)]
 
 
 def factor_sets_equal(xs: FactorSet | Sequence[Factor], ys: FactorSet | Sequence[Factor]) -> bool:

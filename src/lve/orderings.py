@@ -46,10 +46,12 @@ def min_degree_order(term: LetTerm, ctx: object = None) -> list[Variable]:
             continue
         neighbours = adj.pop(pick)
         for u in neighbours:
-            adj[u].discard(pick)
-            adj[u].update(w for w in neighbours if w != u)
+            a = adj[u]
+            a |= neighbours
+            a.discard(u)
+            a.discard(pick)
             if u in rank:
-                heapq.heappush(heap, (len(adj[u]), rank[u]))
+                heapq.heappush(heap, (len(a), rank[u]))
         order.append(pick)
     return order
 

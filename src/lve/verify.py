@@ -11,7 +11,7 @@ random networks and records every disagreement.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -246,13 +246,74 @@ def _same_factors(xs: FactorSet, ys: FactorSet, as_product: bool, cap: int) -> b
     return factors_allclose(left_product, right_product)
 
 
+@dataclass(frozen=True)
+class _Step:
+    """One variable eliminated from the term an order prefix leaves, with the
+    checks on that step. `term` is None where the rewrite raised; `after`
+    holds the steps that extend this prefix by one more variable."""
+
+    term: LetTerm | None
+    fs: FactorSet | None
+    barren: bool
+    failures: tuple[CheckFailure, ...]
+    after: dict[Variable, _Step] = field(default_factory=dict)
+
+
+def _check_step(cur: LetTerm, cur_fs: FactorSet, x: Variable, ctx: DenoteContext, instance: int) -> _Step:
+    """Eliminate x from `cur` by rewriting and check the step: the size and
+    step bounds, each rewrite's denotation and, for a swap, its factors, and
+    the factors after the step against one vef step. Failures carry no order."""
+    failures: list[CheckFailure] = []
+
+    def fail(check: str, detail: str) -> None:
+        failures.append(CheckFailure(instance, None, check, detail))
+
+    barren = not any(x in free_vars(bound) for _, bound in cur.defs)
+    try:
+        nxt, steps = eliminate_term(cur, x)
+    except LveError as err:
+        fail("rewrite", f"{x.name}: {err}")
+        return _Step(None, None, barren, tuple(failures))
+    touched = [f.vars for f in cur_fs.factors if x in f.vars]
+    bound = size_bound(cur, touched, nxt, len(steps))
+    if not bound.steps_ok:
+        fail("step-bound", f"{bound.steps} steps for {bound.step_limit} definitions")
+    if not bound.size_ok:
+        fail(
+            "size-bound",
+            f"{bound.size_before} grew to {bound.size_after} with {bound.allowance // 4} internal variables",
+        )
+    # A step's term is the next one's input: extract its factors once.
+    last, last_fs = cur, cur_fs
+    for s in steps:
+        da, db = denote(s.before, ctx), denote(s.after, ctx)
+        if not (da.vars == db.vars and _close(da.matrix, db.matrix)):
+            fail("denote-step", f"{s.rule} changed the denotation")
+        if s.rule.startswith("swap"):
+            before_fs = last_fs if s.before is last else factors_of(s.before, ctx)
+            last, last_fs = s.after, factors_of(s.after, ctx)
+            if not factor_sets_equal(before_fs, last_fs):
+                fail("swap-facts", f"{s.rule} changed the factor multiset")
+    nxt_fs = last_fs if nxt is last else factors_of(nxt, ctx)
+    # vel merges a barren x (one no other definition uses) into a neighbour,
+    # so its factors match vef's step only as a product.
+    if not _same_factors(nxt_fs, eliminate(cur_fs, [x], ctx.web_cap), barren, ctx.web_cap):
+        fail("facts-step", f"factors after dropping {x.name} are not one step")
+    return _Step(nxt, nxt_fs, barren, tuple(failures))
+
+
 def check_instance(
     term: LetTerm,
     instance: int,
     report: SuiteReport,
     order_seed: int = 0,
 ) -> None:
-    """All structural and numerical checks for one closed let-term."""
+    """All structural and numerical checks for one closed let-term.
+
+    The orders often share a prefix. Each distinct prefix is rewritten and
+    checked once; every order that reaches it reports that step's failures
+    under its own name, where the step falls in its run, so the report is the
+    one a separate run per order would give."""
     ctx = DenoteContext()
     fail = report.failures.append
 
@@ -271,6 +332,8 @@ def check_instance(
         fail(CheckFailure(instance, None, "mass", f"mass {mass.mass!r}, expected {mass.expected}"))
 
     base_marg = joint_vector(base)
+    # The steps of every order checked so far, as a trie on the order prefix.
+    checked: dict[Variable, _Step] = {}
 
     for order_name, order in _orders(term, order_seed).items():
         vef = eliminate(fs0, order, ctx.web_cap)
@@ -288,68 +351,27 @@ def check_instance(
             fail(CheckFailure(instance, order_name, "marginal", "classical elimination marginal is off"))
 
         cur, cur_fs = term, fs0
-        failed = False
-        # vel merges a barren x (one no other definition uses) into a
-        # neighbour, so its factors match vef's step only as a product.
         merged = False
+        known = checked
         for x in order:
-            barren = not any(x in free_vars(bound) for _, bound in cur.defs)
-            merged = merged or barren
-            try:
-                nxt, steps = eliminate_term(cur, x)
-            except LveError as err:
-                fail(CheckFailure(instance, order_name, "rewrite", f"{x.name}: {err}"))
-                failed = True
+            step = known.get(x)
+            if step is None:
+                step = known[x] = _check_step(cur, cur_fs, x, ctx, instance)
+            for f in step.failures:
+                fail(replace(f, order=order_name))
+            if step.term is None:
                 break
-            touched = [f.vars for f in cur_fs.factors if x in f.vars]
-            bound = size_bound(cur, touched, nxt, len(steps))
-            if not bound.steps_ok:
+            merged = merged or step.barren
+            cur, cur_fs, known = step.term, step.fs, step.after
+        else:
+            if not _same_factors(cur_fs, vef, merged, ctx.web_cap):
                 fail(
                     CheckFailure(
-                        instance, order_name, "step-bound", f"{bound.steps} steps for {bound.step_limit} definitions"
+                        instance, order_name, "facts-seq", "rewritten factors differ from classical elimination"
                     )
                 )
-            if not bound.size_ok:
-                fail(
-                    CheckFailure(
-                        instance,
-                        order_name,
-                        "size-bound",
-                        f"{bound.size_before} grew to {bound.size_after}"
-                        f" with {bound.allowance // 4} internal variables",
-                    )
-                )
-            # A step's term is the next one's input: extract its factors once.
-            last, last_fs = cur, cur_fs
-            for s in steps:
-                da, db = denote(s.before, ctx), denote(s.after, ctx)
-                if not (da.vars == db.vars and _close(da.matrix, db.matrix)):
-                    fail(CheckFailure(instance, order_name, "denote-step", f"{s.rule} changed the denotation"))
-                if s.rule.startswith("swap"):
-                    before_fs = last_fs if s.before is last else factors_of(s.before, ctx)
-                    last, last_fs = s.after, factors_of(s.after, ctx)
-                    if not factor_sets_equal(before_fs, last_fs):
-                        fail(
-                            CheckFailure(instance, order_name, "swap-facts", f"{s.rule} changed the factor multiset")
-                        )
-            nxt_fs = last_fs if nxt is last else factors_of(nxt, ctx)
-            if not _same_factors(nxt_fs, eliminate(cur_fs, [x], ctx.web_cap), barren, ctx.web_cap):
-                fail(
-                    CheckFailure(
-                        instance, order_name, "facts-step", f"factors after dropping {x.name} are not one step"
-                    )
-                )
-            cur, cur_fs = nxt, nxt_fs
-        if failed:
-            continue
-        if not _same_factors(cur_fs, vef, merged, ctx.web_cap):
-            fail(
-                CheckFailure(
-                    instance, order_name, "facts-seq", "rewritten factors differ from classical elimination"
-                )
-            )
-        if not _close(marginal(cur_fs, term.output, ctx.web_cap), base_marg):
-            fail(CheckFailure(instance, order_name, "marginal", "rewriting marginal is off"))
+            if not _close(marginal(cur_fs, term.output, ctx.web_cap), base_marg):
+                fail(CheckFailure(instance, order_name, "marginal", "rewriting marginal is off"))
 
 
 def run_suite(count: int = 100, seed: int = 0) -> SuiteReport:

@@ -129,9 +129,15 @@ def sorted_vars(vs: Iterable[Variable]) -> tuple[Variable, ...]:
     return tuple(sorted(vs, key=lambda v: v.name))
 
 
+def _size_str(n: int) -> str:
+    """A web size as digits, or as 2^k past 2^32: every web is a power of
+    two, and a joint web's digits can run to hundreds."""
+    return f"2^{n.bit_length() - 1}" if n > 2**32 and n & (n - 1) == 0 else str(n)
+
+
 def check_web_cap(n: int, cap: int = DEFAULT_WEB_CAP) -> None:
     if n > cap:
-        raise WebCapExceeded(f"web of size {n} exceeds cap {cap}")
+        raise WebCapExceeded(f"web of size {_size_str(n)} exceeds cap {_size_str(cap)}")
 
 
 def enumerate_assignments(vs: Iterable[Variable]) -> list[Assignment]:

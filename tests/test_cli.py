@@ -219,8 +219,12 @@ def test_compare_json_reverse(run, sixnode_path):
         assert (payload[route]["muladds"], payload[route]["max_table"]) == (160, 32)
 
 
-@pytest.mark.parametrize("net", [grid_network(12, 12), chain_network(2000)], ids=["grid12x12", "chain2000"])
-def test_compare_skips_a_route_over_the_cap(run, tmp_path, net):
+@pytest.mark.parametrize(
+    "net, web",
+    [(grid_network(12, 12), "2^144"), (chain_network(2000), "2^2000")],
+    ids=["grid12x12", "chain2000"],
+)
+def test_compare_skips_a_route_over_the_cap(run, tmp_path, net, web):
     # The facts route multiplies every factor into one joint table (2^144
     # entries on the grid); it is skipped, and the three others still agree.
     path = tmp_path / "net.json"
@@ -229,7 +233,7 @@ def test_compare_skips_a_route_over_the_cap(run, tmp_path, net):
     assert code == 0
     lines = out.splitlines()
     skipped = [line for line in lines if line.startswith("facts: skipped (web of size ")]
-    assert len(skipped) == 1 and skipped[0].endswith(" exceeds cap 1048576)")
+    assert skipped == [f"facts: skipped (web of size {web} exceeds cap 1048576)"]
     assert [line.split(" cost:")[0] for line in lines if " cost: " in line] == ["denote", "vef", "vel"]
     assert lines[-1] == "agree: yes"
     code, out, _ = run("compare", "--json", str(path))

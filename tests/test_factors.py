@@ -29,6 +29,7 @@ from lve.factors import (
     factors_of,
     marginal,
     relation_from_factors,
+    unmatched_factors,
 )
 from lve.network import network_to_program
 from lve.orderings import min_degree_order, random_order
@@ -327,6 +328,36 @@ def test_factor_sets_equal_is_multiset_equality():
     assert factor_sets_equal([f, g], [g, f])
     assert not factor_sets_equal([f, g], [f, f])
     assert not factor_sets_equal([f], [f, g])
+
+
+def _unmatched_by_scan(xs, ys):
+    """Each x paired with the first close factor left anywhere in ys."""
+    left, right = [], list(ys)
+    for f in xs:
+        match = next((i for i, g in enumerate(right) if factors_allclose(f, g)), None)
+        if match is None:
+            left.append(f)
+        else:
+            right.pop(match)
+    return left, right
+
+
+def test_unmatched_factors_pairs_as_the_scan_does():
+    rng = np.random.default_rng(5)
+    scopes = [(), (A,), (B,), (A, B)]
+    values = [0.25, 0.25 + 5e-10, 0.5, np.nan]
+    for _ in range(300):
+        pool = [
+            Factor(vs, np.full((2,) * len(vs), values[rng.integers(len(values))]))
+            for vs in (scopes[k] for k in rng.integers(len(scopes), size=rng.integers(0, 9)))
+        ]
+        xs = [pool[k] for k in rng.integers(len(pool), size=rng.integers(0, 9))] if pool else []
+        ys = [pool[k] for k in rng.integers(len(pool), size=rng.integers(0, 9))] if pool else []
+        got, want = unmatched_factors(xs, ys), _unmatched_by_scan(xs, ys)
+        assert [list(map(id, side)) for side in got] == [list(map(id, side)) for side in want]
+    nan = Factor((A,), np.array([np.nan, 1.0]))
+    (left,), (right,) = unmatched_factors([nan], [nan])
+    assert left is right is nan
 
 
 def test_dump_factors_stable():

@@ -2,11 +2,24 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from lve.denote import denote
-from lve.factors import Factor, FactorSet, constant_factor
+from lve import verify
+from lve.denote import DenoteContext, denote, joint_vector, total_mass_check
+from lve.errors import LveError, RewriteError
+from lve.factors import (
+    Factor,
+    FactorSet,
+    check_factor_vars,
+    constant_factor,
+    eliminate,
+    factor_sets_equal,
+    marginal,
+    relation_from_factors,
+)
 from lve.network import network_to_program
 from lve.parser import parse_program
 from lve.printer import program_str
@@ -17,6 +30,8 @@ from lve.verify import (
     GeneratorConfig,
     SuiteReport,
     ORDER_NAMES,
+    _close,
+    _orders,
     _same_factors,
     brute_force_joint,
     check_instance,
@@ -176,3 +191,143 @@ def test_failure_reporting():
     assert not report.ok
     assert [f for f in report.failures if f.check == "marginal"] == [f1]
     assert [f for f in report.failures if f.check in ("mass", "brute")] == [f2]
+
+
+# ---------------------------------------------------------------- shared prefixes
+
+
+def _reference_check_instance(term, instance, order_seed=0):
+    """`check_instance` as one separate run per order, sharing nothing between
+    orders: its failures, and the order prefixes it rewrote. Rewriting,
+    bounds and factor extraction go through `verify`'s globals, so a test's
+    patches reach both."""
+    failures, prefixes = [], set()
+    fail = failures.append
+    ctx = DenoteContext()
+    base = verify.denote(term, ctx)
+    brute = brute_force_joint(term)
+    if not (base.vars == brute.vars and _close(base.matrix, brute.matrix)):
+        fail(CheckFailure(instance, None, "brute", "enumeration disagrees with the semantics"))
+    fs0 = verify.factors_of(term, ctx)
+    rebuilt = relation_from_factors(term, ctx, fs0)
+    if not (base.vars == rebuilt.vars and _close(base.matrix, rebuilt.matrix)):
+        fail(CheckFailure(instance, None, "semfacts", "factor product disagrees with the semantics"))
+    if not check_factor_vars(term):
+        fail(CheckFailure(instance, None, "varset", "factor variable census is off"))
+    mass = total_mass_check(term, ctx)
+    if not mass.ok:
+        fail(CheckFailure(instance, None, "mass", f"mass {mass.mass!r}, expected {mass.expected}"))
+    base_marg = joint_vector(base)
+
+    for name, order in _orders(term, order_seed).items():
+        vef = eliminate(fs0, order, ctx.web_cap)
+        for st in vef.steps:
+            if st.muladds > 2 * st.group_size * st.product_table:
+                detail = f"step {st.var.name}: {st.muladds} > 2*{st.group_size}*{st.product_table}"
+                fail(CheckFailure(instance, name, "counter-bound", detail))
+        if not _close(marginal(vef, term.output, ctx.web_cap), base_marg):
+            fail(CheckFailure(instance, name, "marginal", "classical elimination marginal is off"))
+        cur, cur_fs, merged, failed = term, fs0, False, False
+        for k, x in enumerate(order):
+            prefixes.add(tuple(order[: k + 1]))
+            barren = not any(x in free_vars(bound) for _, bound in cur.defs)
+            merged = merged or barren
+            try:
+                nxt, steps = verify.eliminate_term(cur, x)
+            except LveError as err:
+                fail(CheckFailure(instance, name, "rewrite", f"{x.name}: {err}"))
+                failed = True
+                break
+            bound = verify.size_bound(cur, [f.vars for f in cur_fs.factors if x in f.vars], nxt, len(steps))
+            if not bound.steps_ok:
+                detail = f"{bound.steps} steps for {bound.step_limit} definitions"
+                fail(CheckFailure(instance, name, "step-bound", detail))
+            if not bound.size_ok:
+                detail = (
+                    f"{bound.size_before} grew to {bound.size_after} with {bound.allowance // 4} internal variables"
+                )
+                fail(CheckFailure(instance, name, "size-bound", detail))
+            for s in steps:
+                da, db = verify.denote(s.before, ctx), verify.denote(s.after, ctx)
+                if not (da.vars == db.vars and _close(da.matrix, db.matrix)):
+                    fail(CheckFailure(instance, name, "denote-step", f"{s.rule} changed the denotation"))
+                if s.rule.startswith("swap") and not factor_sets_equal(
+                    verify.factors_of(s.before, ctx), verify.factors_of(s.after, ctx)
+                ):
+                    fail(CheckFailure(instance, name, "swap-facts", f"{s.rule} changed the factor multiset"))
+            nxt_fs = verify.factors_of(nxt, ctx)
+            if not _same_factors(nxt_fs, eliminate(cur_fs, [x], ctx.web_cap), barren, ctx.web_cap):
+                detail = f"factors after dropping {x.name} are not one step"
+                fail(CheckFailure(instance, name, "facts-step", detail))
+            cur, cur_fs = nxt, nxt_fs
+        if failed:
+            continue
+        if not _same_factors(cur_fs, vef, merged, ctx.web_cap):
+            fail(CheckFailure(instance, name, "facts-seq", "rewritten factors differ from classical elimination"))
+        if not _close(marginal(cur_fs, term.output, ctx.web_cap), base_marg):
+            fail(CheckFailure(instance, name, "marginal", "rewriting marginal is off"))
+    return failures, prefixes
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(verify, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(verify, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("i", range(60))
+def test_shared_prefixes_report_as_separate_runs(monkeypatch, i):
+    term = random_network(i).term
+    expected, prefixes = _reference_check_instance(term, i, order_seed=i)
+    calls = _count_calls(monkeypatch, "eliminate_term")
+    report = SuiteReport(1, ORDER_NAMES)
+    check_instance(term, i, report, order_seed=i)
+    assert report.failures == expected == []
+    assert len(calls) == len(prefixes)
+
+
+# random_network(2): identity and min-degree both run x1, x2, ..., x7, so the
+# step that eliminates x2 lies on a prefix two orders share.
+SHARED = 2
+
+
+@pytest.mark.parametrize("fault", ["step-bound", "rewrite"])
+def test_a_failing_shared_step_is_reported_under_every_order(monkeypatch, fault):
+    term = random_network(SHARED).term
+    orders = _orders(term, SHARED)
+    assert orders["identity"][:2] == orders["min-degree"][:2]
+    x2 = orders["identity"][1]
+    assert x2.name == "x2"
+    if fault == "step-bound":
+        size_bound = verify.size_bound
+
+        def failing_size_bound(before, touched, after, steps):
+            bound = size_bound(before, touched, after, steps)
+            if x2 in before.defined_vars() and x2 not in after.defined_vars():
+                return dataclasses.replace(bound, steps=bound.step_limit + 1)
+            return bound
+
+        monkeypatch.setattr(verify, "size_bound", failing_size_bound)
+    else:
+        eliminate_term = verify.eliminate_term
+
+        def failing_eliminate_term(cur, x):
+            if x is x2:
+                raise RewriteError("injected")
+            return eliminate_term(cur, x)
+
+        monkeypatch.setattr(verify, "eliminate_term", failing_eliminate_term)
+    expected, prefixes = _reference_check_instance(term, SHARED, order_seed=SHARED)
+    calls = _count_calls(monkeypatch, "eliminate_term")
+    report = SuiteReport(1, ORDER_NAMES)
+    check_instance(term, SHARED, report, order_seed=SHARED)
+
+    assert report.failures == expected
+    assert {f.order for f in expected if f.check == fault} == set(ORDER_NAMES)
+    assert len(calls) == len(prefixes) < sum(map(len, orders.values()))

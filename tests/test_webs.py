@@ -90,8 +90,15 @@ def test_element_index_round_trip(t, k):
 
 def test_web_cap():
     check_web_cap(4, 4)
-    with pytest.raises(WebCapExceeded):
+    with pytest.raises(WebCapExceeded, match=r"^web of size 5 exceeds cap 4$"):
         check_web_cap(5, 4)
+    # Past 2^32 a power of two is written by its exponent.
+    with pytest.raises(WebCapExceeded, match=r"^web of size 4294967296 exceeds cap 1048576$"):
+        check_web_cap(2**32)
+    with pytest.raises(WebCapExceeded, match=r"^web of size 2\^2000 exceeds cap 2\^33$"):
+        check_web_cap(2**2000, 2**33)
+    with pytest.raises(WebCapExceeded, match=r"^web of size 3\d{954} exceeds cap 1048576$"):
+        check_web_cap(3 * 10**954)
 
 
 def test_sorted_vars():
