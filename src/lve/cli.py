@@ -22,9 +22,9 @@ import sys
 import numpy as np
 
 from .cost import DEFAULT_WEB_CAP
-from .denote import DenoteContext, denote, joint_vector, total_mass_check
-from .errors import InOutput, LveError, NonFinite, NotClosed, RepeatedInOrder, UnknownVariable, WebCapExceeded
-from .factors import dump_factors, eliminate, factors_of, marginal, relation_from_factors
+from .denote import DenoteContext, total_mass_check
+from .errors import InOutput, LveError, NonFinite, NotClosed, RepeatedInOrder, UnknownVariable
+from .factors import dump_factors, eliminate, factors_of, marginal
 from .network import load_network
 from .orderings import min_degree_order, random_order
 from .parser import SourceProgram, parse_program
@@ -42,10 +42,8 @@ from .syntax import (
     type_str,
     typecheck,
 )
+from .verify import ROUTES, compare_routes
 from .webs import enumerate_web
-
-
-COMPARE_ROUTES = ("denote", "facts", "vef", "vel")
 
 
 def _fmt(v: float) -> str:
@@ -166,21 +164,19 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "denote":
-        rel = denote(term, ctx)
-        values = joint_vector(rel)
-        out_names = [v.name for v in pattern_vars(term.output)]
+        values = ROUTES["denote"](term, [], ctx).marginal
+        ty, out_names = pattern_type(term.output), [v.name for v in pattern_vars(term.output)]
         if args.json:
             payload = {
                 "output": out_names,
-                "type": type_str(rel.ty),
-                "web": [str(e) for e in enumerate_web(rel.ty)],
+                "type": type_str(ty),
+                "web": [str(e) for e in enumerate_web(ty)],
                 "values": [float(v) for v in values],
             }
             print(json.dumps(payload))
         else:
             print(f"output: {' '.join(out_names)}")
-            for elem, v in zip(enumerate_web(rel.ty), values):
-                print(f"{elem}: {_fmt(v)}")
+            _print_marginal(term, values)
         return 0
 
     if args.command == "facts":
@@ -231,11 +227,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     # The one command left is compare.
-    ran, skipped, steps = _compare_routes(term, order, args.web_cap)
-    diff = 0.0
-    for row in zip(*(values for values, _, _ in ran.values())):
-        xs = [float(x) for x in row]
-        diff = max(diff, max(xs) - min(xs))
+    ran, skipped, diff = compare_routes(term, order, args.web_cap)
     agree = diff <= TOL
 
     if args.json:
@@ -244,74 +236,30 @@ def _dispatch(args: argparse.Namespace) -> int:
             "output": [v.name for v in pattern_vars(term.output)],
             "web": [str(e) for e in enumerate_web(pattern_type(term.output))],
         }
-        for name in COMPARE_ROUTES:
+        for name in ROUTES:
             if name in skipped:
                 payload[name] = {"skipped": str(skipped[name])}
-            else:
-                values, muladds, max_table = ran[name]
-                payload[name] = {"values": [float(v) for v in values], "muladds": muladds, "max_table": max_table}
-        if "vel" in ran:
-            payload["vel"]["steps"] = steps
+                continue
+            run = ran[name]
+            payload[name] = {"values": run.marginal.tolist(), "muladds": run.muladds, "max_table": run.max_table}
+            if run.steps is not None:
+                payload[name]["steps"] = run.steps
         payload["max_diff"] = diff
         payload["agree"] = agree
         print(json.dumps(payload))
     else:
-        for name in COMPARE_ROUTES:
+        for name in ROUTES:
             if name in skipped:
                 print(f"{name}: skipped ({skipped[name]})")
             else:
                 print(f"{name}:")
-                _print_marginal(term, ran[name][0])
-        for name, (_, muladds, max_table) in ran.items():
-            extra = f" steps={steps}" if name == "vel" else ""
-            print(f"{name} cost: muladds={muladds} max_table={max_table}{extra}")
+                _print_marginal(term, ran[name].marginal)
+        for name, run in ran.items():
+            extra = "" if run.steps is None else f" steps={run.steps}"
+            print(f"{name} cost: muladds={run.muladds} max_table={run.max_table}{extra}")
         print(f"max_diff: {diff:.3g}")
         print(f"agree: {'yes' if agree else 'no'}")
     return 0 if agree else 1
-
-
-def _compare_routes(
-    term: LetTerm, order: list[Variable], cap: int
-) -> tuple[dict[str, tuple], dict[str, WebCapExceeded], int]:
-    """Run `compare`'s routes in COMPARE_ROUTES order: each one's marginal,
-    muladds and max_table, the routes that needed a table over the cap, and
-    vel's rewrite step count. A route over the cap is skipped; the values of
-    the others are compared, so at least two must run, else the first
-    route's error is raised. vef's and vel's counters are read before
-    `marginal`, so both count the evaluation alone."""
-    steps = 0
-
-    def by_denote():
-        ctx = DenoteContext(web_cap=cap)
-        return joint_vector(denote(term, ctx)), ctx.counter.muladds, ctx.counter.max_table
-
-    def by_facts():
-        ctx = DenoteContext(web_cap=cap)
-        return joint_vector(relation_from_factors(term, ctx)), ctx.counter.muladds, ctx.counter.max_table
-
-    def by_vef():
-        fs = eliminate(factors_of(term, DenoteContext(web_cap=cap)), order, cap)
-        muladds, max_table = fs.counter.muladds, fs.counter.max_table
-        return marginal(fs, term.output, cap), muladds, max_table
-
-    def by_vel():
-        nonlocal steps
-        final, trace = eliminate_seq(term, order)
-        steps = len(trace.steps)
-        fs = factors_of(final, DenoteContext(web_cap=cap))
-        muladds, max_table = fs.counter.muladds, fs.counter.max_table
-        return marginal(fs, term.output, cap), muladds, max_table
-
-    ran: dict[str, tuple] = {}
-    skipped: dict[str, WebCapExceeded] = {}
-    for name, route in zip(COMPARE_ROUTES, (by_denote, by_facts, by_vef, by_vel)):
-        try:
-            ran[name] = route()
-        except WebCapExceeded as err:
-            skipped[name] = err
-    if len(ran) < 2:
-        raise next(iter(skipped.values()))
-    return ran, skipped, steps
 
 
 if __name__ == "__main__":

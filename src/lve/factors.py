@@ -572,12 +572,9 @@ def check_factor_vars(term: LetTerm) -> bool:
     return sum(map(len, parts)) == len(union) and scoped == union
 
 
-def relation_from_factors(
-    term: LetTerm, ctx: DenoteContext | None = None, fs: FactorSet | None = None
-) -> Relation:
-    """Rebuild a let-term's denotation from its factor set alone: `fs`, or
-    `factors_of(term, ctx)` when it is not given. The context's counter is
-    charged the factor set's counters and the readout.
+def relation_from_factors(term: LetTerm, ctx: DenoteContext | None = None) -> Relation:
+    """Rebuild a let-term's denotation from its factor set alone; the
+    context's counter is charged the factor set's counters and the readout.
 
     Rows where a variable shared between the free variables and the output
     disagrees are zero; all other entries come from the factor product with
@@ -585,13 +582,11 @@ def relation_from_factors(
     """
     if ctx is None:
         ctx = DenoteContext()
-    if fs is None:
-        fs = factors_of(term, ctx)
-    counter = CostCounter(fs.counter.muladds, fs.counter.max_table)
+    fs = factors_of(term, ctx)
     rows = sorted_vars(free_vars(term))
-    matrix = _readout(FactorSet(fs.factors, counter), rows, term.output, ctx.web_cap)
-    counter.count(table=matrix.size)
-    ctx.counter.merge(counter)
+    matrix = _readout(fs, rows, term.output, ctx.web_cap)
+    fs.counter.count(table=matrix.size)
+    ctx.counter.merge(fs.counter)
     return Relation(rows, pattern_type(term.output), matrix)
 
 

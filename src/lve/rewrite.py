@@ -389,6 +389,7 @@ def _flatten(e: Expr, scope: set[str], fresh: FreshNames) -> Expr:
     env: dict[str, Variable | None] = {}
     undo: list[tuple[str, Variable | None]] = []
     added: list[str] = []
+    hidden: set[str] = set()  # names bound inside a lambda, out of scope again
 
     def apart(v: Variable) -> Variable:
         w = Variable(fresh.fresh(v.name), v.ty) if v.name in scope else v
@@ -423,11 +424,18 @@ def _flatten(e: Expr, scope: set[str], fresh: FreshNames) -> Expr:
         at, start, named = len(parts), len(spine), len(added)
         parts.append(None)
         if isinstance(p, PPair) and isinstance(r, Pair):
+            # The left part's binders scope over the right component, whose
+            # lambdas were walked first: hold the names those bind until both
+            # parts are named (a pattern's variables are distinct).
+            held = hidden.intersection(v.name for v in pattern_vars(p.left)) - scope
+            held = held and held & collect_names(r.snd)
+            scope.update(held)
             for part, component in ((p.left, r.fst), (p.right, r.snd)):
                 while isinstance(component, Let):
                     spine.append((component.binder, component.bound))
                     component = component.body
                 bind(part, component, spine, parts)
+            scope.difference_update(held)
         elif isinstance(p, PLeaf) and isinstance(r, Var):
             rename(p, r.var)
         else:
@@ -453,6 +461,7 @@ def _flatten(e: Expr, scope: set[str], fresh: FreshNames) -> Expr:
             param, inner = rename(node.param), []
             body = Lam(param, _close(inner, (yield node.body, inner)))
             scope.difference_update(added[named:])
+            hidden.update(added[named:])
         while len(undo) > mark:
             name, old = undo.pop()
             env[name] = old

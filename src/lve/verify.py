@@ -1,11 +1,13 @@
 """Cross-checks between the three semantics and the two elimination routes.
 
-`brute_force_joint` recomputes a term's relation by enumerating every total
-assignment, without the compositional clauses; `random_network` draws a
-two-state Bayesian network whose every hidden node has a query descendant
-(so each hidden variable keeps a consumer and stays eliminable);
-`run_suite` runs both elimination routes over several orders on a batch of
-random networks and records every disagreement.
+`ROUTES` is the one place the four routes to a closed let-term's marginal
+are defined (`denote`, `facts`, `vef`, `vel`); `lve compare` and
+`check_instance` both read it, and `compare_routes` holds compare's rule:
+skip a route over the web cap, require two routes, take the largest
+difference. `brute_force_joint` recomputes a relation by enumerating every
+total assignment; `random_network` draws a two-state Bayesian network whose
+every hidden node has a query descendant (so each stays eliminable);
+`run_suite` checks a batch of them and records every disagreement.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .cost import CostCounter
 from .denote import DenoteContext, Relation, denote, joint_vector, total_mass_check
-from .errors import LveError
+from .errors import LveError, WebCapExceeded
 from .factors import (
     FactorSet,
     check_factor_vars,
@@ -33,7 +36,7 @@ from .factors import (
 from .network import network_to_program
 from .orderings import min_degree_order, random_order
 from .parser import SourceProgram
-from .rewrite import eliminate_term, size_bound
+from .rewrite import eliminate_seq, eliminate_term, size_bound
 from .syntax import (
     TOL,
     Expr,
@@ -185,6 +188,67 @@ def random_network(seed: int, config: GeneratorConfig = GeneratorConfig()) -> So
     return network_to_program(data)
 
 
+# ---------------------------------------------------------------- the four routes
+
+
+@dataclass(frozen=True)
+class RouteRun:
+    """A route's marginal and its own cost: vef's and vel's counters are read
+    before `marginal`. vef keeps its factor set, vel its rewrite step count."""
+
+    marginal: np.ndarray
+    muladds: int
+    max_table: int
+    fs: FactorSet | None = None
+    steps: int | None = None
+
+
+def _charged(ctx: DenoteContext, semantics, term: LetTerm) -> RouteRun:
+    outer, ctx.counter = ctx.counter, CostCounter()
+    values = joint_vector(semantics(term, ctx))
+    own, ctx.counter = ctx.counter, outer
+    outer.merge(own)
+    return RouteRun(values, own.muladds, own.max_table)
+
+
+def _by_vef(term: LetTerm, order: list[Variable], ctx: DenoteContext) -> RouteRun:
+    fs = eliminate(factors_of(term, ctx), order, ctx.web_cap)
+    muladds, max_table = fs.counter.muladds, fs.counter.max_table
+    return RouteRun(marginal(fs, term.output, ctx.web_cap), muladds, max_table, fs=fs)
+
+
+def _by_vel(term: LetTerm, order: list[Variable], ctx: DenoteContext) -> RouteRun:
+    final, trace = eliminate_seq(term, order)
+    fs = factors_of(final, ctx)
+    muladds, max_table = fs.counter.muladds, fs.counter.max_table
+    return RouteRun(marginal(fs, term.output, ctx.web_cap), muladds, max_table, steps=len(trace.steps))
+
+
+# name -> route(term, order, ctx); denote and facts ignore the order.
+ROUTES = {
+    "denote": lambda term, order, ctx: _charged(ctx, denote, term),
+    "facts": lambda term, order, ctx: _charged(ctx, relation_from_factors, term),
+    "vef": _by_vef,
+    "vel": _by_vel,
+}
+
+
+def compare_routes(term: LetTerm, order: list[Variable], cap: int) -> tuple[dict[str, RouteRun], dict, float]:
+    """Every route on a fresh context, in `ROUTES` order: the runs, the error
+    of each route skipped for a table over the cap, and the largest difference
+    between two runs' values. Unless two routes run, the first error is raised."""
+    ran, skipped = {}, {}
+    for name, route in ROUTES.items():
+        try:
+            ran[name] = route(term, order, DenoteContext(web_cap=cap))
+        except WebCapExceeded as err:
+            skipped[name] = err
+    if len(ran) < 2:
+        raise next(iter(skipped.values()))
+    values = np.array([run.marginal for run in ran.values()])
+    return ran, skipped, float(np.max(np.ptp(values, axis=0), initial=0.0))
+
+
 # ---------------------------------------------------------------- the suite
 
 
@@ -279,10 +343,8 @@ def _check_step(cur: LetTerm, cur_fs: FactorSet, x: Variable, ctx: DenoteContext
     if not bound.steps_ok:
         fail("step-bound", f"{bound.steps} steps for {bound.step_limit} definitions")
     if not bound.size_ok:
-        fail(
-            "size-bound",
-            f"{bound.size_before} grew to {bound.size_after} with {bound.allowance // 4} internal variables",
-        )
+        detail = f"{bound.size_before} grew to {bound.size_after} with {bound.allowance // 4} internal variables"
+        fail("size-bound", detail)
     # A step's term is the next one's input: extract its factors once.
     last, last_fs = cur, cur_fs
     for s in steps:
@@ -317,13 +379,10 @@ def check_instance(
     ctx = DenoteContext()
     fail = report.failures.append
 
-    base = denote(term, ctx)
-    brute = brute_force_joint(term)
-    if not (base.vars == brute.vars and _close(base.matrix, brute.matrix)):
+    ref = ROUTES["denote"](term, [], ctx).marginal
+    if not _close(joint_vector(brute_force_joint(term)), ref):
         fail(CheckFailure(instance, None, "brute", "enumeration disagrees with the semantics"))
-    fs0 = factors_of(term, ctx)
-    rebuilt = relation_from_factors(term, ctx, fs0)
-    if not (base.vars == rebuilt.vars and _close(base.matrix, rebuilt.matrix)):
+    if not _close(ROUTES["facts"](term, [], ctx).marginal, ref):
         fail(CheckFailure(instance, None, "semfacts", "factor product disagrees with the semantics"))
     if not check_factor_vars(term):
         fail(CheckFailure(instance, None, "varset", "factor variable census is off"))
@@ -331,28 +390,20 @@ def check_instance(
     if not mass.ok:
         fail(CheckFailure(instance, None, "mass", f"mass {mass.mass!r}, expected {mass.expected}"))
 
-    base_marg = joint_vector(base)
+    fs0 = factors_of(term, ctx)
     # The steps of every order checked so far, as a trie on the order prefix.
     checked: dict[Variable, _Step] = {}
 
     for order_name, order in _orders(term, order_seed).items():
-        vef = eliminate(fs0, order, ctx.web_cap)
-        for st in vef.steps:
+        vef = ROUTES["vef"](term, order, ctx)
+        for st in vef.fs.steps:
             if st.muladds > 2 * st.group_size * st.product_table:
-                fail(
-                    CheckFailure(
-                        instance,
-                        order_name,
-                        "counter-bound",
-                        f"step {st.var.name}: {st.muladds} > 2*{st.group_size}*{st.product_table}",
-                    )
-                )
-        if not _close(marginal(vef, term.output, ctx.web_cap), base_marg):
+                detail = f"step {st.var.name}: {st.muladds} > 2*{st.group_size}*{st.product_table}"
+                fail(CheckFailure(instance, order_name, "counter-bound", detail))
+        if not _close(vef.marginal, ref):
             fail(CheckFailure(instance, order_name, "marginal", "classical elimination marginal is off"))
 
-        cur, cur_fs = term, fs0
-        merged = False
-        known = checked
+        cur, cur_fs, merged, known = term, fs0, False, checked
         for x in order:
             step = known.get(x)
             if step is None:
@@ -364,13 +415,10 @@ def check_instance(
             merged = merged or step.barren
             cur, cur_fs, known = step.term, step.fs, step.after
         else:
-            if not _same_factors(cur_fs, vef, merged, ctx.web_cap):
-                fail(
-                    CheckFailure(
-                        instance, order_name, "facts-seq", "rewritten factors differ from classical elimination"
-                    )
-                )
-            if not _close(marginal(cur_fs, term.output, ctx.web_cap), base_marg):
+            if not _same_factors(cur_fs, vef.fs, merged, ctx.web_cap):
+                detail = "rewritten factors differ from classical elimination"
+                fail(CheckFailure(instance, order_name, "facts-seq", detail))
+            if not _close(marginal(cur_fs, term.output, ctx.web_cap), ref):
                 fail(CheckFailure(instance, order_name, "marginal", "rewriting marginal is off"))
 
 

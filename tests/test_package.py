@@ -38,6 +38,23 @@ def test_sources_walk_definitions_and_check_explicitly():
                 ), f"{path.name}:{node.lineno}"
 
 
+def test_no_module_imports_a_name_it_never_uses():
+    # No linter runs here, so an import left behind by a move shows up only
+    # in this scan. `__init__` imports to re-export, so it is not scanned.
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, f"{path.name} never uses {sorted(imported - used)}"
+
+
 def _lve_imports(module: str) -> set[str]:
     """The lve modules a module of the package imports from."""
     found = set()

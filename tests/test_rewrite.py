@@ -585,6 +585,32 @@ def test_simplify_keeps_a_variable_binding_an_application_needs():
     assert_same_denotation(term, simplified)
 
 
+@pytest.mark.parametrize(
+    "defs",
+    [
+        # The part bound last gives way to its lambda, under the first part's d.
+        r"f = let (d, g) = (C, \d. D(d)) in g; y = C;",
+        # The right component's lets and lambda stay under the left part's d.
+        r"f = \e. let (a, d) = (C, let (d, h) = (C, \d. C) in h(e)) in let (a, e) = (C, D(d)) in D(e); y = C;",
+        # The lambda is a part's bound; its own inner split shadows a too.
+        r"f = \d. D(d); y = let (a, h) = (C, \d. let (a, h) = (D(d), \e. C) in h(a)) in h(a);",
+    ],
+    ids=["gives-way", "nested-split", "inner-split"],
+)
+def test_simplify_is_idempotent_where_a_pair_split_shadows_a_lambda(defs):
+    # A pair's components are walked before its parts name their binders; a
+    # part's binder must still stay apart from the lambdas it scopes over.
+    source = (
+        "matrix C : -> Bool = [0.5, 0.5]; matrix D : Bool -> Bool = [0.5, 0.5; 0.2, 0.8];"
+        f"var f : Bool -o Bool; var g : Bool -o Bool; var h : Bool -o Bool; {defs} z = f(y); in z"
+    )
+    term = parse_program(source).term
+    once = simplify(term)
+    assert simplify(once) == once
+    assert is_normal_form(once)
+    assert_same_denotation(term, once)
+
+
 def test_simplify_keeps_definition_structure(sixnode_term):
     # vel's result under every order of the six-node sample, and of 20 random
     # networks under each order the verifier tries.

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from lve import verify
+from lve.cli import main
 from lve.denote import DenoteContext, denote, joint_vector, total_mass_check
 from lve.errors import LveError, RewriteError
 from lve.factors import (
@@ -209,7 +210,7 @@ def _reference_check_instance(term, instance, order_seed=0):
     if not (base.vars == brute.vars and _close(base.matrix, brute.matrix)):
         fail(CheckFailure(instance, None, "brute", "enumeration disagrees with the semantics"))
     fs0 = verify.factors_of(term, ctx)
-    rebuilt = relation_from_factors(term, ctx, fs0)
+    rebuilt = relation_from_factors(term, ctx)
     if not (base.vars == rebuilt.vars and _close(base.matrix, rebuilt.matrix)):
         fail(CheckFailure(instance, None, "semfacts", "factor product disagrees with the semantics"))
     if not check_factor_vars(term):
@@ -331,3 +332,25 @@ def test_a_failing_shared_step_is_reported_under_every_order(monkeypatch, fault)
     assert report.failures == expected
     assert {f.order for f in expected if f.check == fault} == set(ORDER_NAMES)
     assert len(calls) == len(prefixes) < sum(map(len, orders.values()))
+
+
+# ---------------------------------------------------------------- the route table
+
+
+def test_one_route_table_feeds_compare_and_check_instance(monkeypatch, capsys, samples_dir, sixnode_term):
+    # A vef route whose marginal is off by 1e-6 shows in both consumers, so
+    # both read `verify.ROUTES` rather than a copy of the routes.
+    vef = verify.ROUTES["vef"]
+
+    def off(term, order, ctx):
+        run = vef(term, order, ctx)
+        return dataclasses.replace(run, marginal=run.marginal + 1e-6)
+
+    monkeypatch.setitem(verify.ROUTES, "vef", off)
+    assert main(["compare", "--order", "x1,x2,x4,x5", str(samples_dir / "sixnode.lve")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "agree: no" in out and "vef cost: muladds=76 max_table=16" in out
+    report = SuiteReport(1, ORDER_NAMES)
+    check_instance(sixnode_term, 0, report)
+    detail = "classical elimination marginal is off"
+    assert report.failures == [CheckFailure(0, name, "marginal", detail) for name in ORDER_NAMES]
