@@ -54,8 +54,12 @@ def _load(path: str, check_stochastic: bool) -> SourceProgram:
     if path.endswith(".json"):
         program = load_network(path)
     else:
-        with open(path) as fh:
-            program = parse_program(fh.read())
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as err:
+            raise LveError(f"{path}: not UTF-8 text: {err}") from None
+        program = parse_program(text)
     typecheck(program.term)
     if check_stochastic:
         bad = [m.name for m in collect_matrices(program.term) if not m.stochastic]

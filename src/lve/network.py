@@ -71,7 +71,9 @@ def network_to_program(data: dict) -> SourceProgram:
 
 def load_network(path: str | Path) -> SourceProgram:
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as err:
+        raise NetworkFormatError(f"{path}: not UTF-8 text: {err}") from None
     except json.JSONDecodeError as err:
         raise NetworkFormatError(f"not valid JSON: {err}") from err
     return network_to_program(data)
@@ -104,12 +106,12 @@ def _read_nodes(data: dict, names: dict[str, None]) -> dict[str, tuple[list[str]
         if not isinstance(entry, dict) or "var" not in entry:
             raise NetworkFormatError(f"node entry {entry!r} lacks a var")
         name = entry["var"]
-        if name not in names:
+        if not isinstance(name, str) or name not in names:
             raise NetworkFormatError(f"node for undeclared variable {name!r}")
         if name in nodes:
             raise NetworkFormatError(f"variable {name} has two nodes")
         parents = entry.get("parents", [])
-        if not isinstance(parents, list) or any(p not in names for p in parents):
+        if not isinstance(parents, list) or any(not isinstance(p, str) or p not in names for p in parents):
             raise NetworkFormatError(f"node {name}: bad parents {parents!r}")
         if len(set(parents)) != len(parents):
             raise NetworkFormatError(f"node {name}: repeated parent")
@@ -160,6 +162,8 @@ def _read_query(data: dict, names: dict[str, None]) -> list[str]:
     if not isinstance(query, list) or not query:
         raise NetworkFormatError("missing or empty 'query' list")
     for q in query:
+        if not isinstance(q, str):
+            raise NetworkFormatError(f"query entry {q!r} is not a variable name")
         if q not in names:
             raise UnknownQueryVariable(f"query variable {q!r} is not declared")
     if len(set(query)) != len(query):

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from itertools import islice
 
 from .errors import NestingTooDeep, ParseError, UndeclaredArrowVariable, UndeclaredMatrix
 from .syntax import (
@@ -55,50 +55,48 @@ from .syntax import (
 
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>[^\S\n]+|\#[^\n]*)
-    | (?P<nl>\n)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-    | (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
-    | (?P<punct>->|-o|[()\[\],;:*=\\.])
-    | (?P<bad>.)
+    \s*(?:\#[^\n]*\s*)*
+    (?:
+        ( (?:matrix|var|let|in|Bool)(?![A-Za-z0-9_'])
+        | ->|-o|[()\[\],;:*=\\]|\.(?!\d)
+        | \Z )
+      | ([A-Za-z_][A-Za-z0-9_']*)
+      | (\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
+      | (.)
+    )
     """,
     re.VERBOSE,
 )
-"""One group matches at every offset, so the matches tile the text; a
-newline is a match of its own, so no other whitespace needs counting."""
-
-_KEYWORDS = {"matrix", "var", "let", "in", "Bool"}
-
-
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
+"""One match per token, the blanks and comments before it included: group 1
+is a keyword, a punctuation mark or the end of the text (as ""), group 2 a
+name, group 3 a number and group 4 a character no token starts with. After
+the blanks comes a token, a stray character or the end, so the matches tile
+the text."""
 
 
-def _tokenize(text: str) -> list[Token]:
-    """The tokens, each with its line and its column, counted in characters
-    from one; the column is the offset from where the line starts."""
-    out: list[Token] = []
-    line, start = 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        if kind == "nl":
-            line += 1
-            start = m.end()
-            continue
-        pos = m.start()
-        if kind == "bad":
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - start + 1)
-        lexeme = m.group()
-        if kind == "ident" and lexeme in _KEYWORDS:
-            kind = lexeme
-        out.append(Token(kind, lexeme, line, pos - start + 1))
-    out.append(Token("eof", "", line, len(text) - start + 1))
-    return out
+def _scan(text: str) -> tuple[list, list, list]:
+    """The tokens as three parallel lists, each holding a token's lexeme
+    where it is of that list's kind and None elsewhere: keywords, punctuation
+    and the final end token "" (a keyword or punctuation mark is its own
+    kind), names, and numbers."""
+    parts = _TOKEN_RE.split(text)  # per match: the empty text before it, then its four groups
+    if parts[-10:-9] == [""]:
+        # Blanks at the end match together with the end; the empty match after them is a second end.
+        del parts[-5:]
+    stray = parts[4::5]
+    if any(stray):
+        i = next(i for i, c in enumerate(stray) if c)
+        raise ParseError(f"unexpected character {stray[i]!r}", *_position(text, i))
+    return parts[1::5], parts[2::5], parts[3::5]
+
+
+def _position(text: str, i: int) -> tuple[int, int]:
+    """Token i's line and column, counted in characters from one: the column
+    is the offset from where the line starts, so tabs, carriage returns and
+    comments count as one column per character. Worked out only for errors."""
+    m = next(islice(_TOKEN_RE.finditer(text), i, None))
+    offset = m.start(m.lastindex)
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 @dataclass
@@ -112,241 +110,234 @@ class SourceProgram:
 
 class _Parser:
     def __init__(self, text: str) -> None:
-        self.toks = _tokenize(text)
+        self.text = text
+        self.fixed, self.names, self.numbers = _scan(text)
         self.pos = 0
         self.matrices: dict[str, StochasticMatrix] = {}
         self.var_types: dict[str, Ty] = {}
 
     # ------------------------------------------------------------ plumbing
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
+    def error(self, message: str, at: int | None = None) -> ParseError:
+        return ParseError(message, *_position(self.text, self.pos if at is None else at))
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
+    def lexeme(self) -> str:
+        """The current token's text; "" at the end."""
+        i = self.pos
+        return self.fixed[i] if self.fixed[i] is not None else self.names[i] or self.numbers[i]
+
+    def expected(self, what: str) -> ParseError:
+        return self.error(f"expected {what}, found {self.lexeme() or 'end of input'!r}")
+
+    def expect(self, lexeme: str) -> None:
+        """Step over one keyword or punctuation mark."""
+        if self.fixed[self.pos] != lexeme:
+            raise self.expected(repr(lexeme))
         self.pos += 1
-        return t
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        t = self.peek()
-        if t.kind == "punct" and t.text == kind or t.kind == kind:
-            return self.next()
-        shown = what or repr(kind)
-        found = t.text or "end of input"
-        raise ParseError(f"expected {shown}, found {found!r}", t.line, t.col)
-
-    def at_punct(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind == "punct" and t.text == text
-
-    def eat_punct(self, text: str) -> bool:
-        if self.at_punct(text):
-            self.next()
+    def eat(self, lexeme: str) -> bool:
+        if self.fixed[self.pos] == lexeme:
+            self.pos += 1
             return True
         return False
+
+    def name(self, what: str) -> str:
+        name = self.names[self.pos]
+        if name is None:
+            raise self.expected(what)
+        self.pos += 1
+        return name
 
     # ------------------------------------------------------------ types
 
     def parse_type(self) -> Ty:
         left = self.parse_tensor()
-        if self.eat_punct("-o"):
+        if self.eat("-o"):
             return Arrow(left, self.parse_type())
         return left
 
     def parse_tensor(self) -> Ty:
         left = self.parse_type_atom()
-        if self.eat_punct("*"):
+        if self.eat("*"):
             return Tensor(left, self.parse_tensor())
         return left
 
     def parse_type_atom(self) -> Ty:
-        t = self.peek()
-        if t.kind == "Bool":
-            self.next()
+        if self.eat("Bool"):
             return BOOL
-        if self.eat_punct("("):
+        if self.eat("("):
             ty = self.parse_type()
             self.expect(")")
             return ty
-        raise ParseError(f"expected a type, found {t.text or 'end of input'!r}", t.line, t.col)
+        raise self.expected("a type")
 
     # ------------------------------------------------------------ declarations
 
-    def parse_matrix_decl(self) -> None:
-        self.expect("matrix")
-        name_tok = self.expect("ident", "a matrix name")
-        name = name_tok.text
+    def declare(self, what: str) -> str:
+        at = self.pos
+        name = self.name(what)
         if name in self.matrices or name in self.var_types:
-            raise ParseError(f"{name} declared twice", name_tok.line, name_tok.col)
+            raise self.error(f"{name} declared twice", at)
         self.expect(":")
+        return name
+
+    def parse_matrix_decl(self) -> None:
+        name = self.declare("a matrix name")
         slots: list[Ty] = []
-        if not self.at_punct("->"):
+        if self.fixed[self.pos] != "->":
             slots.append(self.parse_type_atom())
-            while self.eat_punct("*"):
+            while self.eat("*"):
                 slots.append(self.parse_type_atom())
         self.expect("->")
         out = self.parse_type()
         self.expect("=")
         self.expect("[")
-        rows = [self.parse_row()]
-        while self.eat_punct(";"):
-            rows.append(self.parse_row())
-        close = self.expect("]")
+        rows = self.parse_rows()
+        close = self.pos
+        self.expect("]")
         self.expect(";")
         width = web_size(out)
         for r in rows:
             if len(r) != width:
-                raise ParseError(
-                    f"matrix {name}: row of length {len(r)}, output web has {width}",
-                    close.line,
-                    close.col,
-                )
+                raise self.error(f"matrix {name}: row of length {len(r)}, output web has {width}", close)
         expected_rows = 1
         for s in slots:
             expected_rows *= web_size(s)
         if len(rows) != expected_rows:
-            raise ParseError(
-                f"matrix {name}: {len(rows)} rows, input web has {expected_rows}",
-                close.line,
-                close.col,
-            )
+            raise self.error(f"matrix {name}: {len(rows)} rows, input web has {expected_rows}", close)
         self.matrices[name] = StochasticMatrix(name, tuple(slots), out, rows)
 
-    def parse_row(self) -> list[float]:
-        row = [float(self.expect("number", "a number").text)]
-        while self.eat_punct(","):
-            row.append(float(self.expect("number", "a number").text))
-        return row
+    def parse_rows(self) -> list[list[float]]:
+        """Numbers separated by `,` within a row and `;` between rows."""
+        fixed, numbers = self.fixed, self.numbers
+        row: list[float] = []
+        rows = [row]
+        i = self.pos
+        while True:
+            number = numbers[i]
+            if number is None:
+                self.pos = i
+                raise self.expected("a number")
+            row.append(float(number))
+            sep = fixed[i + 1]
+            i += 2
+            if sep == ";":
+                row = []
+                rows.append(row)
+            elif sep != ",":
+                self.pos = i - 1
+                return rows
 
     def parse_var_decl(self) -> None:
-        self.expect("var")
-        name_tok = self.expect("ident", "a variable name")
-        name = name_tok.text
-        if name in self.matrices or name in self.var_types:
-            raise ParseError(f"{name} declared twice", name_tok.line, name_tok.col)
-        self.expect(":")
+        name = self.declare("a variable name")
         self.var_types[name] = self.parse_type()
         self.expect(";")
 
     # ------------------------------------------------------------ variables and patterns
 
-    def lookup_var(self, name: str, tok: Token) -> Variable:
+    def variable(self) -> Variable:
+        name = self.names[self.pos]
+        if name is None:
+            raise self.expected("a variable name")
         if name in self.matrices:
-            raise ParseError(f"{name} is a matrix, not a variable", tok.line, tok.col)
+            raise self.error(f"{name} is a matrix, not a variable")
+        self.pos += 1
         return Variable(name, self.var_types.get(name, BOOL))
 
     def parse_pattern(self) -> Pattern:
-        if self.eat_punct("("):
-            parts = [self.parse_pattern()]
-            while self.eat_punct(","):
-                parts.append(self.parse_pattern())
-            self.expect(")")
-            p = parts[-1]
-            for q in reversed(parts[:-1]):
-                p = PPair(q, p)
-            return p
-        tok = self.expect("ident", "a variable name")
-        return PLeaf(self.lookup_var(tok.text, tok))
+        if self.eat("("):
+            return self.parse_tuple_pattern()
+        return PLeaf(self.variable())
+
+    def parse_tuple_pattern(self) -> Pattern:
+        """`p1, ..., pn)` after its `(`, nested to the right."""
+        parts = [self.parse_pattern()]
+        while self.eat(","):
+            parts.append(self.parse_pattern())
+        self.expect(")")
+        p = parts[-1]
+        for q in reversed(parts[:-1]):
+            p = PPair(q, p)
+        return p
 
     # ------------------------------------------------------------ expressions
 
     def parse_expr(self) -> Expr:
-        t = self.peek()
-        if t.kind == "punct" and t.text == "\\":
-            self.next()
+        t = self.fixed[self.pos]
+        if t == "\\":
+            self.pos += 1
             param = self.parse_pattern()
             self.expect(".")
             return Lam(param, self.parse_expr())
-        if t.kind == "let":
-            self.next()
+        if t == "let":
+            self.pos += 1
             binder = self.parse_pattern()
             self.expect("=")
             bound = self.parse_expr()
             self.expect("in")
             return Let(binder, bound, self.parse_expr())
-        return self.parse_atom()
-
-    def parse_atom(self) -> Expr:
-        t = self.peek()
-        if self.eat_punct("("):
+        if t == "(":
+            self.pos += 1
             parts = [self.parse_expr()]
-            while self.eat_punct(","):
+            while self.eat(","):
                 parts.append(self.parse_expr())
             self.expect(")")
             e = parts[-1]
             for q in reversed(parts[:-1]):
                 e = Pair(q, e)
             return e
-        tok = self.expect("ident", "an expression")
-        name = tok.text
-        if name in self.matrices:
-            return self.parse_matapp(self.matrices[name], tok)
+        at = self.pos
+        name = self.name("an expression")
+        m = self.matrices.get(name)
+        if m is not None:
+            return self.parse_matapp(m, at)
         if name[0].isupper():
-            raise UndeclaredMatrix(f"line {tok.line}: matrix {name} is not declared")
-        if self.at_punct("("):
+            raise UndeclaredMatrix(f"line {_position(self.text, at)[0]}: matrix {name} is not declared")
+        if self.eat("("):
             ty = self.var_types.get(name)
             if not isinstance(ty, Arrow):
                 raise UndeclaredArrowVariable(
-                    f"line {tok.line}: {name} is applied but not declared with an arrow type"
+                    f"line {_position(self.text, at)[0]}: {name} is applied but not declared with an arrow type"
                 )
-            fn = Variable(name, ty)
-            self.expect("(")
-            args = [self.parse_pattern()]
-            while self.eat_punct(","):
-                args.append(self.parse_pattern())
-            self.expect(")")
-            p = args[-1]
-            for q in reversed(args[:-1]):
-                p = PPair(q, p)
-            return ArrowApp(fn, p)
-        return Var(self.lookup_var(name, tok))
+            return ArrowApp(Variable(name, ty), self.parse_tuple_pattern())
+        return Var(Variable(name, self.var_types.get(name, BOOL)))
 
-    def parse_matapp(self, m: StochasticMatrix, tok: Token) -> Expr:
+    def parse_matapp(self, m: StochasticMatrix, at: int) -> Expr:
         args: list[Variable] = []
-        if self.eat_punct("("):
-            if not self.at_punct(")"):
-                args.append(self.parse_arg_var())
-                while self.eat_punct(","):
-                    args.append(self.parse_arg_var())
+        if self.eat("("):
+            if self.fixed[self.pos] != ")":
+                args.append(self.variable())
+                while self.eat(","):
+                    args.append(self.variable())
             self.expect(")")
         if len(args) != len(m.slots):
-            raise ParseError(
-                f"matrix {m.name} takes {len(m.slots)} arguments, got {len(args)}",
-                tok.line,
-                tok.col,
-            )
+            raise self.error(f"matrix {m.name} takes {len(m.slots)} arguments, got {len(args)}", at)
         return MatApp(m, tuple(args))
-
-    def parse_arg_var(self) -> Variable:
-        tok = self.expect("ident", "a variable name")
-        return self.lookup_var(tok.text, tok)
 
     # ------------------------------------------------------------ program
 
     def parse_program(self) -> SourceProgram:
+        fixed = self.fixed
         while True:
-            t = self.peek()
-            if t.kind == "matrix":
+            if self.eat("matrix"):
                 self.parse_matrix_decl()
-            elif t.kind == "var":
+            elif self.eat("var"):
                 self.parse_var_decl()
             else:
                 break
         defs: list[tuple[Pattern, Expr]] = []
-        while not self.peek().kind == "in":
-            t = self.peek()
-            if t.kind == "eof":
-                raise ParseError("expected a definition or 'in'", t.line, t.col)
+        while fixed[self.pos] != "in":
+            if fixed[self.pos] == "":
+                raise self.error("expected a definition or 'in'")
             binder = self.parse_pattern()
             self.expect("=")
             bound = self.parse_expr()
             self.expect(";")
             defs.append((binder, bound))
-        self.expect("in")
+        self.pos += 1
         output = self.parse_pattern()
-        t = self.peek()
-        if t.kind != "eof":
-            raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
+        if fixed[self.pos] != "":
+            raise self.error(f"trailing input {self.lexeme()!r}")
         return SourceProgram(self.matrices, self.var_types, LetTerm(tuple(defs), output))
 
 
@@ -355,5 +346,4 @@ def parse_program(text: str) -> SourceProgram:
     try:
         return parser.parse_program()
     except RecursionError:
-        t = parser.peek()
-        raise NestingTooDeep(t.line, t.col) from None
+        raise NestingTooDeep(*_position(text, parser.pos)) from None

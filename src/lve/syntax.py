@@ -280,28 +280,31 @@ class StochasticMatrix:
     stochastic: bool = field(init=False)
 
     def __post_init__(self) -> None:
+        rows = 1
         for s in self.slots:
             if not s.is_positive:
                 raise TypeCheckError(f"matrix {self.name}: slot {type_str(s)} not positive")
+            rows *= web_size(s)
         if not self.out.is_positive:
             raise TypeCheckError(f"matrix {self.name}: output {type_str(self.out)} not positive")
-        rows = 1
-        for s in self.slots:
-            rows *= web_size(s)
         arr = np.asarray(self.entries, dtype=float)
-        if arr.shape != (rows, web_size(self.out)):
-            raise TypeCheckError(
-                f"matrix {self.name}: table shape {arr.shape} != ({rows}, {web_size(self.out)})"
-            )
-        if not np.isfinite(arr).all():
-            raise TypeCheckError(f"matrix {self.name}: non-finite entry")
-        if (arr < 0).any():
+        width = web_size(self.out)
+        if arr.shape != (rows, width):
+            raise TypeCheckError(f"matrix {self.name}: table shape {arr.shape} != ({rows}, {width})")
+        lo, hi = arr.min(), arr.max()
+        if not (lo >= 0.0 and hi < np.inf):  # NaN fails both
+            if not np.isfinite(arr).all():
+                raise TypeCheckError(f"matrix {self.name}: non-finite entry")
             raise TypeCheckError(f"matrix {self.name}: negative entry")
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
-        with np.errstate(over="ignore"):  # a row summing past 1e308 is not stochastic
-            sums = arr.sum(axis=1)
-        object.__setattr__(self, "stochastic", bool(np.abs(sums - 1.0).max() <= TOL))
+        if hi < 1e300 / width:  # no row can sum past the largest float
+            sums = arr.sum(axis=1).tolist()
+        else:
+            with np.errstate(over="ignore"):  # a row summing past 1e308 is not stochastic
+                sums = arr.sum(axis=1).tolist()
+        # abs(s - 1) is largest at the smallest or at the largest row sum.
+        object.__setattr__(self, "stochastic", max(abs(min(sums) - 1.0), abs(max(sums) - 1.0)) <= TOL)
 
 
 # ---------------------------------------------------------------- expressions

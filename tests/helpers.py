@@ -8,6 +8,9 @@ tests compare against them rather than against the library's own output.
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
+import pathlib
+import types
 
 import numpy as np
 
@@ -69,6 +72,17 @@ SIXNODE_GOLDEN_STEPS = (
     ("swap3", 1, None),
     ("swap3", 0, None),
 )
+
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_module(name: str) -> types.ModuleType:
+    """`bench/<name>.py`, loaded by its path: the bench is scripts, not a package."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def bvar(name: str) -> Variable:

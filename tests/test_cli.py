@@ -368,6 +368,39 @@ def test_bad_cpt_entries_are_input_errors(run, tmp_path, cpt):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("suffix", [".lve", ".json"])
+def test_files_that_are_not_utf8_are_input_errors(run, tmp_path, suffix):
+    path = tmp_path / f"bad{suffix}"
+    path.write_bytes(b"\xff\xfe\x00x = M;\nin x\n")
+    code, out, err = run("check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "not UTF-8" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "suffix, table, message",
+    [
+        (".lve", "[1e999, 0.5]", "matrix M: non-finite entry"),
+        (".json", "[[NaN, 0.5]]", "matrix M_a: non-finite entry"),
+        (".json", "[[1e400, 0.5]]", "matrix M_a: non-finite entry"),
+        (".json", "[[-0.5, 1.5]]", "matrix M_a: negative entry"),
+    ],
+)
+def test_bad_table_entries_keep_their_messages(run, tmp_path, suffix, table, message):
+    path = tmp_path / f"m{suffix}"
+    if suffix == ".lve":
+        path.write_text(f"matrix M : -> Bool = {table};\nx = M;\nin x")
+    else:
+        path.write_text(
+            '{"variables": [{"name": "a"}], "nodes": [{"var": "a", "parents": [], "cpt": %s}],'
+            ' "query": ["a"]}' % table
+        )
+    code, out, err = run("check", "--no-stochastic-check", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["vef", "cost", "compare"])
 def test_order_rejects_output_variables(run, sixnode_path, command):
     code, out, err = run(command, "--order", "x3,x1", sixnode_path)

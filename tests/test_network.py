@@ -176,6 +176,9 @@ def test_unknown_query_variable():
         lambda d: d["nodes"][1].__setitem__("parents", ["rain", "rain"]),
         lambda d: d["nodes"][1].__setitem__("parents", ["ghost"]),
         lambda d: d["query"].extend(["wet"]),  # query repeats a variable
+        lambda d: d["nodes"][1].__setitem__("parents", [["rain"]]),  # names must be strings
+        lambda d: d["nodes"][1].__setitem__("var", ["wet"]),
+        lambda d: d["query"].__setitem__(0, {"name": "wet"}),
     ],
 )
 def test_malformed_networks_rejected(mangle):

@@ -10,6 +10,7 @@ import pytest
 
 import lve
 from lve.syntax import Arrow, Bool, Tensor, Variable
+from helpers import bench_module
 
 SRC = pathlib.Path(lve.__file__).parent
 
@@ -110,3 +111,14 @@ def test_types_and_variables_compare_and_hash_by_identity():
     for cls in (Variable, Bool, Tensor, Arrow):
         assert cls.__eq__ is object.__eq__, cls.__name__
         assert cls.__hash__ is object.__hash__, cls.__name__
+
+
+def test_names_the_bench_traces_resolve():
+    # The bench wraps these entry points by name from outside; a renamed one
+    # would otherwise surface only when the bench's own tests run.
+    tracing = bench_module("tracing")
+    for module in tracing.LVE_MODULES:
+        assert tracing.lve_module(module).__name__ == f"lve.{module}"
+    for module, name in [*tracing.TRACED, *tracing.OWN_NAMES]:
+        assert module in tracing.LVE_MODULES, module
+        assert callable(getattr(tracing.lve_module(module), name, None)), f"lve.{module}.{name}"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 
 from lve.denote import denote, joint_vector
 from lve.errors import ParseError, UndeclaredArrowVariable, UndeclaredMatrix
-from lve.parser import Token, _tokenize, parse_program
+from lve.network import network_to_program
+from lve.parser import _position, _scan, parse_program
 from lve.printer import expr_str, matrix_decl_str, pattern_str, program_str, term_str
 from lve.syntax import (
     BOOL,
@@ -21,7 +23,7 @@ from lve.syntax import (
     pattern_vars,
     typecheck,
 )
-from helpers import SIXNODE_JOINT, bvar
+from helpers import SIXNODE_JOINT, bench_module, bvar
 
 
 def test_sixnode_parses(sixnode):
@@ -164,6 +166,24 @@ def test_matapp_args_must_be_bare_variables():
         )
 
 
+def test_bench_chain_texts_reparse_to_their_networks():
+    # The chain workload's texts print back unchanged, and every parsed
+    # matrix holds the table and flag of the network node it was printed from.
+    gen = bench_module("gen")
+    rng = random.Random(1)  # the draws gen.chain_texts(1) makes, in its order
+    networks = [gen.chain_network(n, rng) for n in gen.chain_lengths(rng)]
+    texts = gen.chain_texts(1)
+    assert len(texts) == len(networks) == gen.CHAIN_POOL
+    for text, network in zip(texts, networks):
+        parsed, compiled = parse_program(text), network_to_program(network)
+        assert program_str(parsed.term) == program_str(compiled.term) == text
+        assert parsed.matrices.keys() == compiled.matrices.keys()
+        for name, m in compiled.matrices.items():
+            p = parsed.matrices[name]
+            assert (p.slots, p.out, p.stochastic) == (m.slots, m.out, m.stochastic), name
+            assert np.array_equal(p.entries, m.entries), name
+
+
 def test_printer_pattern_and_expr():
     a, b, c = bvar("a"), bvar("b"), bvar("c")
     p = PPair(PLeaf(a), PPair(PLeaf(b), PLeaf(c)))
@@ -264,6 +284,24 @@ def test_parse_errors_keep_their_messages_and_positions(source, error, message):
     assert str(info.value) == message
 
 
+def _token_stream(text: str) -> list[tuple[str, str, int, int]]:
+    """The scanner's tokens in the reference tokenizer's terms, with each
+    position looked up as a parse error would look it up."""
+    fixed, names, numbers = _scan(text)
+    out = []
+    for i, (lexeme, name, number) in enumerate(zip(fixed, names, numbers)):
+        if lexeme == "":
+            kind = "eof"
+        elif lexeme is not None:
+            kind = lexeme if lexeme in {"matrix", "var", "let", "in", "Bool"} else "punct"
+        elif name is not None:
+            kind, lexeme = "ident", name
+        else:
+            kind, lexeme = "number", number
+        out.append((kind, lexeme, *_position(text, i)))
+    return out
+
+
 def test_token_streams_match_the_reference_tokenizer(samples_dir, golden_dir):
     texts = [p.read_text() for p in sorted(samples_dir.glob("*.lve")) + sorted(golden_dir.glob("*.lve"))]
     texts += [source for source, _, _ in PARSE_ERRORS] + ["\r\n\t x\x0b=\x0cy; in x", ""]
@@ -272,17 +310,17 @@ def test_token_streams_match_the_reference_tokenizer(samples_dir, golden_dir):
             expected = _reference_tokenize(text)
         except ParseError as err:
             with pytest.raises(ParseError, match=re.escape(str(err))):
-                _tokenize(text)
+                _scan(text)
         else:
-            assert _tokenize(text) == [Token(*t) for t in expected]
+            assert _token_stream(text) == expected
 
 
 def test_token_positions_on_sixnode(sixnode_text):
-    tokens = _tokenize(sixnode_text)
-    assert tokens[:3] == [Token("matrix", "matrix", 4, 1), Token("ident", "M1", 4, 8), Token("punct", ":", 4, 11)]
+    tokens = _token_stream(sixnode_text)
+    assert tokens[:3] == [("matrix", "matrix", 4, 1), ("ident", "M1", 4, 8), ("punct", ":", 4, 11)]
     assert tokens[-4:] == [
-        Token("punct", ",", 17, 7),
-        Token("ident", "x6", 17, 9),
-        Token("punct", ")", 17, 11),
-        Token("eof", "", 18, 1),
+        ("punct", ",", 17, 7),
+        ("ident", "x6", 17, 9),
+        ("punct", ")", 17, 11),
+        ("eof", "", 18, 1),
     ]

@@ -7,6 +7,7 @@ import pickle
 import warnings
 from dataclasses import FrozenInstanceError
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -39,6 +40,8 @@ from lve.syntax import (
     Pair,
     PLeaf,
     PPair,
+    StochasticMatrix,
+    TOL,
     Tensor,
     Var,
     Variable,
@@ -83,6 +86,45 @@ def test_matrix_rows_overflowing_their_sum_build_quietly():
         warnings.simplefilter("error")
         m = matrix("M", 0, [[1e308, 1e308]])
     assert m.stochastic is False
+
+
+@pytest.mark.parametrize("build", [list, np.asarray])
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[np.nan, 0.5]], "matrix M: non-finite entry"),
+        ([[np.inf, 0.5]], "matrix M: non-finite entry"),
+        ([[-np.inf, 0.5]], "matrix M: non-finite entry"),
+        ([[np.nan, -0.5]], "matrix M: non-finite entry"),  # reported before the negative one
+        ([[-0.5, 1.5]], "matrix M: negative entry"),
+        ([[-0.0, 1.0], [0.5, -1e-300]], "matrix M: negative entry"),
+        ([[0.5, 0.25, 0.25]], "matrix M: table shape (1, 3) != (1, 2)"),
+        ([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]], "matrix M: table shape (3, 2) != (1, 2)"),
+    ],
+)
+def test_matrix_checks_keep_their_messages(build, rows, message):
+    slots = (BOOL,) if len(rows) == 2 else ()
+    with pytest.raises(TypeCheckError) as err:
+        StochasticMatrix("M", slots, BOOL, build(rows))
+    assert type(err.value) is TypeCheckError
+    assert str(err.value) == message
+
+
+def test_stochastic_flag_is_the_largest_row_deviation_within_tol():
+    # Rows summing to 1 +- TOL, a float either side of it, and twice as far.
+    flags = set()
+    for d in (TOL, -TOL):
+        for x in (d, np.nextafter(d, 0), np.nextafter(d, 2 * d), 2 * d):
+            for rows in (
+                [[0.5, 0.5 + x]],
+                [[1.0 + x, 0.0]],
+                [[0.25, 0.75], [0.5 + x, 0.5]],
+                [[0.5, 0.5 - x / 2], [0.5 + x, 0.5], [0.25, 0.75], [1.0, 0.0]],
+            ):
+                expected = bool(np.abs(np.asarray(rows).sum(axis=1) - 1.0).max() <= TOL)
+                assert matrix("M", len(rows).bit_length() - 1, rows).stochastic is expected, rows
+                flags.add(expected)
+    assert flags == {True, False}
 
 
 def test_tensor_left_must_be_positive():
