@@ -9,8 +9,8 @@
     lve cost FILE             operation counts of the classical route
     lve orderings FILE        an elimination order from a heuristic
 
-FILE ending in .json is read as a Bayesian network, anything else as program
-text. Exit status: 0 on success, 1 when a verification fails, 2 on bad input.
+FILE ending in .json, in any case, is read as a Bayesian network, anything
+else as program text. Exit status: 0 on success, 1 when a verification fails, 2 on bad input.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def _fmt(v: float) -> str:
 
 
 def _load(path: str, check_stochastic: bool) -> SourceProgram:
-    if path.endswith(".json"):
+    if path.lower().endswith(".json"):
         program = load_network(path)
     else:
         try:

@@ -31,7 +31,9 @@ a table. A let-term is folded from its output up, one definition at a time,
 and each step is memoized on the identity of its `(binder, bound)` pair and of
 the relation it folds into: a rewritten term that shares its tail with one
 denoted before (`syntax.replace_defs`) folds only the definitions up to the
-end of the rewritten window again. A memo hit charges nothing. The context
+end of the rewritten window again, and `denote_suffix` stops the fold at a
+given definition, so comparing two terms there folds no definition above it.
+A memo hit charges nothing. The context
 also holds the factor reading's memo, which `denote` does not use.
 """
 
@@ -147,13 +149,24 @@ def denote(t: Term, ctx: DenoteContext | None = None) -> Relation:
     cached = ctx.lookup(t)
     if cached is not None:
         return cached
-    typecheck(t)
     if not isinstance(t, LetTerm):
+        typecheck(t)
         return _denote(t, ctx)
+    return ctx.store(t, denote_suffix(t, 0, ctx))
+
+
+def denote_suffix(t: LetTerm, start: int, ctx: DenoteContext) -> Relation:
+    """Denotation of the let-term made of `t`'s definitions from `start` on
+    and its output: the output folded up through those definitions, one at a
+    time. Its rows are the variables the suffix uses and does not bind. The
+    whole term is the suffix at 0, and the definitions above `start` fold
+    into this relation, so two terms with the same definitions above `start`
+    and equal suffix relations have equal denotations."""
+    typecheck(t)
     rel = ctx.lookup(t.output)
     if rel is None:
         rel = ctx.store(t.output, _denote(pattern_to_expr(t.output), ctx))
-    for d in reversed(t.defs):
+    for d in reversed(t.defs[start:]):
         hit = ctx._folds.get((id(d), id(rel)))
         if hit is not None and hit[0] is d and hit[1] is rel:
             rel = hit[2]
@@ -162,7 +175,7 @@ def denote(t: Term, ctx: DenoteContext | None = None) -> Relation:
         new.matrix.flags.writeable = False
         ctx._folds[id(d), id(rel)] = (d, rel, new)
         rel = new
-    return ctx.store(t, rel)
+    return rel
 
 
 def _table(ctx: DenoteContext, rows: int, cols: int) -> int:

@@ -288,6 +288,8 @@ class StochasticMatrix:
         if not self.out.is_positive:
             raise TypeCheckError(f"matrix {self.name}: output {type_str(self.out)} not positive")
         arr = np.asarray(self.entries, dtype=float)
+        if arr is self.entries and arr.flags.writeable:
+            arr = arr.copy()  # freeze a copy, not the caller's array
         width = web_size(self.out)
         if arr.shape != (rows, width):
             raise TypeCheckError(f"matrix {self.name}: table shape {arr.shape} != ({rows}, {width})")

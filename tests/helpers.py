@@ -14,7 +14,7 @@ import types
 
 import numpy as np
 
-from lve.denote import denote
+from lve.denote import Relation, denote
 from lve.factors import Factor, definition_factor, factors_allclose, relation_from_factors
 from lve.syntax import (
     BOOL,
@@ -34,12 +34,14 @@ from lve.syntax import (
     Ty,
     Var,
     Variable,
+    free_vars,
     pattern_to_expr,
+    pattern_type,
     pattern_vars,
     typecheck,
     web_size,
 )
-from lve.webs import sorted_vars
+from lve.webs import Assignment, WebElem, WebPair, element_index, enumerate_assignments, pattern_read, sorted_vars
 
 # Joint distribution of samples/sixnode.lve over (x3, x6), web order
 # (t,t), (t,f), (f,t), (f,f): frozen from an exhaustive enumeration over all
@@ -148,6 +150,42 @@ def assert_reading_agrees(t: Term) -> None:
         rebuilt, direct = relation_from_factors(t), denote(t)
         assert rebuilt.vars == direct.vars
         assert np.allclose(rebuilt.matrix, direct.matrix, rtol=0, atol=TOL)
+
+
+def scalar_brute_force_joint(term: LetTerm) -> Relation:
+    """`verify.brute_force_joint` one assignment and one definition at a
+    time, the oracle it is checked against: every total assignment is
+    enumerated as web elements, and its weight is a product of table lookups
+    added into the cell its free variables and output read."""
+    typecheck(term)
+    fv = sorted_vars(free_vars(term))
+    all_vars = set(fv).union(*(pattern_vars(binder) for binder, _ in term.defs))
+    out_ty = pattern_type(term.output)
+    strides: dict[Variable, int] = {}
+    acc = 1
+    for v in reversed(fv):
+        strides[v] = acc
+        acc *= web_size(v.ty)
+    matrix = np.zeros((acc, web_size(out_ty)))
+    for asg in enumerate_assignments(all_vars):
+        w = 1.0
+        for binder, bound in term.defs:
+            w *= _def_weight(pattern_read(binder, asg), bound, asg)
+        row = sum(strides[v] * element_index(v.ty, asg.get(v)) for v in fv)
+        matrix[row, element_index(out_ty, pattern_read(term.output, asg))] += w
+    return Relation(fv, out_ty, matrix)
+
+
+def _def_weight(target: WebElem, e: Expr, asg: Assignment) -> float:
+    if isinstance(e, Var):
+        return 1.0 if target == asg.get(e.var) else 0.0
+    if isinstance(e, MatApp):
+        row = 0
+        for v in e.args:
+            row = row * web_size(v.ty) + element_index(v.ty, asg.get(v))
+        return float(e.matrix.entries[row, element_index(e.matrix.out, target)])
+    assert isinstance(e, Pair) and isinstance(target, WebPair), e
+    return _def_weight(target.left, e.fst, asg) * _def_weight(target.right, e.snd, asg)
 
 
 def order_by_name(term: LetTerm, names) -> list[Variable]:

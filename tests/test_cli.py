@@ -59,6 +59,14 @@ def test_check_json_network(run, samples_dir):
     assert out.splitlines()[-1] == "ok"
 
 
+def test_json_suffix_in_any_case_reads_a_network(run, samples_dir, tmp_path):
+    path = tmp_path / "six.JSON"
+    path.write_text((samples_dir / "sixnode.json").read_text())
+    assert run("check", str(path)) == run("check", str(samples_dir / "sixnode.json"))
+    code, out, _ = run("check", str(path))
+    assert code == 0 and out.splitlines()[-1] == "ok"
+
+
 def test_denote(run, sixnode_path):
     code, out, _ = run("denote", sixnode_path)
     assert code == 0

@@ -127,6 +127,16 @@ def test_stochastic_flag_is_the_largest_row_deviation_within_tol():
     assert flags == {True, False}
 
 
+def test_a_matrix_freezes_a_copy_of_the_callers_array():
+    a = np.array([[0.5, 0.5]])
+    m = StochasticMatrix("M", (), BOOL, a)
+    a[0, 0] = 0.25  # the caller's array stays writable
+    assert m.entries.tolist() == [[0.5, 0.5]] and m.stochastic
+    assert not m.entries.flags.writeable
+    # An array already read-only is kept as it is.
+    assert StochasticMatrix("N", (), BOOL, m.entries).entries is m.entries
+
+
 def test_tensor_left_must_be_positive():
     with pytest.raises(TypeCheckError):
         Tensor(AR, BOOL)

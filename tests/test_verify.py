@@ -7,10 +7,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lve import verify
+from lve import rewrite, verify
 from lve.cli import main
 from lve.denote import DenoteContext, denote, joint_vector, total_mass_check
-from lve.errors import LveError, RewriteError
+from lve.errors import LveError, RewriteError, WebCapExceeded
 from lve.factors import (
     Factor,
     FactorSet,
@@ -24,7 +24,25 @@ from lve.factors import (
 from lve.network import network_to_program
 from lve.parser import parse_program
 from lve.printer import program_str
-from lve.syntax import free_vars, pattern_vars, typecheck
+from lve.syntax import (
+    BOOL,
+    Arrow,
+    ArrowApp,
+    Lam,
+    Let,
+    LetTerm,
+    MatApp,
+    Pair,
+    PLeaf,
+    PPair,
+    StochasticMatrix,
+    Tensor,
+    Var,
+    Variable,
+    free_vars,
+    pattern_vars,
+    typecheck,
+)
 from lve.verify import (
     CheckFailure,
     MAX_QUERY,
@@ -39,7 +57,15 @@ from lve.verify import (
     random_network,
     run_suite,
 )
-from helpers import bvar, coin_copy_term, coin_matrix
+from helpers import (
+    bvar,
+    chain_network,
+    coin_copy_term,
+    coin_matrix,
+    grid_network,
+    matrix,
+    scalar_brute_force_joint,
+)
 
 
 def test_brute_force_matches_semantics_on_coin_copy():
@@ -57,9 +83,6 @@ def test_brute_force_matches_semantics_on_sixnode(sixnode_term):
 
 
 def test_brute_force_handles_open_terms():
-    from lve.syntax import LetTerm, MatApp, PLeaf, Variable
-    from helpers import matrix
-
     m = matrix("M", 1, [[0.8, 0.2], [0.1, 0.9]])
     x = Variable("x", m.slots[0])
     term = LetTerm(((PLeaf(Variable("y", m.out)), MatApp(m, (x,))),),
@@ -70,21 +93,91 @@ def test_brute_force_handles_open_terms():
 
 
 def test_brute_force_rejects_non_network_shapes():
-    from lve.syntax import Arrow, ArrowApp, BOOL, Lam, LetTerm, MatApp, PLeaf, Var, Variable
-
     coin = coin_matrix()
     f = Variable("f", Arrow(BOOL, BOOL))
-    x, y, z = (Variable(n, BOOL) for n in "xyz")
-    term = LetTerm(
-        (
-            (PLeaf(x), MatApp(coin, ())),
-            (PLeaf(f), Lam(PLeaf(z), Var(z))),
-            (PLeaf(y), ArrowApp(f, PLeaf(x))),
+    x, y, z = (bvar(n) for n in "xyz")
+    lam = (PLeaf(f), Lam(PLeaf(z), Var(z)))
+    terms = {
+        "brute force expects a let-term": MatApp(coin, ()),
+        "brute force expects a positive output": LetTerm((lam,), PLeaf(f)),
+        "brute force does not cover arrow definitions": LetTerm(
+            ((PLeaf(x), MatApp(coin, ())), lam, (PLeaf(y), ArrowApp(f, PLeaf(x)))), PLeaf(y)
         ),
-        PLeaf(y),
+        # f is free here, so no arrow is defined.
+        "brute force does not cover ArrowApp definitions": LetTerm(
+            ((PLeaf(x), MatApp(coin, ())), (PLeaf(y), ArrowApp(f, PLeaf(x)))), PLeaf(y)
+        ),
+        "brute force does not cover Let definitions": LetTerm(
+            ((PLeaf(y), Let(PLeaf(x), MatApp(coin, ()), Var(x))),), PLeaf(y)
+        ),
+    }
+    for message, term in terms.items():
+        with pytest.raises(ValueError) as err:
+            brute_force_joint(term)
+        assert str(err.value) == message
+
+
+def _pair_terms() -> list[LetTerm]:
+    """Closed and open terms with tensor-typed binders, pair binders bound
+    to a variable, and nested pair expressions."""
+    coin, flip = coin_matrix(0.3), matrix("F", 1, [[0.9, 0.1], [0.2, 0.8]])
+    both = matrix("B", 2, [[0.6, 0.4], [0.1, 0.9], [0.5, 0.5], [0.7, 0.3]])
+    a, b, c, d, e, x = (bvar(n) for n in "abcdex")
+    p = Variable("p", Tensor(BOOL, BOOL))
+    q = Variable("q", Tensor(BOOL, Tensor(BOOL, BOOL)))
+    defs = (
+        (PLeaf(a), MatApp(coin, ())),
+        (PLeaf(p), Pair(MatApp(flip, (a,)), Var(a))),
+        (PPair(PLeaf(b), PLeaf(c)), Var(p)),
+        (PLeaf(q), Pair(MatApp(both, (c, b)), Pair(Var(b), MatApp(coin, ())))),
+        (PPair(PLeaf(d), PLeaf(e)), Pair(MatApp(flip, (b,)), MatApp(both, (a, x)))),
     )
-    with pytest.raises(ValueError):
+    return [
+        LetTerm(defs[:4], PPair(PLeaf(q), PLeaf(a))),
+        LetTerm(defs, PPair(PLeaf(e), PPair(PLeaf(q), PLeaf(d)))),
+        LetTerm(defs[:3], PLeaf(p)),
+    ]
+
+
+def test_brute_force_equals_the_scalar_enumeration():
+    terms = [random_network(i).term for i in range(40)] + _pair_terms() + [coin_copy_term()]
+    for term in terms:
+        fast, slow = brute_force_joint(term), scalar_brute_force_joint(term)
+        assert fast.vars == slow.vars and fast.ty is slow.ty
+        assert np.allclose(fast.matrix, slow.matrix, rtol=0, atol=1e-12)
+    open_term = _pair_terms()[1]
+    assert [v.name for v in brute_force_joint(open_term).vars] == ["x"]
+    assert np.allclose(brute_force_joint(open_term).matrix, denote(open_term).matrix, rtol=0, atol=1e-12)
+
+
+def test_brute_force_checks_the_cap_before_allocating():
+    term = network_to_program(chain_network(50)).term
+    with pytest.raises(WebCapExceeded, match=r"^web of size 2\^50 exceeds cap 1048576$"):
         brute_force_joint(term)
+
+
+@pytest.mark.parametrize(
+    "net, skipped",
+    [
+        (grid_network(4, 4), {("denote-step", "random")}),
+        (chain_network(50), {("brute", None), ("semfacts", None), ("denote-step", "random")}),
+    ],
+    ids=["grid-4x4", "chain-50"],
+)
+def test_checks_over_the_cap_are_skipped_and_listed(net, skipped):
+    report = SuiteReport(1, ORDER_NAMES)
+    check_instance(network_to_program(net).term, 7, report)
+    assert report.failures == []
+    assert {(f.check, f.order) for f in report.skipped} == skipped
+    assert all(f.instance == 7 and f.detail.endswith(" exceeds cap 1048576") for f in report.skipped)
+    assert all(f.detail.startswith("web of size 2^50 ") for f in report.skipped if f.check != "denote-step")
+    assert all(f.detail.split(":")[0] in ("swap1", "swap2", "swap3", "mult", "elim")
+               for f in report.skipped if f.check == "denote-step")
+
+
+def test_the_suite_on_seed_zero_skips_nothing():
+    report = run_suite(100, seed=0)
+    assert report.ok and report.skipped == []
 
 
 def test_random_network_is_seed_deterministic():
@@ -354,3 +447,58 @@ def test_one_route_table_feeds_compare_and_check_instance(monkeypatch, capsys, s
     check_instance(sixnode_term, 0, report)
     detail = "classical elimination marginal is off"
     assert report.failures == [CheckFailure(0, name, "marginal", detail) for name in ORDER_NAMES]
+
+
+# ---------------------------------------------------------------- injected faults
+
+
+def _flip(e):
+    """`e` with its first matrix application, left first, reading its table
+    with the columns reversed; `e` itself when it holds none."""
+    if isinstance(e, MatApp):
+        m = e.matrix
+        return MatApp(StochasticMatrix(m.name, m.slots, m.out, m.entries[:, ::-1]), e.args)
+    if isinstance(e, Pair):
+        return Pair(_flip(e.fst), e.snd)
+    if isinstance(e, Let):
+        return Let(e.binder, _flip(e.bound), e.body)
+    if isinstance(e, Lam):
+        return Lam(e.param, _flip(e.body))
+    return e
+
+
+def _faulty_replace_defs(fault):
+    """`rewrite.replace_defs` with a fault: "window", swap1 flips a matrix in
+    the definitions it swaps; "above", a rule at a position past 0 also
+    replaces definition 0 with a flipped copy."""
+    replace_defs = rewrite.replace_defs
+
+    def faulty(t, position, width, mid, minted=None):
+        swap1 = width == 2 and len(mid) == 2 and mid[0] == t.defs[position + 1] and mid[1] == t.defs[position]
+        if fault == "window" and swap1:
+            mid = ((mid[0][0], _flip(mid[0][1])), mid[1])
+        after = replace_defs(t, position, width, mid, minted)
+        if fault == "above" and position > 0:
+            binder, bound = after.defs[0]
+            flipped = _flip(bound)
+            if flipped is not bound:
+                after = replace_defs(after, 0, 1, ((binder, flipped),))
+        return after
+
+    return faulty
+
+
+@pytest.mark.parametrize("fault, caught_on", [("window", 33), ("above", 38)])
+def test_a_rule_that_changes_the_denotation_fails_denote_step(monkeypatch, fault, caught_on):
+    # Each step is checked on its suffix and on the identity of the
+    # definitions above it; the reference denotes both terms whole.
+    monkeypatch.setattr(rewrite, "replace_defs", _faulty_replace_defs(fault))
+    caught = 0
+    for i in range(40):
+        term = random_network(i).term
+        expected, _ = _reference_check_instance(term, i, order_seed=i)
+        report = SuiteReport(1, ORDER_NAMES)
+        check_instance(term, i, report, order_seed=i)
+        assert report.failures == expected, i
+        caught += any(f.check == "denote-step" for f in expected)
+    assert caught == caught_on
