@@ -29,6 +29,7 @@ from .factors import (
     factors_of,
     check_factor_vars,
     marginal,
+    plan_elimination,
     relation_from_factors,
 )
 from .network import load_network, network_to_program
@@ -93,7 +94,7 @@ __all__ = [
     "collect_matrices", "denote", "joint_vector", "total_mass_check", "LveError", "ParseError",
     "RewriteError", "TypeCheckError", "Factor", "FactorSet", "VefStep", "constant_factor",
     "contract", "dump_factors", "eliminate", "factor_sets_equal", "factors_of",
-    "check_factor_vars", "marginal", "relation_from_factors",
+    "check_factor_vars", "marginal", "plan_elimination", "relation_from_factors",
     "load_network", "network_to_program", "elimination_candidates", "min_degree_order",
     "random_order", "SourceProgram", "parse_program", "expr_str", "pattern_str",
     "program_str", "term_str", "RULES", "RewriteStep", "SizeBound", "Trace", "apply_rule",

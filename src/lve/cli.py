@@ -24,7 +24,7 @@ import numpy as np
 from .cost import DEFAULT_WEB_CAP
 from .denote import DenoteContext, total_mass_check
 from .errors import InOutput, LveError, NonFinite, NotClosed, RepeatedInOrder, UnknownVariable
-from .factors import dump_factors, eliminate, factors_of, marginal
+from .factors import dump_factors, eliminate, factors_of, marginal, plan_elimination
 from .network import load_network
 from .orderings import min_degree_order, random_order
 from .parser import SourceProgram, parse_program
@@ -35,6 +35,7 @@ from .syntax import (
     LetTerm,
     Variable,
     collect_matrices,
+    factor_scopes,
     free_vars,
     pattern_fv,
     pattern_type,
@@ -43,7 +44,7 @@ from .syntax import (
     typecheck,
 )
 from .verify import ROUTES, compare_routes
-from .webs import enumerate_web
+from .webs import _size_str, enumerate_web, sorted_vars
 
 
 def _fmt(v: float) -> str:
@@ -100,10 +101,17 @@ def _step_str(s: RewriteStep) -> str:
     return f"{s.rule}@{s.position}"
 
 
+def positive_int(text: str) -> int:
+    cap = int(text)  # argparse reports a ValueError as an invalid value
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {cap}")
+    return cap
+
+
 def main(argv: list[str] | None = None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("file", help="program text or a .json network")
-    common.add_argument("--web-cap", type=int, default=DEFAULT_WEB_CAP, help="largest web to materialize")
+    common.add_argument("--web-cap", type=positive_int, default=DEFAULT_WEB_CAP, help="largest web to materialize")
     common.add_argument(
         "--no-stochastic-check",
         action="store_true",
@@ -206,13 +214,16 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(f"order: {','.join(v.name for v in order)}", file=sys.stderr if quiet else sys.stdout)
 
     if args.command in ("vef", "cost"):
-        fs = eliminate(factors_of(term, ctx), order, args.web_cap)
-        if args.command == "vef":
+        if args.command == "cost":  # the plan on the factors' scopes: no table, so no cap
+            _, counter = plan_elimination([sorted_vars(s) for s, _ in factor_scopes(term)], order, None)
+        else:
+            fs = eliminate(factors_of(term, ctx), order, args.web_cap)
             if not all(np.isfinite(f.table).all() for f in fs.factors):
                 raise NonFinite("a factor table is not finite")
             print(dump_factors(fs))
-        print(f"muladds: {fs.counter.muladds}")
-        print(f"max_table: {fs.counter.max_table}")
+            counter = fs.counter
+        print(f"muladds: {counter.muladds}")
+        print(f"max_table: {_size_str(counter.max_table)}")
         return 0
 
     if args.command == "vel":

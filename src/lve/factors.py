@@ -4,7 +4,9 @@ A factor pairs a variable set with a nonnegative table over that set's web;
 tables are dense numpy arrays with one axis per variable, axes sorted by
 variable name, so the C-order flattening is the canonical web enumeration.
 Elimination of a variable multiplies the factors mentioning it and sums it
-out. A let-term induces a factor set with one factor per definition plus a
+out; `eliminate` works out every step on the variable sets first
+(`plan_elimination`, which is all `lve cost` reads), then runs one einsum per
+step. A let-term induces a factor set with one factor per definition plus a
 constant factor on the output variables, and the term's denotation is
 recovered by multiplying everything and summing the internal variables.
 Which variables each factor spans, and which arrow definitions fold into
@@ -26,6 +28,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -83,7 +86,7 @@ class Factor:
         if names != sorted(names):
             raise InvalidAxes(f"factor axes {names} are not sorted by name")
         arr = np.asarray(self.table, dtype=float)
-        dims = tuple(web_size(v.ty) for v in self.vars)
+        dims = tuple([v.web for v in self.vars])
         if arr.shape != dims:
             raise InvalidAxes(f"factor table of shape {arr.shape} on axes of sizes {dims}")
         arr.flags.writeable = False
@@ -104,14 +107,19 @@ def constant_factor(vars: Iterable[Variable], value: float = 1.0) -> Factor:
     return Factor(vs, np.full(dims, value))
 
 
-@dataclass
-class VefStep:
-    """Cost record of one elimination step."""
+class VefStep(NamedTuple):
+    """One elimination step: its cost, then its plan (`plan_elimination`):
+    the keys and einsum labels of the bucket's factors, and the result's
+    labels and variables."""
 
     var: Variable
     group_size: int
     product_table: int
     muladds: int
+    keys: list[int]
+    labels: list[list[int]]
+    out_labels: list[int]
+    vars: tuple[Variable, ...]
 
 
 @dataclass
@@ -121,12 +129,6 @@ class FactorSet:
     factors: list[Factor]
     counter: CostCounter = field(default_factory=CostCounter)
     steps: list[VefStep] = field(default_factory=list)
-
-    def vars(self) -> frozenset[Variable]:
-        out: set[Variable] = set()
-        for f in self.factors:
-            out.update(f.vars)
-        return frozenset(out)
 
     def __len__(self) -> int:
         return len(self.factors)
@@ -142,8 +144,71 @@ _MAX_LABELS = 52
 """Integer sublists label einsum axes with range(52)."""
 
 
+_name = attrgetter("name")
+
+
 def _web(vs: Iterable[Variable]) -> int:
-    return math.prod(web_size(v.ty) for v in vs)
+    return math.prod([v.web for v in vs])
+
+
+def _layout(
+    scopes: Sequence[Sequence[Variable]], keep: set[Variable], counter: CostCounter | None,
+    cap: int | None, bucket: bool,
+) -> tuple[tuple[Variable, ...], list[list[int]], list[int], int]:
+    """A contraction worked out on the factors' scopes alone: the result's
+    variables, the einsum labels of the operands and the result (the union
+    numbered by first occurrence), and the product's web. Raises what
+    `contract` raises (`bucket` as there); a cap of None checks no web and
+    no label limit. The counter is charged each pairwise fold, in list
+    order, the union's web so far, as multiply-adds and as a table; and the
+    sum the product's web as multiply-adds and the result's web as a table."""
+    label: dict[Variable, int] = {}
+    labels: list[list[int]] = []
+    webs: list[int] = []
+    size = 1
+    for vs in scopes:
+        ls = []
+        for v in vs:
+            at = label.get(v)
+            if at is None:
+                at = label[v] = len(label)
+                size *= v.web
+            ls.append(at)
+        labels.append(ls)
+        webs.append(size)
+    if bucket and cap is not None and len(scopes) > 1:
+        check_web_cap(size, cap)
+    if len(set(map(_name, label))) < len(label):
+        first: dict[str, Variable] = {}
+        clash = next(v for v in label if first.setdefault(v.name, v) is not v)
+        raise SharedVarTypeMismatch(f"variable {clash.name} carried two types")
+    out = [v for v in label if v in keep]
+    if len(out) < len(keep):
+        raise UnknownVariable(f"kept variables {sorted(v.name for v in keep - set(out))} are in no factor")
+    out.sort(key=_name)
+    out_size = _web(out)
+    if cap is not None:
+        check_web_cap(out_size, cap)
+        if len(label) > _MAX_LABELS:
+            raise WebCapExceeded(f"contraction over {len(label)} variables, einsum takes {_MAX_LABELS}")
+    if counter is not None:
+        folds = webs[1:]  # nondecreasing: the last is the largest table
+        counter.count(sum(folds), folds[-1] if folds else None)
+        if len(out) < len(label):
+            counter.count(size, out_size)
+    return tuple(out), labels, [label[v] for v in out], size
+
+
+def _einsum(operands: list[tuple[np.ndarray, list[int]]], out_labels: list[int]) -> np.ndarray:
+    """One einsum over labelled tables, in chunks of `_MAX_OPERANDS`: a chunk
+    keeps the labels the result or a later operand carries. No operands give
+    the scalar 1."""
+    while len(operands) > _MAX_OPERANDS:
+        head, operands = operands[:_MAX_OPERANDS], operands[_MAX_OPERANDS:]
+        later = set(out_labels).union(*(labels for _, labels in operands))
+        kept = sorted(set().union(*(labels for _, labels in head)) & later)
+        operands.insert(0, (np.einsum(*chain.from_iterable(head), kept), kept))
+    return np.einsum(*chain.from_iterable(operands), out_labels) if operands else np.ones(())
 
 
 def contract(
@@ -151,51 +216,15 @@ def contract(
     keep: Iterable[Variable],
     counter: CostCounter | None = None,
     cap: int = DEFAULT_WEB_CAP,
+    bucket: bool = False,
 ) -> Factor:
     """The product of the factors with every variable outside `keep` summed
     out, by np.einsum without materializing the product; the empty product is
-    the scalar 1. Every kept variable must occur in some factor.
-
-    The cap applies to the result only. The counter is charged, from shapes,
-    what multiplying the factors pairwise in list order and then summing out
-    costs: each fold the web of the union so far, as multiply-adds and as a
-    table; the sum the product's web as multiply-adds and the result's web as
-    a table.
-    """
-    union: dict[str, Variable] = {}
-    webs: list[int] = []
-    size = 1
-    for f in factors:
-        for v, d in zip(f.vars, f.table.shape):
-            if v.name not in union:
-                union[v.name] = v
-                size *= d
-            elif union[v.name].ty != v.ty:
-                raise SharedVarTypeMismatch(f"variable {v.name} carried two types")
-        webs.append(size)
-    keep = set(keep)
-    out = sorted_vars(v for v in union.values() if v in keep)
-    if len(out) < len(keep):
-        raise UnknownVariable(f"kept variables {sorted(v.name for v in keep - set(out))} are in no factor")
-    out_size = _web(out)
-    check_web_cap(out_size, cap)
-    if len(union) > _MAX_LABELS:
-        raise WebCapExceeded(f"contraction over {len(union)} variables, einsum takes {_MAX_LABELS}")
-    label = {name: i for i, name in enumerate(union)}
-    operands = [(f.table, [label[v.name] for v in f.vars]) for f in factors]
-    out_labels = [label[v.name] for v in out]
-    while len(operands) > _MAX_OPERANDS:
-        head, operands = operands[:_MAX_OPERANDS], operands[_MAX_OPERANDS:]
-        later = set(out_labels).union(*(labels for _, labels in operands))
-        kept = sorted(set().union(*(labels for _, labels in head)) & later)
-        operands.insert(0, (np.einsum(*chain.from_iterable(head), kept), kept))
-    table = np.einsum(*chain.from_iterable(operands), out_labels) if operands else np.ones(())
-    if counter is not None:
-        for web in webs[1:]:
-            counter.count(muladds=web, table=web)
-        if len(out) < len(union):
-            counter.count(muladds=size, table=out_size)
-    return Factor(out, table)
+    the scalar 1. Every kept variable must occur in some factor. The cap
+    applies to the result only, and with `bucket` also to the product of
+    more than one factor; the counter is charged as `_layout` says."""
+    out, labels, out_labels, _ = _layout([f.vars for f in factors], set(keep), counter, cap, bucket)
+    return Factor(out, _einsum([(f.table, ls) for f, ls in zip(factors, labels)], out_labels))
 
 
 # ---------------------------------------------------------------- reading definitions
@@ -499,7 +528,7 @@ def _read_definitions(
         # then over the binder's leaves.
         axes = bound.args + pattern_vars(binder)
         order = sorted(range(len(axes)), key=lambda k: axes[k].name)
-        table = bound.matrix.entries.reshape([web_size(v.ty) for v in axes]).transpose(order)
+        table = bound.matrix.entries.reshape([v.web for v in axes]).transpose(order)
         return Factor(tuple(axes[k] for k in order), table)
     reading = _Reading(counter, cap, readings)
     undo: list = []
@@ -596,9 +625,7 @@ def _readout(fs: FactorSet, rows: tuple[Variable, ...], output: Pattern, cap: in
     that is also in the output spans the diagonal: its output axis is a fresh
     copy tied to it by an identity factor."""
     cols = pattern_vars(output)
-    if len(fs.factors) > 1:
-        check_web_cap(_web(fs.vars()), cap)
-    g = contract(fs.factors, set(rows + cols), fs.counter, cap)
+    g = contract(fs.factors, set(rows + cols), fs.counter, cap, bucket=True)
     names = FreshNames(v.name for v in g.vars)
     copies = {v: Variable(names.fresh(v.name), v.ty) for v in cols if v in rows}
     eyes = [Factor((v, w), np.eye(web_size(v.ty))) for v, w in copies.items()]
@@ -610,42 +637,51 @@ def _readout(fs: FactorSet, rows: tuple[Variable, ...], output: Pattern, cap: in
 # ---------------------------------------------------------------- elimination
 
 
-def eliminate(
-    fs: FactorSet,
-    order: Sequence[Variable],
-    cap: int = DEFAULT_WEB_CAP,
-) -> FactorSet:
-    """Bucket elimination, one variable at a time.
-
-    Each step multiplies the factors mentioning the variable and sums it out;
-    the result set carries fresh counters and one cost record per step. An
-    index from variables to factor keys finds each bucket; it keeps the keys
-    of consumed factors, which the lookup skips. A new factor's key is below
-    every older one, so the result lists factors newest first, then the
-    untouched input factors in input order.
-    """
-    facts = dict(enumerate(fs.factors))
-    index: dict[Variable, set[int]] = defaultdict(set)
-    for k, f in facts.items():
-        for v in f.vars:
-            index[v].add(k)
+def plan_elimination(
+    scopes: Sequence[Sequence[Variable]], order: Sequence[Variable], cap: int | None = DEFAULT_WEB_CAP
+) -> tuple[list[VefStep], CostCounter]:
+    """Bucket elimination on the factors' variable tuples alone, making every
+    check of `eliminate` in step order (a cap of None makes none against
+    webs). Input factor k has key k and step j's result key -j - 1. An index
+    from variables to keys finds each bucket; it keeps the keys of consumed
+    factors, which the lookup skips."""
+    live = dict(enumerate(scopes))
+    index: dict[Variable, list[int]] = defaultdict(list)
+    for k, vs in live.items():
+        for v in set(vs):
+            index[v].append(k)
     counter = CostCounter()
     steps: list[VefStep] = []
     for key, v in enumerate(order, start=1):
-        hit = [facts.pop(k) for k in sorted(index.pop(v, ())) if k in facts]
-        if not hit:
+        keys = sorted(k for k in index.pop(v, ()) if k in live)
+        if not keys:
             raise UnknownVariable(f"variable {v.name} not present in the factor set")
-        keep = set(chain.from_iterable(f.vars for f in hit)) - {v}
-        size = _web(keep) * web_size(v.ty)
-        if len(hit) > 1:
-            check_web_cap(size, cap)
+        hit = [live.pop(k) for k in keys]
+        keep = set(chain.from_iterable(hit))
+        keep.discard(v)
         before = counter.muladds
-        summed = contract(hit, keep, counter, cap)
-        steps.append(VefStep(v, len(hit), size, counter.muladds - before))
-        facts[-key] = summed
-        for u in summed.vars:
-            index[u].add(-key)
-    return FactorSet([facts[k] for k in sorted(facts)], counter, steps)
+        out, labels, out_labels, size = _layout(hit, keep, counter, cap, True)
+        steps.append(VefStep(v, len(hit), size, counter.muladds - before, keys, labels, out_labels, out))
+        live[-key] = out
+        for u in out:
+            index[u].append(-key)
+    return steps, counter
+
+
+def eliminate(fs: FactorSet, order: Sequence[Variable], cap: int = DEFAULT_WEB_CAP) -> FactorSet:
+    """Bucket elimination, one variable at a time: the plan, then one einsum
+    per step. Each step multiplies the factors mentioning the variable and
+    sums it out; the result carries fresh counters and one cost record per
+    step, and lists the new factors newest first, then the untouched input
+    factors, the same objects, in input order."""
+    steps, counter = plan_elimination([f.vars for f in fs.factors], order, cap)
+    tables: dict[int, np.ndarray] = {}
+    for key, step in enumerate(steps, start=1):
+        operands = [(tables.pop(k) if k < 0 else fs.factors[k].table, ls) for k, ls in zip(step.keys, step.labels)]
+        tables[-key] = _einsum(operands, step.out_labels)
+    used = {k for step in steps for k in step.keys}
+    new = [Factor(steps[-k - 1].vars, tables[k]) for k in sorted(tables)]
+    return FactorSet(new + [f for k, f in enumerate(fs.factors) if k not in used], counter, steps)
 
 
 def marginal(

@@ -237,14 +237,15 @@ def _apply_plan(term: LetTerm, plan: Plan) -> tuple[LetTerm, list[RewriteStep]]:
     return term, steps
 
 
-def _gather_plan(term: LetTerm, start: int, targets: frozenset[Variable], fvs: list[frozenset[Variable]]) -> Plan:
+def _gather_plan(term: LetTerm, start: int, targets: frozenset[Variable], typings: list[Typing]) -> Plan:
     """The rules that gather the targets into definition `start`, bottom-up.
 
     Scanning down from `start`: a definition not using the targets is swapped
     past the gathered one; one using them is merged with it (mult, or swap3
     when it binds an arrow, which joins the targets) and the scan goes on
     with the targets still free below it; the last definition using them is
-    the bottom. `fvs` holds the free variables of every suffix."""
+    the bottom. `typings` are the term's `let_typings`, which give the free
+    variables of every suffix."""
     plan: Plan = []
     i = start
     while targets:
@@ -253,7 +254,7 @@ def _gather_plan(term: LetTerm, start: int, targets: frozenset[Variable], fvs: l
             plan.append((i, None, None))
         else:
             arrow, _ = pattern_split(binder)
-            targets = targets & fvs[i + 1]
+            targets = targets & typings[len(term.defs) - i - 1][1]
             if arrow is not None:
                 targets = targets | {arrow}
             elif not targets:
@@ -287,12 +288,12 @@ def eliminate_term(term: LetTerm, x: Variable) -> tuple[LetTerm, list[RewriteSte
         raise NotDefined(f"{x.name} is not defined in the term")
     if x in pattern_fv(term.output):
         raise InOutput(f"{x.name} occurs in the output pattern")
-    fvs = [typing[1] for typing in reversed(let_typings(term))]
+    typings = let_typings(term)
     plan: Plan = []
-    if x in fvs[k + 1]:
+    if x in typings[len(term.defs) - k - 1][1]:
         arrow, _ = pattern_split(term.defs[k][0])
         targets = frozenset((x,)) if arrow is None else frozenset((x, arrow))
-        plan = _gather_plan(term, k + 1, targets, fvs)
+        plan = _gather_plan(term, k + 1, targets, typings)
         plan.append((k, MULT if arrow is None else SWAP3, None))
     elif isinstance(term.defs[k][0], PLeaf):
         if k + 1 < len(term.defs):

@@ -158,9 +158,9 @@ def type_str(t: Ty) -> str:
 
 
 class Variable(_Interned):
-    """A named variable; its type must be positive or an arrow."""
+    """A named variable; its type must be positive or an arrow. `web` is its web size."""
 
-    __slots__ = ("name", "ty", "is_arrow")
+    __slots__ = ("name", "ty", "is_arrow", "web")
     _fields = ("name", "ty")
 
     def __new__(cls, name: str, ty: Ty) -> "Variable":
@@ -170,7 +170,7 @@ class Variable(_Interned):
             is_arrow = isinstance(ty, Arrow)
             if not (ty.is_positive or is_arrow):
                 raise TypeCheckError(f"variable {name} has mixed-tensor type {type_str(ty)}")
-            v = _store(key, object.__new__(cls), name=name, ty=ty, is_arrow=is_arrow)
+            v = _store(key, object.__new__(cls), name=name, ty=ty, is_arrow=is_arrow, web=ty._web_size)
         return v
 
 

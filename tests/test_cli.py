@@ -511,7 +511,8 @@ def test_barren_node_keeps_its_mass_off_the_simplex(run, tmp_path):
 
 @pytest.mark.parametrize("command", ["vef", "cost"])
 def test_vef_and_cost_extract_the_factors_once(run, sixnode_path, monkeypatch, command):
-    # The min-degree order reads factor scopes, not factors.
+    # The min-degree order reads factor scopes, not factors, and so does the
+    # plan `cost` prints: only vef builds the tables.
     calls = []
 
     def counting(*args, **kwargs):
@@ -523,7 +524,56 @@ def test_vef_and_cost_extract_the_factors_once(run, sixnode_path, monkeypatch, c
     code, out, _ = run(command, sixnode_path)
     assert code == 0
     assert out.startswith("order: x1,x4,x2,x5\n")
-    assert len(calls) == 1
+    assert len(calls) == (command == "vef")
+
+
+@pytest.mark.parametrize(
+    "n, muladds, max_table",
+    [(6, 5160, "512"), (12, 9685840, "1048576"), (14, 35332680, "4194304"), (30, 70051425081986376, "2^54")],
+)
+def test_cost_plans_grids_past_the_cap(run, tmp_path, monkeypatch, n, muladds, max_table):
+    # `cost` reads the elimination plan on the factors' scopes: it builds no
+    # table, so no cap applies, and a size past 2^32 prints as 2^k.
+    path = tmp_path / f"grid{n}.json"
+    path.write_text(json.dumps(grid_network(n, n)))
+
+    def no_einsum(*args, **kwargs):
+        raise AssertionError("np.einsum called")
+
+    monkeypatch.setattr(np, "einsum", no_einsum)
+    code, out, err = run("cost", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == [f"muladds: {muladds}", f"max_table: {max_table}"]
+
+
+def test_vef_checks_the_plan_before_computing(run, tmp_path, monkeypatch):
+    # Min-degree's 14x14 plan needs a 2^21 product: vef says so before
+    # contracting anything.
+    path = tmp_path / "grid14.json"
+    path.write_text(json.dumps(grid_network(14, 14)))
+    calls = []
+    einsum = np.einsum
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting)
+    code, out, err = run("vef", str(path))
+    assert (code, err) == (2, "error: web of size 2097152 exceeds cap 1048576\n")
+    assert out.startswith("order: ")
+    assert calls == []
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize("command", ["vef", "cost", "denote"])
+def test_web_cap_below_one_is_rejected(capsys, sixnode_path, command, cap):
+    with pytest.raises(SystemExit) as exit:
+        main([command, "--web-cap", cap, sixnode_path])
+    assert exit.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --web-cap: must be at least 1, got {cap}" in captured.err
 
 
 @pytest.mark.parametrize("n", [6, 12])

@@ -191,20 +191,53 @@ def test_contract_rejects_kept_variable_outside_the_factors():
         contract([constant_factor([A])], [A, B])
 
 
-def test_star_past_einsum_operand_limit_matches_denote():
+def _star(query: str) -> LetTerm:
+    """x with 100 children y1 .. y100."""
     leaves = [f"y{i}" for i in range(1, 101)]
     net = {
         "variables": [{"name": v} for v in ["x"] + leaves],
         "nodes": [{"var": "x", "parents": [], "cpt": [[0.3, 0.7]]}]
         + [{"var": y, "parents": ["x"], "cpt": [[0.9, 0.1], [0.2, 0.8]]} for y in leaves],
-        "query": ["x"],
+        "query": [query],
     }
-    term = network_to_program(net).term
+    return network_to_program(net).term
+
+
+def test_star_past_einsum_operand_limit_matches_denote():
+    term = _star("x")
     fs = eliminate(factors_of(term), min_degree_order(term))
     assert len(fs) > 64
     values = marginal(fs, term.output)
     assert np.allclose(values, denote(term).matrix.reshape(-1), atol=1e-12)
     assert np.allclose(values, [0.3, 0.7], atol=1e-12)
+
+
+def test_eliminate_chunks_a_bucket_past_the_operand_limit():
+    # Querying a leaf, min-degree sums the 99 other leaves out first, one
+    # factor over x each, and x's bucket then holds 101 factors: its einsum
+    # runs in chunks.
+    term = _star("y1")
+    *leaves, x = min_degree_order(term)
+    assert x.name == "x"
+    fs = eliminate(factors_of(term), leaves)
+    bucket = [f.vars for f in fs.factors if x in f.vars]
+    assert len(bucket) == 101
+    last = eliminate(fs, [x])
+    assert last.steps[0].group_size == 101
+    # The charge rule: each fold the union's web so far, then the product's
+    # web as multiply-adds and the result's as a table.
+    union: set[Variable] = set()
+    folds = []
+    for vs in bucket:
+        union.update(vs)
+        folds.append(2 ** len(union))
+    product = folds[-1]
+    assert last.counter.muladds == sum(folds[1:]) + product
+    assert last.counter.max_table == max(folds[1:] + [product // 2])
+    whole = eliminate(factors_of(term), leaves + [x])
+    assert whole.counter.muladds == fs.counter.muladds + last.counter.muladds
+    values = marginal(last, term.output)
+    assert np.allclose(values, denote(term).matrix.reshape(-1), atol=1e-12)
 
 
 def test_definition_factor_values():

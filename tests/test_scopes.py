@@ -7,12 +7,13 @@ import math
 from collections import Counter
 from itertools import permutations
 
-from lve.factors import check_factor_vars, eliminate, factors_of
+from lve.factors import check_factor_vars, eliminate, factors_of, plan_elimination
 from lve.network import network_to_program
 from lve.orderings import min_degree_order
 from lve.rewrite import ELIM, eliminate_seq
 from lve.syntax import factor_scopes, free_vars, pattern_fv, web_size
 from lve.verify import _orders, random_network
+from lve.webs import sorted_vars
 from helpers import SIXNODE_ORDER_FWD, chain, grid, order_by_name
 
 
@@ -78,6 +79,20 @@ def test_rewriting_costs_what_elimination_costs(sixnode_term):
     assert checked == 1216
     assert mismatches == []
     assert (unfolded[1], unfolded[-1]) == (474, 6)
+
+
+def test_the_plan_on_scopes_costs_what_elimination_costs(sixnode_term):
+    """vef's whole cost is known before any table exists: the plan built
+    from `factor_scopes` alone has the counters and the steps of executed
+    elimination, on all `_cases` (1216 steps)."""
+    checked = 0
+    for term, order in _cases(sixnode_term):
+        vef = eliminate(factors_of(term), order)
+        steps, counter = plan_elimination([sorted_vars(scope) for scope, _ in factor_scopes(term)], order)
+        assert counter == vef.counter
+        assert steps == vef.steps
+        checked += len(steps)
+    assert checked == 1216
 
 
 def test_evaluating_the_rewritten_term_costs_what_elimination_costs(sixnode_term):
