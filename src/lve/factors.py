@@ -64,6 +64,7 @@ from .syntax import (
     pattern_fv,
     pattern_type,
     pattern_vars,
+    walk,
     web_size,
 )
 from .webs import (
@@ -86,6 +87,8 @@ class Factor:
         if names != sorted(names):
             raise InvalidAxes(f"factor axes {names} are not sorted by name")
         arr = np.asarray(self.table, dtype=float)
+        if arr is self.table and arr.flags.writeable:
+            arr = arr.copy()  # freeze a copy, not the caller's array
         dims = tuple([v.web for v in self.vars])
         if arr.shape != dims:
             raise InvalidAxes(f"factor table of shape {arr.shape} on axes of sizes {dims}")
@@ -279,9 +282,10 @@ class _Reading:
     that mention it are contracted, one index at a time, like a vef bucket.
     Arrow variables are linear, so only positive bindings are counted. The
     indices of a variable free in the group (`free`) and those summed
-    already are `fixed`: no `Let` sums them. The walk keeps an explicit
-    stack (`read`), and a node whose reading the context recorded is not
-    walked (`reuse`)."""
+    already are `fixed`: no `Let` sums them. The reading runs on
+    `syntax.walk`, so nesting depth is not bounded by Python's recursion
+    limit, and a node whose reading the context recorded is not walked
+    (`reuse`)."""
 
     def __init__(self, counter: CostCounter, cap: int, readings: dict):
         self.counter = counter
@@ -328,8 +332,8 @@ class _Reading:
                 for a in part:
                     self.uses[self.find(a)] += 1
 
-    def unbind(self, undo: list, mark: int) -> None:
-        while len(undo) > mark:
+    def unbind(self, undo: list) -> None:
+        while undo:
             v, old = undo.pop()
             if not v.is_arrow:
                 for a in self.env[v]:
@@ -416,54 +420,32 @@ class _Reading:
         return value
 
     def read(self, e: Expr) -> tuple[Variable, ...]:
-        """The indices of an expression's value, its factors added. The walk
-        keeps an explicit stack with a frame per open `Let`, `Pair` or `Lam`:
-        the node, the value of its first child once read (a `Lam`'s
-        parameter indices), and the undo mark of the bindings it makes."""
-        stack: list[list] = []
+        """The indices of an expression's value, its factors added."""
+        return walk(e, self._visit)
+
+    def _visit(self, e: Expr):
+        got = self.readings.get(id(e))
+        value = None if got is None else self.reuse(got)
+        if value is None:
+            value = self._inner(e) if isinstance(e, (Let, Pair, Lam)) else self._leaf(e)
+        return value
+
+    def _inner(self, e: Let | Pair | Lam):
+        if isinstance(e, Pair):
+            return (yield e.fst) + (yield e.snd)
         undo: list = []
-        node = e
-        recorded = self.readings.get
-        while True:
-            got = recorded(id(node))
-            value = None if got is None else self.reuse(got)
-            if value is None:
-                if isinstance(node, Let):
-                    stack.append([node, None, len(undo)])
-                    node = node.bound
-                    continue
-                if isinstance(node, Pair):
-                    stack.append([node, None, 0])
-                    node = node.fst
-                    continue
-                if isinstance(node, Lam):
-                    param = self.atoms(_leaves(pattern_type(node.param)))
-                    stack.append([node, param, len(undo)])
-                    self.bind(node.param, param, undo)
-                    node = node.body
-                    continue
-                value = self._leaf(node)
-            while stack:
-                frame = stack[-1]
-                parent, first, mark = frame
-                if first is None:
-                    frame[1] = value
-                    if isinstance(parent, Let):
-                        self.bind(parent.binder, value, undo)
-                        node = parent.body
-                    else:
-                        node = parent.snd
-                    break
-                stack.pop()
-                if isinstance(parent, Let):
-                    self.unbind(undo, mark)
-                    self.sum_out(first, value)
-                else:
-                    if isinstance(parent, Lam):
-                        self.unbind(undo, mark)
-                    value = first + value
-            else:
-                return value
+        if isinstance(e, Let):
+            bound = yield e.bound
+            self.bind(e.binder, bound, undo)
+            value = yield e.body
+            self.unbind(undo)
+            self.sum_out(bound, value)
+            return value
+        param = self.atoms(_leaves(pattern_type(e.param)))
+        self.bind(e.param, param, undo)
+        value = param + (yield e.body)
+        self.unbind(undo)
+        return value
 
     def _leaf(self, e: Expr) -> tuple[Variable, ...]:
         if isinstance(e, Var):

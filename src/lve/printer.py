@@ -25,6 +25,7 @@ from .syntax import (
     collect_matrices,
     occurrences,
     type_str,
+    walk,
 )
 
 
@@ -63,34 +64,26 @@ def _atom_str(e: Expr) -> str:
 
 
 def expr_str(e: Expr) -> str:
-    """The walk keeps an explicit stack of subexpressions and the strings
-    between them, so nesting depth is not bounded by Python's recursion
-    limit; the pieces are joined once."""
-    if isinstance(e, (Var, MatApp, ArrowApp)):
-        return _atom_str(e)
-    pieces: list[str] = []
-    stack: list = [e]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, str):
-            pieces.append(e)
-        elif isinstance(e, Pair):
-            parts = []
-            while isinstance(e, Pair):
-                parts.append(e.fst)
-                e = e.snd
-            parts.append(e)
-            stack.append(")")
-            for q in reversed(parts[1:]):
-                stack += (q, ", ")
-            stack += (parts[0], "(")
-        elif isinstance(e, Lam):
-            stack += (e.body, f"\\{pattern_str(e.param)}. ")
-        elif isinstance(e, Let):
-            stack += (e.body, " in ", e.bound, f"let {pattern_str(e.binder)} = ")
-        else:
-            pieces.append(_atom_str(e))
-    return "".join(pieces)
+    """Runs on `syntax.walk`, so nesting depth is not bounded by Python's
+    recursion limit; an atom is printed without a generator."""
+    return walk(e, _expr_str)
+
+
+def _expr_str(e: Expr):
+    return _inner_str(e) if isinstance(e, (Let, Lam, Pair)) else _atom_str(e)
+
+
+def _inner_str(e: Let | Lam | Pair):
+    if isinstance(e, Let):
+        return f"let {pattern_str(e.binder)} = {(yield e.bound)} in {(yield e.body)}"
+    if isinstance(e, Lam):
+        return f"\\{pattern_str(e.param)}. {(yield e.body)}"
+    parts = []
+    while isinstance(e, Pair):
+        parts.append((yield e.fst))
+        e = e.snd
+    parts.append((yield e))
+    return "(" + ", ".join(parts) + ")"
 
 
 def term_str(t: Term) -> str:

@@ -72,6 +72,7 @@ from .syntax import (
     pattern_vars,
     replace_defs,
     size,
+    walk,
 )
 
 SWAP1 = "swap1"
@@ -386,7 +387,8 @@ def _flatten(e: Expr, scope: set[str], fresh: FreshNames) -> Expr:
     bound last, gives way to that part's bound. Pair components and lambda
     bodies keep their own spines. Binders that stay are renamed apart from
     `scope` while in scope, so none captures and substitution is a map (`env`).
-    A `walk` yields its children, so nesting costs no Python recursion."""
+    A `visit` yields its children to `syntax.walk`, so nesting costs no
+    Python recursion."""
     env: dict[str, Variable | None] = {}
     undo: list[tuple[str, Variable | None]] = []
     added: list[str] = []
@@ -443,7 +445,8 @@ def _flatten(e: Expr, scope: set[str], fresh: FreshNames) -> Expr:
             spine.append((rename(p), r))
         parts[at] = (p, r, start, len(spine), added[named:])
 
-    def walk(node: Expr, spine: list):
+    def visit(node_spine: tuple[Expr, list]):
+        node, spine = node_spine
         mark, named, body = len(undo), len(added), None
         if isinstance(node, Let):
             parts: list = []
@@ -466,20 +469,12 @@ def _flatten(e: Expr, scope: set[str], fresh: FreshNames) -> Expr:
         while len(undo) > mark:
             name, old = undo.pop()
             env[name] = old
-        return substitute(node, spine) if body is None else body
+        result = substitute(node, spine) if body is None else body
+        _check(result)
+        return result
 
     top: list = []
-    stack, result = [walk(e, top)], None
-    while stack:
-        try:
-            child = stack[-1].send(result)
-        except StopIteration as done:
-            stack.pop()
-            result = done.value
-            _check(result)
-        else:
-            stack.append(walk(*child))
-            result = None
+    result = walk((e, top), visit)
     scope.difference_update(added)
     return _close(top, result)
 

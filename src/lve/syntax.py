@@ -29,7 +29,8 @@ in its body.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass, field
-from typing import Container, Iterable, Iterator
+from types import GeneratorType
+from typing import Callable, Container, Iterable, Iterator
 
 import numpy as np
 
@@ -415,45 +416,43 @@ def pattern_size(p: Pattern) -> int:
 
 
 def size(t: Term) -> int:
-    """Syntactic size: one per variable occurrence, one per application head.
-    The walk keeps an explicit stack, so nesting depth is not bounded by
-    Python's recursion limit."""
-    total = 0
-    stack = [t]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Var):
-            total += 1
-        elif isinstance(e, Pair):
-            stack += (e.fst, e.snd)
-        elif isinstance(e, Let):
-            total += pattern_size(e.binder)
-            stack += (e.bound, e.body)
-        elif isinstance(e, MatApp):
-            total += 1 + len(e.args)
-        elif isinstance(e, ArrowApp):
-            total += 1 + pattern_size(e.args)
-        elif isinstance(e, Lam):
-            total += pattern_size(e.param)
-            stack.append(e.body)
-        elif isinstance(e, LetTerm):
-            total += pattern_size(e.output)
-            for binder, bound in e.defs:
-                total += pattern_size(binder)
-                stack.append(bound)
+    """Syntactic size: one per variable occurrence, binders and arrow heads
+    included, and one per matrix application; the count of `occurrences`."""
+    return sum(1 for _ in occurrences(t))
+
+
+# ---------------------------------------------------------------- walks
+
+
+def walk(root, visit: Callable):
+    """`visit(root)`, with every generator it makes driven to its end.
+
+    A visit returns a node's result, or a generator that yields the child
+    nodes it needs, is sent each child's result (itself `visit(child)`), and
+    returns the node's result. The open generators wait on one explicit
+    stack, so nesting depth is not bounded by Python's recursion limit."""
+    stack, result = [], visit(root)
+    while True:
+        if type(result) is GeneratorType:
+            stack.append(result)
+            result = None
+        elif not stack:
+            return result
+        try:
+            child = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
         else:
-            raise TypeError(f"not a term: {e!r}")
-    return total
-
-
-# ---------------------------------------------------------------- occurrences
+            result = visit(child)
 
 
 def occurrences(t: Term) -> Iterator[Variable | StochasticMatrix]:
     """Every variable occurrence, binders included, and every matrix
     occurrence, in source order: a let or definition yields its binder, then
-    its bound expression, then its body. The walk keeps an explicit stack, so
-    nesting depth is not bounded by Python's recursion limit."""
+    its bound expression, then its body. A lazy stream rather than a fold, so
+    it keeps its own explicit stack, not `walk`'s: nesting depth is not
+    bounded by Python's recursion limit."""
     stack = [t]
     while stack:
         e = stack.pop()
@@ -720,93 +719,82 @@ def _map_pattern(p: Pattern, env: dict[str, Variable]) -> Pattern:
 # ---------------------------------------------------------------- alpha equivalence
 
 
-_EXPR, _BIND, _USE, _UNDO = range(4)
-"""The jobs of `alpha_eq`'s walk: compare two expressions; bind two binder
-patterns to each other; match two patterns of used variables; and close a
-scope, undoing the bindings made since it opened."""
+def _paired(p: Pattern, q: Pattern) -> list[tuple[Variable, Variable]] | None:
+    """The variables of two patterns of one shape, paired left to right;
+    None when the shapes differ."""
+    if isinstance(p, PLeaf) and isinstance(q, PLeaf):
+        return [(p.var, q.var)]
+    if isinstance(p, PPair) and isinstance(q, PPair):
+        left, right = _paired(p.left, q.left), _paired(p.right, q.right)
+        if left is not None and right is not None:
+            return left + right
+    return None
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
     """Structural equality up to consistent renaming of bound variables; a
     let-term never equals a plain expression.
 
-    One walk with an explicit stack of jobs, so nesting depth is not bounded
-    by Python's recursion limit. The name maps `l2r` and `r2l` pair the
-    binders in scope; a closing scope restores them from an undo log, so a
+    One `walk` over the pairs of nodes. The name maps `l2r` and `r2l` pair
+    the binders in scope, and a free name maps to itself; a `Let` or `Lam`
+    binds, walks its body and rolls the maps back from an undo log, so a
     binder costs one log entry rather than a copy of the maps."""
-    if isinstance(a, LetTerm) != isinstance(b, LetTerm):
-        return False
     l2r: dict[str, str] = {}
     r2l: dict[str, str] = {}
-    log: list[tuple[dict[str, str], str, str | None]] = []
-    stack: list[tuple[int, object, object]] = []
-    if isinstance(a, LetTerm):
-        if len(a.defs) != len(b.defs):
-            return False
-        # Each binder scopes over everything after it, so the definitions
-        # open no scope of their own.
-        stack.append((_USE, a.output, b.output))
-        for (pa, ea), (pb, eb) in zip(reversed(a.defs), reversed(b.defs)):
-            stack += ((_BIND, pa, pb), (_EXPR, ea, eb))
-    else:
-        stack.append((_EXPR, a, b))
+    log: list[tuple[str, str, str, str]] = []
 
     def match(x: Variable, y: Variable) -> bool:
-        if x.ty is not y.ty:
-            return False
-        if x.name in l2r or y.name in r2l:
-            return l2r.get(x.name) == y.name and r2l.get(y.name) == x.name
-        return x.name == y.name
+        return x.ty is y.ty and l2r.get(x.name, x.name) == y.name and r2l.get(y.name, y.name) == x.name
 
-    while stack:
-        job, x, y = stack.pop()
-        if job == _UNDO:
-            while len(log) > x:
-                names, name, old = log.pop()
-                if old is None:
-                    del names[name]
-                else:
-                    names[name] = old
-            continue
+    def use(p: Pattern, q: Pattern) -> bool:
+        pairs = _paired(p, q)
+        return pairs is not None and all(match(x, y) for x, y in pairs)
+
+    def bind(p: Pattern, q: Pattern) -> bool:
+        pairs = _paired(p, q)
+        if pairs is None or any(x.ty is not y.ty for x, y in pairs):
+            return False
+        for x, y in pairs:
+            log.append((x.name, l2r.get(x.name, x.name), y.name, r2l.get(y.name, y.name)))
+            l2r[x.name], r2l[y.name] = y.name, x.name
+        return True
+
+    def inner(x, y):
+        if isinstance(x, Pair):
+            return (yield x.fst, y.fst) and (yield x.snd, y.snd)
+        if isinstance(x, LetTerm):
+            # Each binder scopes over everything after it, so the
+            # definitions open no scope of their own.
+            if len(x.defs) != len(y.defs):
+                return False
+            for (pa, ea), (pb, eb) in zip(x.defs, y.defs):
+                if not ((yield ea, eb) and bind(pa, pb)):
+                    return False
+            return use(x.output, y.output)
+        mark = len(log)
+        if isinstance(x, Let):
+            same = (yield x.bound, y.bound) and bind(x.binder, y.binder) and (yield x.body, y.body)
+        else:
+            same = bind(x.param, y.param) and (yield x.body, y.body)
+        while len(log) > mark:
+            x_name, x_old, y_name, y_old = log.pop()
+            l2r[x_name], r2l[y_name] = x_old, y_old
+        return same
+
+    def visit(pair: tuple):
+        x, y = pair
         if type(x) is not type(y):
             return False
-        if isinstance(x, PLeaf):
-            if job == _USE:
-                if not match(x.var, y.var):
-                    return False
-            elif x.var.ty is not y.var.ty:
-                return False
-            else:
-                xn, yn = x.var.name, y.var.name
-                log += ((l2r, xn, l2r.get(xn)), (r2l, yn, r2l.get(yn)))
-                l2r[xn], r2l[yn] = yn, xn
-        elif isinstance(x, PPair):
-            stack += ((job, x.right, y.right), (job, x.left, y.left))
-        elif isinstance(x, Var):
-            if not match(x.var, y.var):
-                return False
-        elif isinstance(x, MatApp):
-            if not (
+        if isinstance(x, Var):
+            return match(x.var, y.var)
+        if isinstance(x, MatApp):
+            return (
                 x.matrix.name == y.matrix.name
                 and len(x.args) == len(y.args)
                 and all(match(u, w) for u, w in zip(x.args, y.args))
-            ):
-                return False
-        elif isinstance(x, ArrowApp):
-            if not match(x.fn, y.fn):
-                return False
-            stack.append((_USE, x.args, y.args))
-        elif isinstance(x, Pair):
-            stack += ((_EXPR, x.snd, y.snd), (_EXPR, x.fst, y.fst))
-        elif isinstance(x, Lam):
-            stack += ((_UNDO, len(log), None), (_EXPR, x.body, y.body), (_BIND, x.param, y.param))
-        elif isinstance(x, Let):
-            stack += (
-                (_UNDO, len(log), None),
-                (_EXPR, x.body, y.body),
-                (_BIND, x.binder, y.binder),
-                (_EXPR, x.bound, y.bound),
             )
-        else:
-            return False
-    return True
+        if isinstance(x, ArrowApp):
+            return match(x.fn, y.fn) and use(x.args, y.args)
+        return isinstance(x, (Pair, Lam, Let, LetTerm)) and inner(x, y)
+
+    return walk((a, b), visit)

@@ -138,7 +138,7 @@ def test_vel_reads_out_a_long_chain(tmp_path, capsys):
 
 def test_vel_emits_the_term_of_a_long_chain(tmp_path, capsys):
     # The printer walks vel's merged definition, two nested lets per
-    # eliminated variable, with an explicit stack.
+    # eliminated variable, on syntax.walk.
     assert sys.getrecursionlimit() <= 1000
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(chain_network(VEL_LENGTH)))
@@ -150,7 +150,7 @@ def test_vel_emits_the_term_of_a_long_chain(tmp_path, capsys):
 
 def test_vel_simplifies_the_term_of_a_long_chain(tmp_path, capsys):
     # simplify reads vel's merged definition back as one flat spine, one let
-    # per message passed down the chain, in one walk with an explicit stack.
+    # per message passed down the chain, in one walk on syntax.walk.
     assert sys.getrecursionlimit() <= 1000
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(chain_network(VEL_LENGTH)))
@@ -167,7 +167,7 @@ def test_vel_simplifies_the_term_of_a_long_chain(tmp_path, capsys):
 
 def test_alpha_eq_compares_the_term_of_a_long_chain():
     # vel's merged definition nests two lets per eliminated variable; alpha_eq
-    # walks it with an explicit stack and undoes each scope's bindings.
+    # walks it on syntax.walk and undoes each scope's bindings.
     assert sys.getrecursionlimit() <= 1000
     term = network_to_program(chain_network(VEL_LENGTH)).term
     final, _ = eliminate_seq(term, min_degree_order(term))

@@ -56,6 +56,17 @@ def test_no_module_imports_a_name_it_never_uses():
         assert imported <= used, f"{path.name} never uses {sorted(imported - used)}"
 
 
+def test_only_syntax_drives_generators():
+    # Deep terms are walked by one trampoline, syntax.walk; a module that
+    # sends to a generator itself has grown a second one.
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "syntax.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                assert node.func.attr != "send", f"{path.name}:{node.lineno}"
+
+
 def _lve_imports(module: str) -> set[str]:
     """The lve modules a module of the package imports from."""
     found = set()

@@ -22,6 +22,7 @@ from lve.errors import (
     UnusedArrowBinder,
 )
 from lve import syntax
+from lve.factors import Factor
 from lve.network import network_to_program
 from lve.parser import parse_program
 from lve.rewrite import apply_rule, simplify
@@ -135,6 +136,16 @@ def test_a_matrix_freezes_a_copy_of_the_callers_array():
     assert not m.entries.flags.writeable
     # An array already read-only is kept as it is.
     assert StochasticMatrix("N", (), BOOL, m.entries).entries is m.entries
+
+
+def test_a_factor_freezes_a_copy_of_the_callers_array():
+    a = np.array([0.5, 0.5])
+    f = Factor((bvar("a"),), a)
+    a[0] = 0.25  # the caller's array stays writable
+    assert f.table.tolist() == [0.5, 0.5]
+    assert not f.table.flags.writeable
+    # An array already read-only is kept as it is.
+    assert Factor((bvar("a"),), f.table).table is f.table
 
 
 def test_tensor_left_must_be_positive():
@@ -409,10 +420,42 @@ def test_alpha_eq_distinguishes_free_vars():
 
 def test_alpha_eq_distinguishes_structure():
     m = matrix("M", 0, [[0.5, 0.5]])
-    x = bvar("x")
+    x, y = bvar("x"), bvar("y")
     a = LetTerm(((PLeaf(x), MatApp(m, ())),), PLeaf(x))
     b = LetTerm((), PLeaf(x))
     assert not alpha_eq(a, b)
+    # Let-terms of different lengths, and ones with different outputs.
+    two = a.defs + ((PLeaf(y), MatApp(m, ())),)
+    assert not alpha_eq(a, LetTerm(two, PLeaf(x)))
+    assert not alpha_eq(LetTerm(two, PLeaf(x)), a)
+    assert alpha_eq(LetTerm(two, PLeaf(y)), LetTerm(two, PLeaf(y)))
+    assert not alpha_eq(LetTerm(two, PLeaf(x)), LetTerm(two, PLeaf(y)))
+    assert not alpha_eq(LetTerm(two, nest_vars([x, y])), LetTerm(two, nest_vars([y, x])))
+
+
+def test_alpha_eq_compares_binder_shapes():
+    a, b, c = bvar("a"), bvar("b"), bvar("c")
+    right = PPair(PLeaf(a), PPair(PLeaf(b), PLeaf(c)))
+    left = PPair(PPair(PLeaf(a), PLeaf(b)), PLeaf(c))
+    out = pattern_to_expr(nest_vars([a, b, c]))
+    assert alpha_eq(Lam(right, out), Lam(right, out))
+    assert not alpha_eq(Lam(right, out), Lam(left, out))
+    m = matrix("M", 0, [[0.125] * 8], out=pattern_type(right))
+    assert not alpha_eq(LetTerm(((right, MatApp(m, ())),), PLeaf(a)), LetTerm(((left, MatApp(m, ())),), PLeaf(a)))
+
+
+def test_alpha_eq_compares_applications():
+    x, y = bvar("x"), bvar("y")
+    f, g = Variable("f", Arrow(BOOL, BOOL)), Variable("g", Arrow(BOOL, BOOL))
+    assert alpha_eq(ArrowApp(f, PLeaf(x)), ArrowApp(f, PLeaf(x)))
+    assert not alpha_eq(ArrowApp(f, PLeaf(x)), ArrowApp(g, PLeaf(x)))
+    h = Variable("h", Arrow(Tensor(BOOL, BOOL), BOOL))
+    xy, yx = PPair(PLeaf(x), PLeaf(y)), PPair(PLeaf(y), PLeaf(x))
+    assert alpha_eq(ArrowApp(h, xy), ArrowApp(h, xy))
+    assert not alpha_eq(ArrowApp(h, xy), ArrowApp(h, yx))
+    m, n = matrix("M", 1, [[0.5, 0.5], [0.5, 0.5]]), matrix("N", 1, [[0.5, 0.5], [0.5, 0.5]])
+    assert alpha_eq(MatApp(m, (x,)), MatApp(m, (x,)))
+    assert not alpha_eq(MatApp(m, (x,)), MatApp(n, (x,)))
 
 
 def test_alpha_eq_respects_scopes():
@@ -441,6 +484,24 @@ def test_size_counts_nodes():
     assert size(Var(x)) < size(Pair(Var(x), Var(x)))
     term = coin_copy_term()
     assert size(term) == size(nested_lets(term))
+    # let (a, b) = M(x) in \u. f (u, a): the binder's 2 variables, the head
+    # M and its argument, the parameter u, then the head f and its 2 arguments.
+    a, b, u = bvar("a"), bvar("b"), bvar("u")
+    f = Variable("f", Arrow(Tensor(BOOL, BOOL), BOOL))
+    m = matrix("M", 1, [[0.25] * 4] * 2, out=Tensor(BOOL, BOOL))
+    body = Lam(PLeaf(u), ArrowApp(f, PPair(PLeaf(u), PLeaf(a))))
+    term = Let(PPair(PLeaf(a), PLeaf(b)), MatApp(m, (x,)), body)
+    assert size(term) == 8
+    # As a definition of a let-term with output a: 2 + 2, then 1.
+    assert size(LetTerm(((PPair(PLeaf(a), PLeaf(b)), MatApp(m, (x,))),), PLeaf(a))) == 5
+
+
+@pytest.mark.parametrize("sample, expected", [("sixnode.lve", 20), ("coin_copy.lve", 8)])
+def test_size_of_the_samples_by_hand(samples_dir, sample, expected):
+    # sixnode: x1 = M1 and x4 = M4 count 2 each, the one-argument matrix
+    # applications 3 each, the two-argument ones 4 each, the output 2.
+    # coin_copy: x = Coin 2, (y, z) = Copy(x) 4, the output 2.
+    assert size(parse_program((samples_dir / sample).read_text()).term) == expected
 
 
 def test_let_term_round_trip():
