@@ -33,8 +33,8 @@ the relation it folds into: a rewritten term that shares its tail with one
 denoted before (`syntax.replace_defs`) folds only the definitions up to the
 end of the rewritten window again, and `denote_suffix` stops the fold at a
 given definition, so comparing two terms there folds no definition above it.
-A memo hit charges nothing. The context
-also holds the factor reading's memo, which `denote` does not use.
+A memo hit charges nothing. An expression is folded in one `syntax.walk`.
+The context also holds the factor reading's memo, which `denote` does not use.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ from .syntax import (
     pattern_type,
     pattern_vars,
     typecheck,
+    walk,
     web_size,
 )
 from .webs import check_web_cap, ht, sorted_vars
@@ -193,27 +194,31 @@ def _check_axes(n: int) -> None:
 
 def _denote(e: Expr, ctx: DenoteContext) -> Relation:
     """Denotation of an expression and of every subexpression not in the
-    memo yet. The walk keeps an explicit stack, so nesting depth is not
-    bounded by Python's recursion limit: a node is pushed back above its
-    children and its clause runs once they are denoted."""
-    rel = ctx.lookup(e)
-    if rel is not None:
-        return rel
-    stack = [(e, False)]
-    while stack:
-        node, ready = stack.pop()
-        if ready:
-            rel = ctx.store(node, _clause(node, ctx))
-        elif ctx.lookup(node) is None:
-            stack.append((node, True))
-            stack += ((c, False) for c in reversed(_children(node)))
-    # `e` was not in the memo, so its clause ran last.
-    return rel
+    memo yet, on `syntax.walk`: a leaf's clause runs on its visit, that of a
+    pair, lambda or let on its children's denotations."""
+    def visit(node):
+        rel = ctx.lookup(node)
+        if rel is not None:
+            return rel
+        if isinstance(node, (Pair, Lam, Let)):
+            return inner(node)
+        return ctx.store(node, _clause(node, ctx))
+
+    def inner(node):
+        if isinstance(node, Pair):
+            children = (yield node.fst), (yield node.snd)
+        elif isinstance(node, Lam):
+            children = ((yield node.body),)
+        else:
+            children = (yield node.bound), (yield node.body)
+        return ctx.store(node, _clause(node, ctx, *children))
+
+    return walk(e, visit)
 
 
-def _clause(e: Expr, ctx: DenoteContext) -> Relation:
-    """One clause of the semantics, on the denotations of the children, which
-    are in the memo."""
+def _clause(e: Expr, ctx: DenoteContext, *children: Relation) -> Relation:
+    """One clause of the semantics, on the denotations of the children, in
+    the order the clause reads them."""
     if isinstance(e, Var):
         n = web_size(e.var.ty)
         return Relation((e.var,), e.var.ty, np.eye(_table(ctx, n, n)))
@@ -241,9 +246,6 @@ def _clause(e: Expr, ctx: DenoteContext) -> Relation:
 
     if not isinstance(e, (Pair, Lam, Let)):
         raise TypeError(f"not an expression: {e!r}")
-    children = [ctx.lookup(c) for c in _children(e)]
-    if any(c is None for c in children):
-        raise TypeError(f"children not denoted yet: {e!r}")
 
     if isinstance(e, Pair):
         # (S, B1 x c1, 1) @ (S, 1, B2 x c2): an outer product batched over
@@ -290,20 +292,7 @@ def _clause(e: Expr, ctx: DenoteContext) -> Relation:
             table = np.broadcast_to(table, [n] + _dims(leaves) + [rb.matrix.shape[1]])
         return Relation(rows, ty, table.reshape(n, -1))
 
-    rb, rk = children
-    return _let(e.binder, rb, rk, ctx)
-
-
-def _children(e: Expr) -> tuple[Expr, ...]:
-    """The subexpressions whose denotations the clause of `e` reads, in the
-    order it takes them."""
-    if isinstance(e, Pair):
-        return (e.fst, e.snd)
-    if isinstance(e, Lam):
-        return (e.body,)
-    if isinstance(e, Let):
-        return (e.bound, e.body)
-    return ()
+    return _let(e.binder, *children, ctx)
 
 
 def _let(binder: Pattern, rb: Relation, rk: Relation, ctx: DenoteContext) -> Relation:

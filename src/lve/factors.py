@@ -519,20 +519,12 @@ def _read_definitions(
     return reading.factor(scope)
 
 
-def definition_factor(
-    binder: Pattern,
-    bound: Expr,
-    ctx: DenoteContext | None = None,
-    counter: CostCounter | None = None,
-) -> Factor:
-    """The factor of one definition: its variables are the free variables of
-    the expression plus the binder's variables, its value the bound
-    expression read as a factor expression (`_Reading`)."""
-    if ctx is None:
-        ctx = DenoteContext()
+def definition_factor(binder: Pattern, bound: Expr) -> Factor:
+    """The factor of one definition at the default web cap: its variables are
+    the bound's free variables and the binder's, its value the bound read as
+    a factor expression (`_Reading`)."""
     scope = free_vars(bound) | pattern_fv(binder)
-    counter = CostCounter() if counter is None else counter
-    return _read_definitions(((binder, bound),), scope, counter, ctx.web_cap, ctx.readings)
+    return _read_definitions(((binder, bound),), scope, CostCounter(), DEFAULT_WEB_CAP, {})
 
 
 def factors_of(term: LetTerm, ctx: DenoteContext | None = None) -> FactorSet:

@@ -37,10 +37,9 @@ from .syntax import (
     LetTerm,
     MatApp,
     PLeaf,
-    PPair,
-    Pattern,
     StochasticMatrix,
     Variable,
+    nest_vars,
 )
 
 _NAME_RE = re.compile(r"[a-z_][A-Za-z0-9_']*\Z")
@@ -63,9 +62,7 @@ def network_to_program(data: dict) -> SourceProgram:
         args = tuple(Variable(p, BOOL) for p in parents)
         defs.append((PLeaf(Variable(name, BOOL)), MatApp(m, args)))
 
-    out: Pattern = PLeaf(Variable(query[-1], BOOL))
-    for q in reversed(query[:-1]):
-        out = PPair(PLeaf(Variable(q, BOOL)), out)
+    out = nest_vars(Variable(q, BOOL) for q in query)
     return SourceProgram(matrices, {}, LetTerm(tuple(defs), out))
 
 

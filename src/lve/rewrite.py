@@ -97,15 +97,9 @@ class RewriteStep:
 
 @dataclass
 class Trace:
-    """A rewrite derivation with the term recorded after each elimination."""
+    """A rewrite derivation: its rule applications in order."""
 
-    initial: LetTerm
     steps: list[RewriteStep] = field(default_factory=list)
-    checkpoints: list[tuple[Variable, LetTerm]] = field(default_factory=list)
-
-    @property
-    def final(self) -> LetTerm:
-        return self.steps[-1].after if self.steps else self.initial
 
 
 def apply_rule(
@@ -314,12 +308,11 @@ def eliminate_seq(term: LetTerm, order: Sequence[Variable]) -> tuple[LetTerm, Tr
     """Eliminate several variables left to right. Each term of the run
     carries its name census on from the one before, so swap2's names are
     fresh for the whole run: `g__1`, `g__2`, ... in step order."""
-    trace = Trace(term)
+    trace = Trace()
     cur = term
     for x in order:
         cur, steps = eliminate_term(cur, x)
         trace.steps.extend(steps)
-        trace.checkpoints.append((x, cur))
     return cur, trace
 
 
@@ -341,10 +334,6 @@ class SizeBound:
     @property
     def steps_ok(self) -> bool:
         return self.steps <= self.step_limit
-
-    @property
-    def ok(self) -> bool:
-        return self.size_ok and self.steps_ok
 
 
 def size_bound(before: LetTerm, touched: Sequence[Iterable[Variable]], after: LetTerm, steps: int) -> SizeBound:

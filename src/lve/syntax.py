@@ -148,14 +148,15 @@ def web_size(t: Ty) -> int:
 
 
 def type_str(t: Ty) -> str:
-    """Concrete syntax for a type, reparsable by the frontend."""
-    if isinstance(t, Bool):
-        return "Bool"
-    if isinstance(t, Tensor):
-        return f"({type_str(t.left)} * {type_str(t.right)})"
-    if isinstance(t, Arrow):
-        return f"({type_str(t.input)} -o {type_str(t.result)})"
-    raise TypeError(f"not a type: {t!r}")
+    """Concrete syntax for a type, reparsable by the frontend. Right
+    components are read in a loop; only left components recurse."""
+    opened = []
+    while isinstance(t, (Tensor, Arrow)):
+        op, left, t = ("*", t.left, t.right) if isinstance(t, Tensor) else ("-o", t.input, t.result)
+        opened.append(f"({type_str(left)} {op} ")
+    if not isinstance(t, Bool):
+        raise TypeError(f"not a type: {t!r}")
+    return "".join(opened) + "Bool" + ")" * len(opened)
 
 
 class Variable(_Interned):
@@ -200,11 +201,15 @@ class PPair(Pattern):
 
 
 def pattern_vars(p: Pattern) -> tuple[Variable, ...]:
-    """Pattern variables, left to right."""
+    """Pattern variables, left to right. Like the other pattern helpers, it
+    reads the right spine in a loop and recurses only into left parts."""
     if isinstance(p, PLeaf):
         return (p.var,)
-    assert isinstance(p, PPair)
-    return pattern_vars(p.left) + pattern_vars(p.right)
+    out: list[Variable] = []
+    while isinstance(p, PPair):
+        out += pattern_vars(p.left)
+        p = p.right
+    return (*out, p.var)
 
 
 def pattern_fv(p: Pattern) -> frozenset[Variable]:
@@ -213,13 +218,16 @@ def pattern_fv(p: Pattern) -> frozenset[Variable]:
 
 def pattern_type(p: Pattern) -> Ty:
     """Type of a pattern; rejects arrow variables in pair-left position."""
-    if isinstance(p, PLeaf):
-        return p.var.ty
-    assert isinstance(p, PPair)
-    lt = pattern_type(p.left)
-    if not lt.is_positive:
-        raise InvalidPattern("arrow variable must be rightmost in a pattern")
-    return Tensor(lt, pattern_type(p.right))
+    lefts: list[Ty] = []
+    while isinstance(p, PPair):
+        lefts.append(pattern_type(p.left))
+        if not lefts[-1].is_positive:
+            raise InvalidPattern("arrow variable must be rightmost in a pattern")
+        p = p.right
+    t = p.var.ty
+    for lt in reversed(lefts):
+        t = Tensor(lt, t)
+    return t
 
 
 def pattern_split(p: Pattern) -> tuple[Variable | None, Pattern | None]:
@@ -361,10 +369,14 @@ class Let(Expr):
 
 
 def pattern_to_expr(p: Pattern) -> Expr:
-    if isinstance(p, PLeaf):
-        return Var(p.var)
-    assert isinstance(p, PPair)
-    return Pair(pattern_to_expr(p.left), pattern_to_expr(p.right))
+    lefts: list[Expr] = []
+    while isinstance(p, PPair):
+        lefts.append(pattern_to_expr(p.left))
+        p = p.right
+    e: Expr = Var(p.var)
+    for left in reversed(lefts):
+        e = Pair(left, e)
+    return e
 
 
 @dataclass(frozen=True)
@@ -409,10 +421,6 @@ def free_vars(t: Term) -> frozenset[Variable]:
 
 
 # ---------------------------------------------------------------- size
-
-
-def pattern_size(p: Pattern) -> int:
-    return len(pattern_vars(p))
 
 
 def size(t: Term) -> int:
@@ -501,7 +509,12 @@ Typing = tuple[Ty, frozenset[Variable], frozenset[Variable]]
 
 def _check(e: Expr) -> Typing:
     """Returns (type, free variables, free arrow variables), and keeps them
-    on the node (`Expr._typing`)."""
+    on the node and each subexpression (`Expr._typing`), in one `walk`."""
+    return getattr(e, "_typing", None) or walk(e, _typing)
+
+
+def _typing(e: Expr):
+    """`_check`'s visit: a typing, or a generator typing a pair, lambda or let."""
     typing = getattr(e, "_typing", None)
     if typing is not None:
         return typing
@@ -534,9 +547,18 @@ def _check(e: Expr) -> Typing:
                 f"{e.fn.name} wants {type_str(e.fn.ty.input)}, argument has {type_str(at)}"
             )
         typing = e.fn.ty.result, pattern_fv(e.args) | {e.fn}, frozenset((e.fn,))
-    elif isinstance(e, Pair):
-        t1, fv1, fa1 = _check(e.fst)
-        t2, fv2, fa2 = _check(e.snd)
+    elif isinstance(e, (Pair, Lam, Let)):
+        return _typed(e)
+    else:
+        raise TypeError(f"not an expression: {e!r}")
+    object.__setattr__(e, "_typing", typing)
+    return typing
+
+
+def _typed(e: Pair | Lam | Let):
+    if isinstance(e, Pair):
+        t1, fv1, fa1 = yield e.fst
+        t2, fv2, fa2 = yield e.snd
         if not t1.is_positive:
             raise TypeCheckError("first pair component must have positive type")
         if fa1 & fa2:
@@ -546,13 +568,11 @@ def _check(e: Expr) -> Typing:
         pt = pattern_type(e.param)
         if not pt.is_positive:
             raise NonPositiveLamParam("lambda parameter pattern must be positive")
-        bt, fv, fa = _check(e.body)
+        bt, fv, fa = yield e.body
         pv = pattern_fv(e.param)
         typing = Arrow(pt, bt), fv - pv, fa - pv
-    elif isinstance(e, Let):
-        typing = _bind(e.binder, _check(e.bound), _check(e.body))
     else:
-        raise TypeError(f"not an expression: {e!r}")
+        typing = _bind(e.binder, (yield e.bound), (yield e.body))
     object.__setattr__(e, "_typing", typing)
     return typing
 
@@ -722,12 +742,15 @@ def _map_pattern(p: Pattern, env: dict[str, Variable]) -> Pattern:
 def _paired(p: Pattern, q: Pattern) -> list[tuple[Variable, Variable]] | None:
     """The variables of two patterns of one shape, paired left to right;
     None when the shapes differ."""
+    pairs: list[tuple[Variable, Variable]] = []
+    while isinstance(p, PPair) and isinstance(q, PPair):
+        left = _paired(p.left, q.left)
+        if left is None:
+            return None
+        pairs += left
+        p, q = p.right, q.right
     if isinstance(p, PLeaf) and isinstance(q, PLeaf):
-        return [(p.var, q.var)]
-    if isinstance(p, PPair) and isinstance(q, PPair):
-        left, right = _paired(p.left, q.left), _paired(p.right, q.right)
-        if left is not None and right is not None:
-            return left + right
+        return pairs + [(p.var, q.var)]
     return None
 
 

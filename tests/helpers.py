@@ -16,6 +16,7 @@ import numpy as np
 
 from lve.denote import Relation, denote
 from lve.factors import Factor, definition_factor, factors_allclose, relation_from_factors
+from lve.rewrite import eliminate_term
 from lve.syntax import (
     BOOL,
     TOL,
@@ -191,6 +192,16 @@ def _def_weight(target: WebElem, e: Expr, asg: Assignment) -> float:
 def order_by_name(term: LetTerm, names) -> list[Variable]:
     by = {v.name: v for v in term.defined_vars()}
     return [by[n] for n in names]
+
+
+def eliminations(term: LetTerm, order) -> list[tuple[Variable, LetTerm]]:
+    """Each variable of `order` with the term reached once it is eliminated,
+    by `eliminate_term` one variable at a time from `term`."""
+    reached = []
+    for x in order:
+        term, _ = eliminate_term(term, x)
+        reached.append((x, term))
+    return reached
 
 
 def is_normal_form(term: LetTerm) -> bool:

@@ -34,6 +34,7 @@ from helpers import (
     SIXNODE_ORDER_FWD,
     coin_copy_term,
     coin_pair_expr,
+    eliminations,
     order_by_name,
 )
 
@@ -83,11 +84,12 @@ def test_criterion_2_golden_elimination_matches_recorded_terms(golden_run):
     assert len(trace.steps) <= 14
     assert elapsed < 1.0
     recorded = ["after_x1", "after_x2", "after_x4", "after_x5"]
-    assert len(trace.checkpoints) == len(recorded)
-    for (var, reached), name in zip(trace.checkpoints, recorded):
+    reached = eliminations(term, order_by_name(term, SIXNODE_ORDER_FWD))
+    assert len(reached) == len(recorded)
+    for (var, after), name in zip(reached, recorded):
         expected = parse_program((golden / f"{name}.lve").read_text()).term
-        assert alpha_eq(reached, expected), f"after {var.name}: differs from {name}"
-    assert alpha_eq(final, trace.checkpoints[-1][1])
+        assert alpha_eq(after, expected), f"after {var.name}: differs from {name}"
+    assert alpha_eq(final, reached[-1][1])
 
 
 def test_criterion_2_each_step_preserves_type_and_denotation(golden_run):
@@ -172,8 +174,8 @@ def test_criterion_8_mass_tracks_type_height(suite, golden_run):
     assert [f for f in suite.failures if f.check == "mass"] == []
     # After its second elimination, the worked example binds a pair holding an
     # arrow; that closed subterm carries mass 2, the height of its type.
-    _, _, _, trace, _ = golden_run
-    binder, bound = trace.checkpoints[1][1].defs[0]
+    _, term, _, _, _ = golden_run
+    binder, bound = eliminations(term, order_by_name(term, SIXNODE_ORDER_FWD))[1][1].defs[0]
     ty = pattern_type(binder)
     assert ht(ty) == 2
     rel = denote(bound)

@@ -12,17 +12,34 @@ import pytest
 from lve import syntax
 from lve.cli import main
 from lve.denote import DenoteContext, denote, joint_vector
+from lve.errors import PatternTypeMismatch
 from lve.factors import eliminate, factors_of, marginal
-from lve.network import network_to_program
+from lve.network import load_network, network_to_program
 from lve.orderings import min_degree_order
 from lve.parser import parse_program
 from lve.printer import program_str
 from lve.rewrite import eliminate_seq, simplify
-from lve.syntax import Let, LetTerm, Variable, alpha_eq, collect_names, free_vars, occurrences, size, typecheck
+from lve.syntax import (
+    BOOL,
+    Let,
+    LetTerm,
+    MatApp,
+    PLeaf,
+    StochasticMatrix,
+    Var,
+    Variable,
+    alpha_eq,
+    collect_names,
+    free_vars,
+    occurrences,
+    size,
+    typecheck,
+)
 from helpers import chain_network, grid_network, rename
 
 LENGTH = 2000
 VEL_LENGTH = 1000
+WIDTH = 3000
 
 
 def test_long_chain_runs_every_route_but_vel(tmp_path, capsys):
@@ -187,3 +204,66 @@ def test_alpha_eq_compares_the_term_of_a_long_chain():
     (free,) = {v.name for v in free_vars(inner)} - {v.name for v in free_vars(bound)}
     assert alpha_eq(inner, rename(inner, {n: f"{n}_r" for n in collect_names(inner) - {free}}))
     assert not alpha_eq(inner, rename(inner, {free: f"{free}_r"}))
+
+
+def _coin_definitions() -> str:
+    return "matrix C : -> Bool = [0.5, 0.5];\n" + "".join(f"a{i} = C;\n" for i in range(WIDTH))
+
+
+def _tuple(base: str) -> str:
+    return "(" + ", ".join(f"{base}{i}" for i in range(WIDTH)) + ")"
+
+
+def test_a_deep_let_nest_types_and_denotes():
+    # Typing and the semantics both fold an expression on syntax.walk, so a
+    # let nested 3000 deep is read under the default recursion limit.
+    assert sys.getrecursionlimit() <= 1000
+    start = StochasticMatrix("C", (), BOOL, np.array([[0.3, 0.7]]))
+    # Each step keeps t with probability 0.999, so every fold shows in the
+    # result: t ends at 0.3 * 0.999^3000, about 0.015.
+    step = StochasticMatrix("M", (BOOL,), BOOL, np.array([[0.999, 0.001], [0.0, 1.0]]))
+    xs = [Variable(f"a{i}", BOOL) for i in range(WIDTH + 1)]
+    e = Var(xs[-1])
+    for i in range(WIDTH, 0, -1):
+        e = Let(PLeaf(xs[i]), MatApp(step, (xs[i - 1],)), e)
+    e = Let(PLeaf(xs[0]), MatApp(start, ()), e)
+    assert typecheck(e) is BOOL
+    rel = denote(e)
+    assert rel.vars == ()
+    kept = 0.3 * 0.999**WIDTH
+    assert np.allclose(rel.matrix, [[kept, 1 - kept]], atol=1e-9)
+
+
+def test_a_wide_tuple_against_a_bool_binder_is_a_type_error():
+    # The bound is a 3000-component tuple; the mismatch message prints its
+    # type, whose right spine `type_str` reads in a loop.
+    term = parse_program(f"{_coin_definitions()}t = {_tuple('a')};\nin t\n").term
+    with pytest.raises(PatternTypeMismatch, match=r"^binder has type Bool, bound expression has \(Bool \* \(Bool"):
+        typecheck(term)
+
+
+def test_a_wide_pattern_binds_and_compares():
+    # A 3000-leaf binder: the pattern helpers read its right spine in a loop.
+    term = parse_program(f"{_coin_definitions()}{_tuple('b')} = {_tuple('a')};\nin (b0, b2999)\n").term
+    assert typecheck(term) is not BOOL
+    assert alpha_eq(term, term)
+
+
+def test_a_network_querying_1200_variables_loads(tmp_path, capsys):
+    # The output pattern is right-nested over the query (`nest_vars`); it
+    # loads and types, and `check` stops at the web cap, not the recursion
+    # limit.
+    names = [f"v{i}" for i in range(1200)]
+    net = {
+        "variables": [{"name": n} for n in names],
+        "nodes": [{"var": n, "parents": [], "cpt": [[0.5, 0.5]]} for n in names],
+        "query": names,
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(net))
+    program = load_network(path)
+    assert len(program.term.defs) == 1200
+    typecheck(program.term)
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "web of size" in err and "exceeds cap" in err

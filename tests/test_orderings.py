@@ -7,10 +7,9 @@ from lve.denote import DenoteContext
 from lve.factors import factors_of
 from lve.network import network_to_program
 from lve.orderings import elimination_candidates, min_degree_order, random_order
-from lve.rewrite import eliminate_seq
 from lve.syntax import BOOL
 from lve.verify import GeneratorConfig, random_network
-from helpers import SIXNODE_ORDER_REV, chain, grid, order_by_name
+from helpers import SIXNODE_ORDER_REV, chain, eliminations, grid, order_by_name
 
 
 def test_candidates_are_hidden_positive_vars(sixnode_term):
@@ -37,8 +36,8 @@ def test_min_degree_covers_all_candidates(sixnode_term):
 def test_min_degree_leaves_the_context_untouched(sixnode_term):
     # Ordering reads the types alone: it charges the context nothing and
     # memoizes no denotation, also on rewritten terms holding arrows.
-    _, trace = eliminate_seq(sixnode_term, order_by_name(sixnode_term, SIXNODE_ORDER_REV))
-    for term in [sixnode_term] + [t for _, t in trace.checkpoints]:
+    reached = eliminations(sixnode_term, order_by_name(sixnode_term, SIXNODE_ORDER_REV))
+    for term in [sixnode_term] + [t for _, t in reached]:
         ctx = DenoteContext()
         min_degree_order(term, ctx)
         assert ctx.counter == CostCounter()

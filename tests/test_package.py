@@ -67,6 +67,21 @@ def test_only_syntax_drives_generators():
                 assert node.func.attr != "send", f"{path.name}:{node.lineno}"
 
 
+def test_only_walk_and_occurrences_keep_a_stack():
+    # Every fold over expressions runs on syntax.walk; occurrences is a lazy
+    # stream with its own stack. A `while stack:` loop anywhere else is a
+    # second trampoline.
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.While) and getattr(node.test, "id", None) == "stack":
+                        found.add(f"{path.stem}.{fn.name}")
+    assert "syntax.occurrences" in found
+    assert found <= {"syntax.walk", "syntax.occurrences"}, sorted(found)
+
+
 def _lve_imports(module: str) -> set[str]:
     """The lve modules a module of the package imports from."""
     found = set()

@@ -62,6 +62,7 @@ from helpers import (
     bvar,
     is_normal_form,
     coin_matrix,
+    eliminations,
     matrix,
     order_by_name,
 )
@@ -375,10 +376,11 @@ def test_eliminate_seq_golden_step_list(sixnode_term):
         (s.rule, s.position, s.var.name if s.var else None) for s in trace.steps
     )
     assert got == SIXNODE_GOLDEN_STEPS
-    assert trace.initial == sixnode_term
-    assert trace.final == final
-    assert [v.name for v, _ in trace.checkpoints] == ["x1", "x2", "x4", "x5"]
-    assert trace.checkpoints[-1][1] == final
+    assert trace.steps[0].before == sixnode_term
+    assert trace.steps[-1].after == final
+    reached = eliminations(sixnode_term, order)
+    assert [v.name for v, _ in reached] == ["x1", "x2", "x4", "x5"]
+    assert reached[-1][1] == final
     assert len(final.defs) == 1
 
 
@@ -406,7 +408,7 @@ def test_size_bound_check(sixnode_term):
         x = order_by_name(sixnode_term, [name])[0]
         after, steps = eliminate_term(sixnode_term, x)
         bound = size_bound(sixnode_term, [f.vars for f in factors if x in f.vars], after, len(steps))
-        assert bound.ok, f"{name}: {bound}"
+        assert bound.size_ok and bound.steps_ok, f"{name}: {bound}"
         assert bound.steps <= bound.step_limit == len(sixnode_term.defs)
 
 
