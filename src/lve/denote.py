@@ -1,27 +1,31 @@
 """Weighted-relation semantics of terms.
 
 A term denotes a nonnegative matrix indexed by assignments of its free
-variables (rows, sorted-name order) and web elements of its type (columns,
-canonical order). Variables denote identities, matrix applications their
-tables, pairs multiply on shared rows, lets sum the bound value over the
-binder's web, lambdas move the parameter from rows into columns, and arrow
-applications are deltas linking the arrow variable's web element to argument
-and result.
+variables (rows) and web elements of its type (columns, canonical order).
+Variables denote identities, matrix applications their tables, pairs
+multiply on shared rows, lets sum the bound value over the binder's web,
+lambdas move the parameter from rows into columns, and arrow applications
+are deltas linking the arrow variable's web element to argument and result.
 
-The rows of a matrix are left-major over the sorted variables, so the matrix
-reshapes for free into a tensor with one axis per row variable and one column
-axis; a pattern's web is left-major over its leaves, so a column axis splits
-the same way into one axis per leaf. On those axes each clause groups the
-variables into a few sets and is one batched matrix product between
-transposes: a let is (S, B, L) @ (S, L, K x column) over the rows both sides
+The rows of a matrix are left-major over its relation's `vars`, in the order
+the relation lists them, so the matrix reshapes for free into a tensor with
+one axis per row variable and one column axis; a pattern's web is left-major
+over its leaves, so a column axis splits the same way into one axis per leaf.
+On those axes each clause groups the variables into a few sets and is one
+product, whose result keeps the row order the product gives it: a let is
+(S, B, L) @ (S, L, K x column), rows (S, B, K), over the rows both sides
 share (S), the bound's other rows (B), the binder leaves the body uses (L)
-and the body's other rows (K); a pair is the outer product (S, B1 x c1, 1) @
-(S, 1, B2 x c2); a lambda multiplies nothing and only transposes, broadcasting
-the parameter leaves its body does not use. A transpose whose permutation is
-the identity is skipped. This module keeps its own clauses and shares no code
-with the factor engine, which it serves as the reference for: the factor
-reading of a definition (`factors.definition_factor`) never calls it, and the
-tests check the two against each other.
+and the body's other rows (K); a pair is an outer product broadcast over
+the first side's rows and then the second side's own; a matrix application
+is its table, rows in application order; a lambda multiplies nothing and
+only transposes, broadcasting the parameter leaves its body does not use.
+A transpose whose permutation is the identity is skipped. Sorted-name row
+order holds only at the boundary: `denote` and `denote_suffix` return their
+relation with its rows sorted by name (`_sorted`, the one place that sorts
+them), and no clause restores it. This module keeps its own clauses and
+shares no code with the factor engine, which it serves as the reference
+for: the factor reading of a definition (`factors.definition_factor`) never
+calls it, and the tests check the two against each other.
 
 Denotations are memoized by subterm identity (not structure) in a
 DenoteContext, which also threads a multiply counter and the web-size cap; the
@@ -83,7 +87,9 @@ count: a wider clause raises `WebCapExceeded` before any table is built
 class Relation:
     """A denotation: row space (variables), column space (type), and the
     table, its rows left-major over `vars` and C-ordered, so that it reshapes
-    for free to one axis per variable (`_regroup`)."""
+    for free to one axis per variable (`_regroup`). `vars` are in whatever
+    order the clause that made the table left them; only the relations
+    `denote` and `denote_suffix` return have them in sorted-name order."""
 
     vars: tuple[Variable, ...]
     ty: Ty
@@ -91,7 +97,7 @@ class Relation:
 
 
 def _dims(vs) -> list[int]:
-    return [web_size(v.ty) for v in vs]
+    return [v.web for v in vs]
 
 
 def _size(vs) -> int:
@@ -144,25 +150,30 @@ class DenoteContext:
 
 
 def denote(t: Term, ctx: DenoteContext | None = None) -> Relation:
-    """Denotation of a term; typechecks first so failures surface as type errors."""
+    """Denotation of a term, its rows in sorted-name order; typechecks first
+    so failures surface as type errors."""
     if ctx is None:
         ctx = DenoteContext()
-    cached = ctx.lookup(t)
-    if cached is not None:
-        return cached
-    if not isinstance(t, LetTerm):
-        typecheck(t)
-        return _denote(t, ctx)
-    return ctx.store(t, denote_suffix(t, 0, ctx))
+    rel = ctx.lookup(t)
+    if rel is None:
+        if isinstance(t, LetTerm):
+            rel = denote_suffix(t, 0, ctx)
+        else:
+            typecheck(t)
+            rel = _denote(t, ctx)
+    # An expression's memo entry may be the relation a clause built, whose
+    # rows follow that clause; it gives way to the sorted one.
+    return ctx.store(t, _sorted(rel))
 
 
 def denote_suffix(t: LetTerm, start: int, ctx: DenoteContext) -> Relation:
     """Denotation of the let-term made of `t`'s definitions from `start` on
     and its output: the output folded up through those definitions, one at a
-    time. Its rows are the variables the suffix uses and does not bind. The
-    whole term is the suffix at 0, and the definitions above `start` fold
-    into this relation, so two terms with the same definitions above `start`
-    and equal suffix relations have equal denotations."""
+    time. Its rows are the variables the suffix uses and does not bind, in
+    sorted-name order. The whole term is the suffix at 0, and the definitions
+    above `start` fold into this relation, so two terms with the same
+    definitions above `start` and equal suffix relations have equal
+    denotations."""
     typecheck(t)
     rel = ctx.lookup(t.output)
     if rel is None:
@@ -176,7 +187,19 @@ def denote_suffix(t: LetTerm, start: int, ctx: DenoteContext) -> Relation:
         new.matrix.flags.writeable = False
         ctx._folds[id(d), id(rel)] = (d, rel, new)
         rel = new
-    return rel
+    return _sorted(rel)
+
+
+def _sorted(rel: Relation) -> Relation:
+    """`rel` with its rows in sorted-name order, the order `denote` and
+    `denote_suffix` return: `rel` itself when they are in it, else a
+    read-only copy. The one place where rows are sorted."""
+    rows = sorted_vars(rel.vars)
+    if rows == rel.vars:
+        return rel
+    table = _regroup(rel.matrix, rel.vars, rows).reshape(rel.matrix.shape)
+    table.flags.writeable = False
+    return Relation(rows, rel.ty, table)
 
 
 def _table(ctx: DenoteContext, rows: int, cols: int) -> int:
@@ -225,10 +248,9 @@ def _clause(e: Expr, ctx: DenoteContext, *children: Relation) -> Relation:
 
     if isinstance(e, MatApp):
         # Entries are left-major over the arguments in application order.
-        rows = sorted_vars(e.args)
         entries = e.matrix.entries
         _table(ctx, *entries.shape)
-        return Relation(rows, e.matrix.out, _regroup(entries, e.args, rows).reshape(entries.shape))
+        return Relation(e.args, e.matrix.out, entries)
 
     if isinstance(e, ArrowApp):
         # The arrow's web is input-major, element (a, c) at a * n_out + c, so
@@ -237,42 +259,29 @@ def _clause(e: Expr, ctx: DenoteContext, *children: Relation) -> Relation:
         fty = e.fn.ty
         if not isinstance(fty, Arrow):
             raise TypeError(f"not an arrow: {e.fn!r}")
-        leaves = pattern_vars(e.args)
-        rows = sorted_vars(leaves + (e.fn,))
         n_fn, n_out = web_size(fty), web_size(fty.result)
         n = _table(ctx, n_fn * n_fn // n_out, n_out)
-        delta = np.eye(n_fn).reshape(n, n_out)
-        return Relation(rows, fty.result, _regroup(delta, (e.fn,) + leaves, rows).reshape(n, n_out))
+        return Relation((e.fn, *pattern_vars(e.args)), fty.result, np.eye(n_fn).reshape(n, n_out))
 
     if not isinstance(e, (Pair, Lam, Let)):
         raise TypeError(f"not an expression: {e!r}")
 
     if isinstance(e, Pair):
-        # (S, B1 x c1, 1) @ (S, 1, B2 x c2): an outer product batched over
-        # the rows both sides share; its axes go to sorted rows, c1, c2.
+        # An outer product on the rows both sides share, broadcast over the
+        # rest: the first side's rows, then the second's own (only2), then
+        # the two columns, in one product that writes the result in place.
         r1, r2 = children
-        shared: list[Variable] = []
-        only2: list[Variable] = []
-        for v in r2.vars:
-            (shared if v in r1.vars else only2).append(v)
-        left = (*shared, *(v for v in r1.vars if v not in shared))
-        rows = sorted_vars(r1.vars + tuple(only2)) if only2 else r1.vars
+        only2 = tuple(v for v in r2.vars if v not in r1.vars)
+        rows = r1.vars + only2
         _check_axes(len(rows) + 2)
         ty = Tensor(r1.ty, r2.ty)
         c1, c2 = r1.matrix.shape[1], r2.matrix.shape[1]
         n = _table(ctx, r1.matrix.shape[0] * _size(only2), c1 * c2)
         ctx.counter.count(muladds=n * c1 * c2)
-        n_shared = _size(shared)
-        a = _regroup(r1.matrix, r1.vars, left).reshape(n_shared, -1, 1)
-        b = _regroup(r2.matrix, r2.vars, (*shared, *only2)).reshape(n_shared, 1, -1)
-        table = np.matmul(a, b)
-        if left != rows:
-            # Axes: left, c1, only2, c2.
-            axis = {v: i for i, v in enumerate(left)}
-            axis.update((v, len(left) + 1 + i) for i, v in enumerate(only2))
-            table = table.reshape(_dims(left) + [c1] + _dims(only2) + [c2])
-            table = table.transpose([axis[v] for v in rows] + [len(left), len(rows) + 1])
-        return Relation(rows, ty, table.reshape(n, -1))
+        a = r1.matrix.reshape(_dims(r1.vars) + [1] * len(only2) + [c1, 1])
+        b = _regroup(r2.matrix, r2.vars, tuple(v for v in rows if v in r2.vars))
+        b = b.reshape([v.web if v in r2.vars else 1 for v in rows] + [1, c2])
+        return Relation(rows, ty, np.multiply(a, b, order="C").reshape(n, -1))
 
     if isinstance(e, Lam):
         # The parameter's leaves move from rows to columns, left-major like
@@ -287,9 +296,9 @@ def _clause(e: Expr, ctx: DenoteContext, *children: Relation) -> Relation:
         n = _table(ctx, rb.matrix.shape[0] // _size(used), web_size(ty))
         table = _regroup(rb.matrix, rb.vars, rows + used)
         if len(used) < len(leaves):
-            table = table.reshape([n] + _dims(used) + [-1])
-            table = np.expand_dims(table, [1 + i for i, v in enumerate(leaves) if v not in used])
-            table = np.broadcast_to(table, [n] + _dims(leaves) + [rb.matrix.shape[1]])
+            table = table.reshape(_dims(rows + used) + [-1])
+            table = np.expand_dims(table, [len(rows) + i for i, v in enumerate(leaves) if v not in used])
+            table = np.broadcast_to(table, _dims(rows + leaves) + [rb.matrix.shape[1]])
         return Relation(rows, ty, table.reshape(n, -1))
 
     return _let(e.binder, *children, ctx)
@@ -298,7 +307,7 @@ def _clause(e: Expr, ctx: DenoteContext, *children: Relation) -> Relation:
 def _let(binder: Pattern, rb: Relation, rk: Relation, ctx: DenoteContext) -> Relation:
     """`let binder = e in k` from the denotations of e and k: the bound value
     summed over the binder's web, as one batched product
-    (S, B, L) @ (S, L, K x column).
+    (S, B, L) @ (S, L, K x column), whose rows are the result's as they come.
 
     The bound value's column splits into the binder's leaves, left-major like
     the binder's web, and a leaf k does not use is summed out first. A leaf
@@ -326,11 +335,7 @@ def _let(binder: Pattern, rb: Relation, rk: Relation, ctx: DenoteContext) -> Rel
     only = tuple(v for v in rb.vars if v not in shared)
     a = _regroup(a, rb.vars, (*shared, *only)).reshape(n_shared, -1, n_used)
     b = _regroup(rk.matrix, rk.vars, (*shared, *used, *body)).reshape(n_shared, n_used, -1)
-    # Rows of the product: shared, only, body.
-    table = np.matmul(a, b).reshape(n, -1)
-    order = (*shared, *only, *body)
-    rows = sorted_vars(order) if body else rb.vars
-    return Relation(rows, rk.ty, _regroup(table, order, rows).reshape(n, -1))
+    return Relation((*shared, *only, *body), rk.ty, np.matmul(a, b).reshape(n, -1))
 
 
 def joint_vector(rel: Relation) -> np.ndarray:

@@ -43,6 +43,7 @@ from .syntax import (
 )
 
 _NAME_RE = re.compile(r"[a-z_][A-Za-z0-9_']*\Z")
+_PLAIN_NUMBERS = frozenset((int, float))
 
 
 def network_to_program(data: dict) -> SourceProgram:
@@ -121,7 +122,11 @@ def _read_nodes(data: dict, names: dict[str, None]) -> dict[str, tuple[list[str]
         for row in cpt:
             if not isinstance(row, list) or len(row) != 2:
                 raise CptShapeMismatch(f"node {name}: each row needs two probabilities")
-            if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row):
+            # Plain ints and floats pass on their types alone; anything else
+            # (a bool, a string, a float subclass) is looked at one by one.
+            if not _PLAIN_NUMBERS.issuperset(map(type, row)) and not all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) for x in row
+            ):
                 raise NetworkFormatError(f"node {name}: CPT row {row!r} holds a non-number")
         nodes[name] = (parents, cpt)
     for name in names:

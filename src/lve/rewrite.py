@@ -18,7 +18,8 @@ denotation; swaps preserve the factor multiset on the nose. No rule removes a
 name from a term, and swap2's arrow variable is named `g__k` with the
 smallest k free in the term's name census (`LetTerm._names`), which typing
 the term leaves on it and each rule hands on: the name is fresh for the whole
-term.
+term. The census also carries the last k minted, so the scan for the next
+name starts past it.
 
 `eliminate_term` makes one defined variable local: it gathers the definitions
 involving the variable into one (`_gather_plan`), merges the variable's own
@@ -152,7 +153,9 @@ def apply_rule(
         if not ordered or any(v.is_arrow for v in ordered):
             raise SideConditionViolated("swap2 wants a nonempty positive shared set")
         param = nest_vars(ordered)
-        fn = Variable(fresh_name("g", term._names), Arrow(pattern_type(param), _check(e2)[0]))
+        # Every g__j up to the last one minted on the way here is taken.
+        name = fresh_name("g", term._names, term._minted + 1)
+        fn = Variable(name, Arrow(pattern_type(param), _check(e2)[0]))
         mid = (
             (PLeaf(fn), Lam(param, e2)),
             (p1, e1),

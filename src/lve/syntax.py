@@ -29,6 +29,7 @@ in its body.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass, field
+from itertools import islice
 from types import GeneratorType
 from typing import Callable, Container, Iterable, Iterator
 
@@ -187,17 +188,47 @@ class Pattern:
 class PLeaf(Pattern):
     var: Variable
 
+    _width = 1
+
+    @property
+    def _names(self) -> dict[str, int]:
+        return {self.var.name: 0}
+
 
 @dataclass(frozen=True)
 class PPair(Pattern):
+    """A pair of patterns with no name in common.
+
+    `_names` maps its leaves' names to their places in the dict, and
+    `_width` is their count: the pair's names are the entries placed below
+    `_width`. A pair takes over its wider part's dict and adds the other
+    part's names, so that building a pattern costs about one dict entry per
+    leaf, not one per leaf and level; when that dict has already grown past
+    the part's own names, it copies them first."""
+
     left: Pattern
     right: Pattern
 
     def __post_init__(self) -> None:
-        lnames = {v.name for v in pattern_vars(self.left)}
-        rnames = {v.name for v in pattern_vars(self.right)}
-        if lnames & rnames:
-            raise InvalidPattern(f"pattern repeats {sorted(lnames & rnames)}")
+        small, large = self.left, self.right
+        if small._width > large._width:
+            small, large = large, small
+        n = large._width
+        names = large._names
+        if len(names) != n:
+            names = dict(islice(names.items(), n))
+        added = (small.var.name,) if isinstance(small, PLeaf) else tuple(islice(small._names, small._width))
+        repeated = names.keys() & added
+        if repeated:
+            raise InvalidPattern(f"pattern repeats {sorted(repeated)}")
+        names.update(zip(added, range(n, n + len(added))))
+        object.__setattr__(self, "_names", names)
+        object.__setattr__(self, "_width", len(names))
+
+
+def _holds(p: Pattern, name: str) -> bool:
+    """Whether a leaf of `p` has the name, in constant time."""
+    return p._names.get(name, p._width) < p._width
 
 
 def pattern_vars(p: Pattern) -> tuple[Variable, ...]:
@@ -241,17 +272,27 @@ def pattern_split(p: Pattern) -> tuple[Variable | None, Pattern | None]:
 
 
 def pattern_remove(p: Pattern, v: Variable) -> Pattern | None:
-    """Remove one variable, collapsing emptied pairs; None when nothing remains."""
-    if isinstance(p, PLeaf):
-        return None if p.var == v else p
-    assert isinstance(p, PPair)
-    if v in pattern_fv(p.left):
-        left = pattern_remove(p.left, v)
-        return p.right if left is None else PPair(left, p.right)
-    if v in pattern_fv(p.right):
-        right = pattern_remove(p.right, v)
-        return p.left if right is None else PPair(p.left, right)
-    return p
+    """Remove one variable, collapsing emptied pairs; None when nothing
+    remains. It walks down to the variable's leaf in a loop and rebuilds the
+    pairs on the way back up."""
+    path: list[tuple[PPair, bool]] = []  # each pair passed, and whether v is left
+    q = p
+    while isinstance(q, PPair):
+        left = _holds(q.left, v.name)
+        if not (left or _holds(q.right, v.name)):
+            return p
+        path.append((q, left))
+        q = q.left if left else q.right
+    if q.var is not v:
+        return p
+    out: Pattern | None = None
+    for pair, left in reversed(path):
+        rest = pair.right if left else pair.left
+        if out is None:
+            out = rest
+        else:
+            out = PPair(out, rest) if left else PPair(rest, out)
+    return out
 
 
 def nest_vars(vs: Iterable[Variable]) -> Pattern:
@@ -302,7 +343,10 @@ class StochasticMatrix:
         width = web_size(self.out)
         if arr.shape != (rows, width):
             raise TypeCheckError(f"matrix {self.name}: table shape {arr.shape} != ({rows}, {width})")
-        lo, hi = arr.min(), arr.max()
+        # The ufuncs' own reductions, without the Python layer of the ndarray
+        # methods, which weighs on a table of a few entries.
+        flat = arr.reshape(-1)
+        lo, hi = np.minimum.reduce(flat), np.maximum.reduce(flat)
         if not (lo >= 0.0 and hi < np.inf):  # NaN fails both
             if not np.isfinite(arr).all():
                 raise TypeCheckError(f"matrix {self.name}: non-finite entry")
@@ -310,10 +354,10 @@ class StochasticMatrix:
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
         if hi < 1e300 / width:  # no row can sum past the largest float
-            sums = arr.sum(axis=1).tolist()
+            sums = np.add.reduce(arr, axis=1).tolist()
         else:
             with np.errstate(over="ignore"):  # a row summing past 1e308 is not stochastic
-                sums = arr.sum(axis=1).tolist()
+                sums = np.add.reduce(arr, axis=1).tolist()
         # abs(s - 1) is largest at the smallest or at the largest row sum.
         object.__setattr__(self, "stochastic", max(abs(min(sums) - 1.0), abs(max(sums) - 1.0)) <= TOL)
 
@@ -386,13 +430,18 @@ class LetTerm:
     `_typings` caches the typings of all its suffixes, the output alone first
     (see `let_typings`), and `_names` its name census, every variable name it
     mentions. Both are set together, once the whole term has typechecked, or
-    not at all."""
+    not at all. `_minted` is the k of the last `g__k` minted into the census
+    on the way to this term (`fresh_name`), 0 when none is known: every
+    `g__j` with j <= k is in the census. `_scopes` caches `factor_scopes`,
+    once it has succeeded."""
 
     defs: tuple[tuple[Pattern, Expr], ...]
     output: Pattern
 
     _typings = None
     _names = None
+    _minted = 0
+    _scopes = None
 
     @property
     def is_positive(self) -> bool:
@@ -633,9 +682,10 @@ def replace_defs(
     typed at the cost of `mid`'s new nodes.
 
     Precondition: every name `mid` mentions is one the replaced definitions
-    mention, or `minted`, a name fresh for `t`'s census. So the new term's
-    names are `t`'s and `minted`, each still at one type: it needs no second
-    consistency pass, and its census is `t`'s plus `minted`.
+    mention, or `minted`, a name `base__k` from `fresh_name`, fresh for `t`'s
+    census. So the new term's names are `t`'s and `minted`, each still at one
+    type: it needs no second consistency pass, and its census is `t`'s plus
+    `minted`, with k as its `_minted`.
 
     `_bind` folds over `mid` from the typing of the unchanged tail, raising
     the typing errors of the new definitions. When the typing at `position`
@@ -650,7 +700,12 @@ def replace_defs(
         kept.append(_bind(binder, _check(bound), kept[-1]))
     if kept[-1] == typings[n - position]:
         object.__setattr__(new, "_typings", kept + typings[n - position + 1 :])
-        object.__setattr__(new, "_names", t._names if minted is None else t._names | {minted})
+        if minted is None:
+            object.__setattr__(new, "_names", t._names)
+            object.__setattr__(new, "_minted", t._minted)
+        else:
+            object.__setattr__(new, "_names", t._names | {minted})
+            object.__setattr__(new, "_minted", int(minted.rpartition("__")[2]))
     return new
 
 
@@ -665,7 +720,10 @@ def factor_scopes(t: LetTerm) -> list[tuple[frozenset[Variable], tuple[int, ...]
     definition binding an arrow the output does not mention folds into the
     one scope holding that arrow, by union less the arrow, and the result
     moves to the front. Raises `NotCanonicalized` when a binder variable is
-    bound twice or shadows a free variable."""
+    bound twice or shadows a free variable. The term keeps the result, which
+    its callers share and do not change."""
+    if t._scopes is not None:
+        return t._scopes
     free = {v.name for v in let_typings(t)[-1][1]}
     binders = [pattern_vars(binder) for binder, _ in t.defs]
     seen: set[str] = set()
@@ -689,15 +747,17 @@ def factor_scopes(t: LetTerm) -> list[tuple[frozenset[Variable], tuple[int, ...]
             held, folded = scopes.pop(hit[0])
             scope, defs = (scope | held) - {arrow}, folded + defs
         scopes.append((scope, defs))
-    return scopes[::-1]
+    object.__setattr__(t, "_scopes", scopes[::-1])
+    return t._scopes
 
 
 # ---------------------------------------------------------------- renaming
 
 
-def fresh_name(base: str, used: Container[str]) -> str:
-    """`base__k` with the smallest k whose name is not in `used`."""
-    k = 1
+def fresh_name(base: str, used: Container[str], start: int = 1) -> str:
+    """`base__k` with the smallest k from `start` on whose name is not in
+    `used`: the smallest of all when every `base__j` below `start` is used."""
+    k = start
     while f"{base}__{k}" in used:
         k += 1
     return f"{base}__{k}"
@@ -730,10 +790,15 @@ def collect_matrices(t: Term) -> list[StochasticMatrix]:
 
 
 def _map_pattern(p: Pattern, env: dict[str, Variable]) -> Pattern:
-    if isinstance(p, PLeaf):
-        return PLeaf(env.get(p.var.name, p.var))
-    assert isinstance(p, PPair)
-    return PPair(_map_pattern(p.left, env), _map_pattern(p.right, env))
+    """`p` with each leaf renamed by `env`; the right spine is read in a loop."""
+    lefts: list[Pattern] = []
+    while isinstance(p, PPair):
+        lefts.append(_map_pattern(p.left, env))
+        p = p.right
+    out: Pattern = PLeaf(env.get(p.var.name, p.var))
+    for left in reversed(lefts):
+        out = PPair(left, out)
+    return out
 
 
 # ---------------------------------------------------------------- alpha equivalence

@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from lve.denote import DenoteContext, Relation, denote
+from lve.denote import DenoteContext, Relation, denote, denote_suffix
 from lve.errors import WebCapExceeded
 from lve.network import network_to_program
 from lve.orderings import random_order
@@ -200,6 +200,43 @@ def assert_matches_oracle(t: Term) -> None:
         old_ctx.counter.max_table,
     )
     assert_reading_agrees(t)
+
+
+def assert_sorted_as_oracle(rel: Relation, t: Term) -> None:
+    """A relation `denote` or `denote_suffix` returned: rows in sorted-name
+    order and, within 1e-12, the oracle's denotation of `t`."""
+    assert rel.vars == sorted_vars(rel.vars)
+    old = oracle_denote(t, DenoteContext())
+    assert rel.vars == old.vars
+    assert np.allclose(rel.matrix, old.matrix, rtol=0, atol=1e-12)
+
+
+def test_the_entry_points_return_rows_in_name_order():
+    # Inside, a relation's rows follow the product that made it; `denote`
+    # and `denote_suffix` put them in name order on the way out.
+    z, a, y = bvar("z"), bvar("a"), bvar("y")
+    ctx = DenoteContext()
+    # An open term whose clauses make rows out of name order: Paired(z, a)
+    # keeps its application order.
+    inner = MatApp(PAIRED, (z, a))
+    open_term = LetTerm(((PLeaf(y), inner),), PPair(PLeaf(y), PLeaf(a)))
+    assert_sorted_as_oracle(denote(open_term, ctx), open_term)
+    # `inner` is in the memo now, rows (z, a) as the clause made them; the
+    # first denote of it sorts them, the second hits the sorted entry.
+    assert_sorted_as_oracle(denote(Pair(inner, Var(y)), ctx), Pair(inner, Var(y)))
+    first = denote(inner, ctx)
+    assert first.vars == (a, z)
+    assert denote(inner, ctx) is first
+    assert_sorted_as_oracle(first, inner)
+    # Every suffix of every rewrite step, in one context as `verify` does.
+    for seed in range(8):
+        term = random_network(seed).term
+        ctx = DenoteContext()
+        _, trace = eliminate_seq(term, random_order(term, seed))
+        for step in trace.steps:
+            for t in (step.before, step.after):
+                for p in range(len(t.defs) + 1):
+                    assert_sorted_as_oracle(denote_suffix(t, p, ctx), LetTerm(t.defs[p:], t.output))
 
 
 def test_random_networks_and_their_rewrite_steps_match_the_oracle():

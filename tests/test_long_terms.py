@@ -249,6 +249,28 @@ def test_a_wide_pattern_binds_and_compares():
     assert alpha_eq(term, term)
 
 
+def _same_pattern(p, q) -> bool:
+    """Same shape and leaves, compared without the dataclass `==`, which
+    recurses once per level."""
+    pairs = syntax._paired(p, q)
+    return pairs is not None and all(x is y for x, y in pairs)
+
+
+def test_the_pattern_helpers_take_a_3000_leaf_pattern():
+    # Each pair keeps its leaves' names, so building and rebuilding the
+    # pattern is linear, and the helpers read the right spine in a loop.
+    vs = [Variable(f"v{i}", BOOL) for i in range(3000)]
+    w = Variable("w", BOOL)
+    p = syntax.nest_vars(vs)
+    assert _same_pattern(syntax.pattern_remove(p, vs[-1]), syntax.nest_vars(vs[:-1]))
+    assert _same_pattern(syntax.pattern_remove(p, vs[1500]), syntax.nest_vars(vs[:1500] + vs[1501:]))
+    assert syntax.pattern_remove(p, w) is p
+    assert _same_pattern(syntax._map_pattern(p, {}), p)
+    assert _same_pattern(syntax._map_pattern(p, {"v0": w}), syntax.nest_vars([w, *vs[1:]]))
+    with pytest.raises(syntax.InvalidPattern, match=r"repeats \['v7'\]"):
+        syntax.PPair(syntax.PLeaf(vs[7]), p)
+
+
 def test_a_network_querying_1200_variables_loads(tmp_path, capsys):
     # The output pattern is right-nested over the query (`nest_vars`); it
     # loads and types, and `check` stops at the web cap, not the recursion

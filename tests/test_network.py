@@ -197,3 +197,21 @@ def test_invalid_json_reported(tmp_path):
     path.write_text(json.dumps([1, 2, 3]))  # valid JSON, wrong shape
     with pytest.raises(NetworkFormatError):
         load_network(path)
+
+
+@pytest.mark.parametrize("row", [[True, 0.5], [0.5, "0.5"], [0.5, None], [[0.5], 0.5]])
+def test_cpt_entries_must_be_numbers(row):
+    data = _base_net()
+    data["nodes"][0]["cpt"] = [row]
+    with pytest.raises(NetworkFormatError, match="holds a non-number"):
+        network_to_program(data)
+
+
+def test_cpt_entries_may_be_number_subclasses():
+    # Plain ints and floats pass on their types; a float subclass such as
+    # numpy's passes the slower check, and a bool does not.
+    data = _base_net()
+    data["nodes"][0]["cpt"] = [[np.float64(0.2), 1 - np.float64(0.2)]]
+    data["nodes"][1]["cpt"] = [[1, 0], [0.05, 0.95]]
+    values = joint_vector(denote(network_to_program(data).term))
+    assert np.allclose(values, [0.2 * 1 + 0.8 * 0.05, 0.8 * 0.95])

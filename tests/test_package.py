@@ -82,6 +82,19 @@ def test_only_walk_and_occurrences_keep_a_stack():
     assert found <= {"syntax.walk", "syntax.occurrences"}, sorted(found)
 
 
+def test_only_the_boundary_sorts_denote_rows():
+    # A relation's rows follow the product that made it; only `_sorted`, on
+    # the way out of `denote` and `denote_suffix`, puts them in name order.
+    sorting = set()
+    for top in ast.parse((SRC / "denote.py").read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in {"sorted", "sorted_vars"}:
+                sorting.add(getattr(top, "name", "<module>"))
+            elif isinstance(node, ast.Attribute) and node.attr == "sort":
+                sorting.add(getattr(top, "name", "<module>"))
+    assert sorting == {"_sorted"}
+
+
 def _lve_imports(module: str) -> set[str]:
     """The lve modules a module of the package imports from."""
     found = set()

@@ -26,7 +26,7 @@ from lve.errors import (
     TypeCheckError,
 )
 from lve.factors import eliminate, factor_sets_equal, factors_of
-from lve.orderings import elimination_candidates, min_degree_order
+from lve.orderings import elimination_candidates, min_degree_order, random_order
 from lve.parser import parse_program
 from lve.printer import program_str
 from lve.rewrite import (
@@ -65,6 +65,7 @@ from helpers import (
     eliminations,
     matrix,
     order_by_name,
+    rename,
 )
 
 M1 = coin_matrix(0.3, name="M1")
@@ -499,6 +500,27 @@ def test_swap2_names_its_arrow_fresh_for_the_whole_term(checked, term, position)
     assert after._names == {"g__1", "g__2", "x", "y"}
     typecheck(after)
     assert_same_denotation(term, after)
+
+
+@pytest.mark.parametrize("taken", [{}, {"x2": "g__2", "x4": "g__4"}, {"x1": "g__1", "x3": "g__3"}])
+def test_swap2_mints_the_smallest_free_name_of_a_whole_trace(taken):
+    # The scan for g__k resumes past the last k minted; the names are still
+    # those a scan from 1 over the whole name census gives, also past names
+    # the program already uses.
+    term = rename(random_network(0).term, taken)
+    minted = []
+    for seed in range(6):
+        _, trace = eliminate_seq(term, random_order(term, seed))
+        for step in trace.steps:
+            if step.rule == "swap2":
+                names = collect_names(step.before)
+                k = 1
+                while f"g__{k}" in names:
+                    k += 1
+                minted.append(step.after.defs[step.position][0].var.name)
+                assert minted[-1] == f"g__{k}"
+    assert len(minted) > 20 and len(set(minted)) > 3
+    assert set(taken.values()).isdisjoint(minted)
 
 
 def test_cached_typings_match_a_reparsed_copy():

@@ -7,14 +7,17 @@ import math
 from collections import Counter
 from itertools import permutations
 
+import pytest
+
+from lve.errors import NotCanonicalized
 from lve.factors import check_factor_vars, eliminate, factors_of, plan_elimination
 from lve.network import network_to_program
 from lve.orderings import min_degree_order
 from lve.rewrite import ELIM, eliminate_seq
-from lve.syntax import factor_scopes, free_vars, pattern_fv, web_size
+from lve.syntax import LetTerm, MatApp, PLeaf, factor_scopes, free_vars, pattern_fv, web_size
 from lve.verify import _orders, random_network
 from lve.webs import sorted_vars
-from helpers import SIXNODE_ORDER_FWD, chain, grid, order_by_name
+from helpers import SIXNODE_ORDER_FWD, bvar, chain, coin_matrix, grid, order_by_name
 
 
 def _web(vs) -> int:
@@ -33,6 +36,24 @@ def test_scopes_are_the_variable_sets_of_the_factors(sixnode_term):
         assert sorted(i for _, defs in scopes for i in defs) == list(range(len(term.defs)))
         folds += sum(len(defs) > 1 for _, defs in scopes)
     assert folds > 0
+
+
+def test_scopes_are_worked_out_once_per_term(sixnode_term):
+    # min_degree_order and factors_of read the same scopes, which the term
+    # keeps; a term whose binders clash keeps nothing and raises again.
+    term = LetTerm(sixnode_term.defs, sixnode_term.output)
+    assert term._scopes is None
+    min_degree_order(term)
+    scopes = term._scopes
+    assert scopes is not None
+    factors_of(term)
+    assert factor_scopes(term) is scopes and term._scopes is scopes
+    x = bvar("x")
+    clash = LetTerm(((PLeaf(x), MatApp(coin_matrix(), ())), (PLeaf(x), MatApp(coin_matrix(), ()))), PLeaf(x))
+    for _ in range(2):
+        with pytest.raises(NotCanonicalized):
+            factor_scopes(clash)
+        assert clash._scopes is None
 
 
 def _cases(sixnode_term):
