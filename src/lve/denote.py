@@ -157,7 +157,7 @@ def denote(t: Term, ctx: DenoteContext | None = None) -> Relation:
     rel = ctx.lookup(t)
     if rel is None:
         if isinstance(t, LetTerm):
-            rel = denote_suffix(t, 0, ctx)
+            rel = _suffix(t, 0, ctx)
         else:
             typecheck(t)
             rel = _denote(t, ctx)
@@ -167,13 +167,17 @@ def denote(t: Term, ctx: DenoteContext | None = None) -> Relation:
 
 
 def denote_suffix(t: LetTerm, start: int, ctx: DenoteContext) -> Relation:
+    """`_suffix`, its rows in sorted-name order."""
+    return _sorted(_suffix(t, start, ctx))
+
+
+def _suffix(t: LetTerm, start: int, ctx: DenoteContext) -> Relation:
     """Denotation of the let-term made of `t`'s definitions from `start` on
-    and its output: the output folded up through those definitions, one at a
-    time. Its rows are the variables the suffix uses and does not bind, in
-    sorted-name order. The whole term is the suffix at 0, and the definitions
-    above `start` fold into this relation, so two terms with the same
-    definitions above `start` and equal suffix relations have equal
-    denotations."""
+    and its output, folded up through them one at a time; its rows, in the
+    order the last fold left them, are the variables the suffix uses and does
+    not bind. The whole term is the suffix at 0, and the definitions above
+    `start` fold into this relation, so two terms with the same definitions
+    above it and suffix relations equal up to row order denote the same."""
     typecheck(t)
     rel = ctx.lookup(t.output)
     if rel is None:
@@ -187,7 +191,7 @@ def denote_suffix(t: LetTerm, start: int, ctx: DenoteContext) -> Relation:
         new.matrix.flags.writeable = False
         ctx._folds[id(d), id(rel)] = (d, rel, new)
         rel = new
-    return _sorted(rel)
+    return rel
 
 
 def _sorted(rel: Relation) -> Relation:

@@ -45,7 +45,6 @@ from .errors import (
 )
 from .syntax import (
     BOOL,
-    TOL,
     ArrowApp,
     Expr,
     FreshNames,
@@ -66,6 +65,7 @@ from .syntax import (
     pattern_vars,
     walk,
     web_size,
+    within_tol,
 )
 from .webs import (
     Assignment,
@@ -81,6 +81,7 @@ class Factor:
 
     vars: tuple[Variable, ...]
     table: np.ndarray
+    _finite = None  # whether every entry is finite, once `factors_allclose` asked
 
     def __post_init__(self) -> None:
         names = [v.name for v in self.vars]
@@ -226,8 +227,13 @@ def contract(
     the scalar 1. Every kept variable must occur in some factor. The cap
     applies to the result only, and with `bucket` also to the product of
     more than one factor; the counter is charged as `_layout` says."""
+    return Factor(*_contract(factors, keep, counter, cap, bucket))
+
+
+def _contract(factors: Sequence, keep: Iterable[Variable], counter: CostCounter | None, cap: int, bucket=False) -> tuple:
+    """`contract`'s variables and table, unchecked and uncopied."""
     out, labels, out_labels, _ = _layout([f.vars for f in factors], set(keep), counter, cap, bucket)
-    return Factor(out, _einsum([(f.table, ls) for f, ls in zip(factors, labels)], out_labels))
+    return out, _einsum([(f.table, ls) for f, ls in zip(factors, labels)], out_labels)
 
 
 # ---------------------------------------------------------------- reading definitions
@@ -279,7 +285,7 @@ class _Reading:
     A `Let` binds its binder's leaves to the bound's indices. Once its body
     is read, an index of the bound that neither the body's value nor a
     positive variable in scope carries (`uses`) is summed out: the factors
-    that mention it are contracted, one index at a time, like a vef bucket.
+    that mention it are contracted into one `_Table`, like a vef bucket.
     Arrow variables are linear, so only positive bindings are counted. The
     indices of a variable free in the group (`free`) and those summed
     already are `fixed`: no `Let` sums them. The reading runs on
@@ -297,6 +303,7 @@ class _Reading:
         self.fixed: set[Variable] = set()
         self.uses: dict[Variable, int] = defaultdict(int)
         self.alias: dict[Variable, Variable] = {}
+        self.settled = 0
         self.fresh = 0
 
     def atoms(self, n: int) -> tuple[Variable, ...]:
@@ -304,10 +311,13 @@ class _Reading:
         return tuple(_atom(k) for k in range(self.fresh - n, self.fresh))
 
     def find(self, a: Variable) -> Variable:
-        alias = self.alias
-        while a in alias:
-            a = alias[a]
-        return a
+        """The representative of an index; each index on the way is pointed at it."""
+        alias, root = self.alias, a
+        while root in alias:
+            root = alias[root]
+        while a is not root:
+            alias[a], a = root, alias[a]
+        return root
 
     def lookup(self, v: Variable) -> tuple[Variable, ...]:
         got = self.env.get(v) or self.free.get(v)
@@ -347,17 +357,21 @@ class _Reading:
         a, b = self.find(a), self.find(b)
         if a is not b:
             self.alias[a] = b
+            self.settled = 0
             self.uses[b] += self.uses.pop(a, 0)
             if a in self.fixed:
                 self.fixed.add(b)
 
     def resolved(self) -> list[Factor | _Table]:
-        """The factors, with every identified index under its representative."""
+        """The factors, with every identified index under its representative;
+        the first `settled` are so already, since the last `identify`."""
         if self.alias:
-            for k, f in enumerate(self.factors):
+            for k in range(self.settled, len(self.factors)):
+                f = self.factors[k]
                 atoms = tuple(map(self.find, f.vars))
                 if atoms != f.vars:
                     self.factors[k] = _table(f.table, atoms)
+        self.settled = len(self.factors)
         return self.factors
 
     def sum_out(self, bound: tuple[Variable, ...], value: tuple[Variable, ...]) -> None:
@@ -374,11 +388,11 @@ class _Reading:
             for f in self.resolved():
                 (hit if a in f.vars else rest).append(f)
             if not hit:
-                hit = [constant_factor((a,))]
+                hit = [_Table((a,), np.ones(2))]
             keep = set(chain.from_iterable(f.vars for f in hit))
             keep.discard(a)
-            self.factors = rest
-            rest.append(contract(hit, keep, self.counter, self.cap))
+            rest.append(_Table(*_contract(hit, keep, self.counter, self.cap)))
+            self.factors, self.settled = rest, len(rest)
 
     def reuse(self, got: tuple) -> tuple[Variable, ...] | None:
         """The indices of the value of a bound whose reading is recorded
@@ -676,7 +690,12 @@ def marginal(
 
 
 def factors_allclose(a: Factor, b: Factor) -> bool:
-    return a.vars == b.vars and bool(np.max(np.abs(a.table - b.table), initial=0.0) <= TOL)
+    """Whether two factors have the same variables and tables within TOL. A
+    factor compared with itself answers as the subtraction would, from its
+    finiteness, kept on it (`Factor._finite`): false for any inf or NaN entry."""
+    if a is b and a._finite is None:
+        object.__setattr__(a, "_finite", bool(np.isfinite(a.table).all()))
+    return a._finite if a is b else a.vars == b.vars and within_tol(a.table, b.table)
 
 
 def unmatched_factors(

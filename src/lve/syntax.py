@@ -195,7 +195,7 @@ class PLeaf(Pattern):
         return {self.var.name: 0}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PPair(Pattern):
     """A pair of patterns with no name in common.
 
@@ -204,10 +204,18 @@ class PPair(Pattern):
     `_width`. A pair takes over its wider part's dict and adds the other
     part's names, so that building a pattern costs about one dict entry per
     leaf, not one per leaf and level; when that dict has already grown past
-    the part's own names, it copies them first."""
+    the part's own names, it copies them first. `==` (`_paired`) and `hash`
+    are structural and read the right spine in a loop."""
 
     left: Pattern
     right: Pattern
+
+    def __eq__(self, other: object) -> bool:
+        pairs = _paired(self, other) if isinstance(other, PPair) else None
+        return pairs is not None and all(x is y for x, y in pairs)
+
+    def __hash__(self) -> int:
+        return hash(pattern_vars(self))
 
     def __post_init__(self) -> None:
         small, large = self.left, self.right
@@ -312,6 +320,12 @@ def nest_vars(vs: Iterable[Variable]) -> Pattern:
 TOL = 1e-9
 """The one tolerance of every numeric comparison: a stochastic row's sum
 against one, and the routes' answers against each other."""
+
+
+def within_tol(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays have one shape and max |a - b| <= TOL, a NaN failing,
+    by the ufunc's reduction: `np.max`'s Python layer weighs on small tables."""
+    return a.shape == b.shape and bool(np.maximum.reduce(np.abs(a - b), axis=None, initial=0.0) <= TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,7 +447,7 @@ class LetTerm:
     not at all. `_minted` is the k of the last `g__k` minted into the census
     on the way to this term (`fresh_name`), 0 when none is known: every
     `g__j` with j <= k is in the census. `_scopes` caches `factor_scopes`,
-    once it has succeeded."""
+    once it has succeeded, and `_size` its `size`, once computed."""
 
     defs: tuple[tuple[Pattern, Expr], ...]
     output: Pattern
@@ -442,6 +456,7 @@ class LetTerm:
     _names = None
     _minted = 0
     _scopes = None
+    _size = None
 
     @property
     def is_positive(self) -> bool:
@@ -474,8 +489,11 @@ def free_vars(t: Term) -> frozenset[Variable]:
 
 def size(t: Term) -> int:
     """Syntactic size: one per variable occurrence, binders and arrow heads
-    included, and one per matrix application; the count of `occurrences`."""
-    return sum(1 for _ in occurrences(t))
+    included, and one per matrix application; the count of `occurrences`.
+    A let-term keeps its size (`LetTerm._size`)."""
+    if isinstance(t, LetTerm) and t._size is None:
+        object.__setattr__(t, "_size", sum(1 for _ in occurrences(t)))
+    return t._size if isinstance(t, LetTerm) else sum(1 for _ in occurrences(t))
 
 
 # ---------------------------------------------------------------- walks

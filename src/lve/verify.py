@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cost import CostCounter
-from .denote import DenoteContext, Relation, denote, denote_suffix, joint_vector, total_mass_check
+from .denote import DenoteContext, Relation, _regroup, _suffix, denote, joint_vector, total_mass_check
 from .errors import LveError, WebCapExceeded
 from .factors import (
     FactorSet,
@@ -40,7 +40,6 @@ from .orderings import min_degree_order, random_order
 from .parser import SourceProgram
 from .rewrite import RewriteStep, eliminate_seq, eliminate_term, size_bound
 from .syntax import (
-    TOL,
     Expr,
     LetTerm,
     MatApp,
@@ -54,6 +53,7 @@ from .syntax import (
     pattern_type,
     pattern_vars,
     typecheck,
+    within_tol,
 )
 from .webs import check_web_cap, sorted_vars, web_size
 
@@ -293,10 +293,6 @@ def _orders(term: LetTerm, seed: int) -> dict[str, list[Variable]]:
     }
 
 
-def _close(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and bool(np.max(np.abs(a - b), initial=0.0) <= TOL)
-
-
 def _same_factors(xs: FactorSet, ys: FactorSet, as_product: bool, cap: int) -> bool:
     """Multiset equality of two factor sets; with `as_product`, the factors
     the two sides do not share need only agree as a product, within TOL."""
@@ -327,15 +323,18 @@ class _Step:
 def _same_denotation(s: RewriteStep, ctx: DenoteContext) -> bool:
     """Whether a rewrite step keeps the term's denotation. The rule replaces
     definitions from `s.position` on and leaves those above as the same
-    objects, which fold the same way into equal relations: so the two
-    terms' relations at that position are compared, and the definitions above
-    it only by identity."""
+    objects, compared by identity, which fold the same way: so the two terms'
+    relations at that position are compared as the folds leave them, the
+    after side's rows regrouped into the before side's order as a view."""
     p = s.position
     above, kept = s.before.defs[:p], s.after.defs[:p]
     if len(kept) != len(above) or not all(map(operator.is_, above, kept)):
         return False
-    da, db = denote_suffix(s.before, p, ctx), denote_suffix(s.after, p, ctx)
-    return da.vars == db.vars and _close(da.matrix, db.matrix)
+    da, db = _suffix(s.before, p, ctx), _suffix(s.after, p, ctx)
+    if da.matrix.shape != db.matrix.shape or set(da.vars) != set(db.vars):
+        return False
+    after = _regroup(db.matrix, db.vars, da.vars)
+    return within_tol(da.matrix.reshape(after.shape), after)
 
 
 def _check_step(cur: LetTerm, cur_fs: FactorSet, x: Variable, ctx: DenoteContext, instance: int) -> _Step:
@@ -407,7 +406,7 @@ def check_instance(
     }
     for check, (values, detail) in checks.items():
         try:
-            if not _close(values(), ref):
+            if not within_tol(values(), ref):
                 fail(CheckFailure(instance, None, check, detail))
         except WebCapExceeded as err:
             report.skipped.append(CheckFailure(instance, None, check, str(err)))
@@ -427,7 +426,7 @@ def check_instance(
             if st.muladds > 2 * st.group_size * st.product_table:
                 detail = f"step {st.var.name}: {st.muladds} > 2*{st.group_size}*{st.product_table}"
                 fail(CheckFailure(instance, order_name, "counter-bound", detail))
-        if not _close(vef.marginal, ref):
+        if not within_tol(vef.marginal, ref):
             fail(CheckFailure(instance, order_name, "marginal", "classical elimination marginal is off"))
 
         cur, cur_fs, merged, known = term, fs0, False, checked
@@ -446,7 +445,7 @@ def check_instance(
             if not _same_factors(cur_fs, vef.fs, merged, ctx.web_cap):
                 detail = "rewritten factors differ from classical elimination"
                 fail(CheckFailure(instance, order_name, "facts-seq", detail))
-            if not _close(marginal(cur_fs, term.output, ctx.web_cap), ref):
+            if not within_tol(marginal(cur_fs, term.output, ctx.web_cap), ref):
                 fail(CheckFailure(instance, order_name, "marginal", "rewriting marginal is off"))
 
 

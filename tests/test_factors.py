@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from lve import factors
 from lve.cost import CostCounter
 from lve.denote import DenoteContext, denote
 from lve.errors import (
@@ -356,6 +357,18 @@ def test_factors_allclose():
     assert not factors_allclose(f, constant_factor([A], 2.0))
 
 
+@pytest.mark.parametrize("entry", [0.0, np.inf, -np.inf, np.nan])
+def test_a_factor_compared_with_itself_answers_as_the_subtraction(entry):
+    # inf - inf and NaN fail the tolerance, as for an equal copy.
+    table = np.array([[0.25, 0.75], [1.0, entry]])
+    f, copy = Factor((A, B), table), Factor((A, B), table)
+    with np.errstate(invalid="ignore"):
+        expected = factors_allclose(f, copy)
+    assert expected is bool(np.isfinite(entry))
+    assert factors_allclose(f, f) is expected
+    assert factors_allclose(f, f) is expected  # the kept answer
+
+
 def test_factor_sets_equal_is_multiset_equality():
     f, g = constant_factor([A]), constant_factor([B], 2.0)
     assert factor_sets_equal([f, g], [g, f])
@@ -375,10 +388,11 @@ def _unmatched_by_scan(xs, ys):
     return left, right
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
 def test_unmatched_factors_pairs_as_the_scan_does():
     rng = np.random.default_rng(5)
     scopes = [(), (A,), (B,), (A, B)]
-    values = [0.25, 0.25 + 5e-10, 0.5, np.nan]
+    values = [0.25, 0.25 + 5e-10, 0.5, np.nan, np.inf]
     for _ in range(300):
         pool = [
             Factor(vs, np.full((2,) * len(vs), values[rng.integers(len(values))]))
@@ -441,6 +455,56 @@ def test_a_context_that_read_before_gives_the_same_factors_and_charges(sixnode_t
             again = factors_of(t, ctx)
             assert all(f is g for f, g in zip(warm.factors[:-1], again.factors))
         assert ctx.readings
+
+
+def test_sum_outs_build_no_factor(monkeypatch, sixnode_term):
+    # Each sum-out stays a `_Table`: no `Factor` is checked or copied inside
+    # `_Reading.sum_out`, across every term of a vel run.
+    inside, contractions, built = [False], [], []
+    sum_out, post_init, contract_ = factors._Reading.sum_out, Factor.__post_init__, factors._contract
+
+    def watched_sum_out(self, *args):
+        inside[0] = True
+        try:
+            sum_out(self, *args)
+        finally:
+            inside[0] = False
+
+    def watched_post_init(self):
+        built.append(inside[0])
+        post_init(self)
+
+    def watched_contract(*args, **kwargs):
+        contractions.append(inside[0])
+        return contract_(*args, **kwargs)
+
+    monkeypatch.setattr(factors._Reading, "sum_out", watched_sum_out)
+    monkeypatch.setattr(Factor, "__post_init__", watched_post_init)
+    monkeypatch.setattr(factors, "_contract", watched_contract)
+    _, trace = eliminate_seq(sixnode_term, order_by_name(sixnode_term, SIXNODE_ORDER_FWD))
+    for term in [sixnode_term] + [s.after for s in trace.steps]:
+        factors_of(term)
+    assert any(contractions) and built
+    assert not any(built)
+
+
+def test_find_points_the_path_at_its_representative():
+    reading = factors._Reading(CostCounter(), 2**20, {})
+    a = reading.atoms(4)
+    for x, y in zip(a, a[1:]):
+        reading.identify(x, y)
+    reading.factors.append(factors._Table((a[0], a[2]), np.arange(4.0).reshape(2, 2)))
+    assert reading.find(a[0]) is a[3]
+    assert reading.alias[a[0]] is reading.alias[a[1]] is a[3]
+    # Resolved factors are read once, until the next identification.
+    (f,) = reading.resolved()
+    assert f.vars == (a[3],) and f.table.tolist() == [0.0, 3.0]
+    calls = []
+    reading.find = lambda x: calls.append(x) or factors._Reading.find(reading, x)
+    assert reading.resolved() == [f] and not calls
+    b = reading.atoms(1)[0]
+    reading.identify(a[3], b)
+    assert reading.resolved()[0].vars == (b,)
 
 
 def test_a_recorded_reading_is_not_taken_where_its_variables_coincide():

@@ -249,26 +249,32 @@ def test_a_wide_pattern_binds_and_compares():
     assert alpha_eq(term, term)
 
 
-def _same_pattern(p, q) -> bool:
-    """Same shape and leaves, compared without the dataclass `==`, which
-    recurses once per level."""
-    pairs = syntax._paired(p, q)
-    return pairs is not None and all(x is y for x, y in pairs)
-
-
 def test_the_pattern_helpers_take_a_3000_leaf_pattern():
     # Each pair keeps its leaves' names, so building and rebuilding the
     # pattern is linear, and the helpers read the right spine in a loop.
     vs = [Variable(f"v{i}", BOOL) for i in range(3000)]
     w = Variable("w", BOOL)
     p = syntax.nest_vars(vs)
-    assert _same_pattern(syntax.pattern_remove(p, vs[-1]), syntax.nest_vars(vs[:-1]))
-    assert _same_pattern(syntax.pattern_remove(p, vs[1500]), syntax.nest_vars(vs[:1500] + vs[1501:]))
+    assert syntax.pattern_remove(p, vs[-1]) == syntax.nest_vars(vs[:-1])
+    assert syntax.pattern_remove(p, vs[1500]) == syntax.nest_vars(vs[:1500] + vs[1501:])
     assert syntax.pattern_remove(p, w) is p
-    assert _same_pattern(syntax._map_pattern(p, {}), p)
-    assert _same_pattern(syntax._map_pattern(p, {"v0": w}), syntax.nest_vars([w, *vs[1:]]))
+    assert syntax._map_pattern(p, {}) == p
+    assert syntax._map_pattern(p, {"v0": w}) == syntax.nest_vars([w, *vs[1:]])
     with pytest.raises(syntax.InvalidPattern, match=r"repeats \['v7'\]"):
         syntax.PPair(syntax.PLeaf(vs[7]), p)
+
+
+def test_3000_leaf_patterns_compare_and_hash_by_structure():
+    # `==` and `hash` read the right spine in a loop, so neither a pattern
+    # nor a let-term whose output it is hits the recursion limit.
+    vs = [Variable(f"v{i}", BOOL) for i in range(3000)]
+    p, q = syntax.nest_vars(vs), syntax.nest_vars(vs)
+    assert p is not q and p == q and hash(p) == hash(q)
+    regrouped = syntax.PPair(syntax.nest_vars(vs[:1500]), syntax.nest_vars(vs[1500:]))
+    for other in (regrouped, syntax.nest_vars(vs[::-1]), syntax.nest_vars(vs[:-1]), PLeaf(vs[0])):
+        assert p != other and other != p
+    assert LetTerm((), p) == LetTerm((), q) and hash(LetTerm((), p)) == hash(LetTerm((), q))
+    assert LetTerm((), p) != LetTerm((), regrouped)
 
 
 def test_a_network_querying_1200_variables_loads(tmp_path, capsys):

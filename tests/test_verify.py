@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
-from lve import rewrite, verify
+from lve import rewrite, syntax, verify
 from lve.cli import main
-from lve.denote import DenoteContext, denote, joint_vector, total_mass_check
+from lve.denote import DenoteContext, _suffix, denote, joint_vector, total_mass_check
 from lve.errors import LveError, RewriteError, WebCapExceeded
 from lve.factors import (
     Factor,
@@ -42,6 +43,7 @@ from lve.syntax import (
     free_vars,
     pattern_vars,
     typecheck,
+    within_tol,
 )
 from lve.verify import (
     CheckFailure,
@@ -49,8 +51,8 @@ from lve.verify import (
     GeneratorConfig,
     SuiteReport,
     ORDER_NAMES,
-    _close,
     _orders,
+    _same_denotation,
     _same_factors,
     brute_force_joint,
     check_instance,
@@ -268,6 +270,43 @@ def test_a_barren_step_compares_only_the_differing_product():
     assert _same_factors(FactorSet([prior, constant_factor([])]), FactorSet([prior, summed]), True, cap)
 
 
+def test_same_denotation_compares_suffixes_up_to_row_order():
+    # M(a, b) and its transpose applied to (b, a) denote the same relation,
+    # whose raw folds list the rows in the two application orders.
+    a, b, c, y = bvar("a"), bvar("b"), bvar("c"), bvar("y")
+    rows = np.array([[0.9, 0.1], [0.6, 0.4], [0.3, 0.7], [0.2, 0.8]])
+    m, flipped = matrix("M", 2, rows), matrix("Mt", 2, rows.reshape(2, 2, 2).transpose(1, 0, 2).reshape(4, 2))
+
+    def step(bound):
+        before = LetTerm(((PLeaf(y), MatApp(m, (a, b))),), PLeaf(y))
+        return rewrite.RewriteStep("swap1", 0, None, before, LetTerm(((PLeaf(y), bound),), PLeaf(y)))
+
+    ctx = DenoteContext()
+    same = step(MatApp(flipped, (b, a)))
+    assert (_suffix(same.before, 0, ctx).vars, _suffix(same.after, 0, ctx).vars) == ((a, b), (b, a))
+    assert _same_denotation(same, ctx)
+    assert not _same_denotation(step(MatApp(m, (b, a))), ctx)
+    assert not _same_denotation(step(MatApp(m, (a, c))), ctx)
+
+
+def test_check_instance_walks_each_let_term_once_for_its_size(monkeypatch):
+    # A let-term keeps its size. Typing walks terms too, so only the walks
+    # `size` starts are counted.
+    walked = []
+    occurrences = syntax.occurrences
+
+    def counted(t):
+        if sys._getframe(1).f_code is syntax.size.__code__:
+            walked.append(t)
+        return occurrences(t)
+
+    monkeypatch.setattr(syntax, "occurrences", counted)
+    report = SuiteReport(1, ORDER_NAMES)
+    check_instance(random_network(3).term, 0, report)
+    assert report.ok and len(walked) > 4
+    assert len({id(t) for t in walked}) == len(walked)
+
+
 def test_run_suite_small_batch():
     report = run_suite(5, seed=99)
     assert report.ok
@@ -300,11 +339,11 @@ def _reference_check_instance(term, instance, order_seed=0):
     ctx = DenoteContext()
     base = verify.denote(term, ctx)
     brute = brute_force_joint(term)
-    if not (base.vars == brute.vars and _close(base.matrix, brute.matrix)):
+    if not (base.vars == brute.vars and within_tol(base.matrix, brute.matrix)):
         fail(CheckFailure(instance, None, "brute", "enumeration disagrees with the semantics"))
     fs0 = verify.factors_of(term, ctx)
     rebuilt = relation_from_factors(term, ctx)
-    if not (base.vars == rebuilt.vars and _close(base.matrix, rebuilt.matrix)):
+    if not (base.vars == rebuilt.vars and within_tol(base.matrix, rebuilt.matrix)):
         fail(CheckFailure(instance, None, "semfacts", "factor product disagrees with the semantics"))
     if not check_factor_vars(term):
         fail(CheckFailure(instance, None, "varset", "factor variable census is off"))
@@ -319,7 +358,7 @@ def _reference_check_instance(term, instance, order_seed=0):
             if st.muladds > 2 * st.group_size * st.product_table:
                 detail = f"step {st.var.name}: {st.muladds} > 2*{st.group_size}*{st.product_table}"
                 fail(CheckFailure(instance, name, "counter-bound", detail))
-        if not _close(marginal(vef, term.output, ctx.web_cap), base_marg):
+        if not within_tol(marginal(vef, term.output, ctx.web_cap), base_marg):
             fail(CheckFailure(instance, name, "marginal", "classical elimination marginal is off"))
         cur, cur_fs, merged, failed = term, fs0, False, False
         for k, x in enumerate(order):
@@ -343,7 +382,7 @@ def _reference_check_instance(term, instance, order_seed=0):
                 fail(CheckFailure(instance, name, "size-bound", detail))
             for s in steps:
                 da, db = verify.denote(s.before, ctx), verify.denote(s.after, ctx)
-                if not (da.vars == db.vars and _close(da.matrix, db.matrix)):
+                if not (da.vars == db.vars and within_tol(da.matrix, db.matrix)):
                     fail(CheckFailure(instance, name, "denote-step", f"{s.rule} changed the denotation"))
                 if s.rule.startswith("swap") and not factor_sets_equal(
                     verify.factors_of(s.before, ctx), verify.factors_of(s.after, ctx)
@@ -358,7 +397,7 @@ def _reference_check_instance(term, instance, order_seed=0):
             continue
         if not _same_factors(cur_fs, vef, merged, ctx.web_cap):
             fail(CheckFailure(instance, name, "facts-seq", "rewritten factors differ from classical elimination"))
-        if not _close(marginal(cur_fs, term.output, ctx.web_cap), base_marg):
+        if not within_tol(marginal(cur_fs, term.output, ctx.web_cap), base_marg):
             fail(CheckFailure(instance, name, "marginal", "rewriting marginal is off"))
     return failures, prefixes
 
