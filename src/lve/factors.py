@@ -16,9 +16,9 @@ their consumer, is decided from the types alone by `syntax.factor_scopes`;
 A definition's table is read off its bound expression as factor
 contractions (`_Reading`), never through `denote`, which stays the
 independent reference: variables and arrows are identifications of indices,
-and each `let` contracts the factors of the indices it leaves behind, one
-index at a time, as one step of `eliminate` would. Reading a term vel has
-rewritten therefore costs what `eliminate` costs for the same order.
+and each `let` sums out its binder's variables, one bucket each, as steps of
+`eliminate` would. Reading a term vel has rewritten therefore costs what
+`eliminate` costs for the same order.
 """
 
 from __future__ import annotations
@@ -54,8 +54,6 @@ from .syntax import (
     MatApp,
     Pair,
     Pattern,
-    PLeaf,
-    Ty,
     Var,
     Variable,
     factor_scopes,
@@ -247,9 +245,9 @@ def _atom(k: int) -> Variable:
     return Variable(f"#{k}", BOOL)
 
 
-def _leaves(ty: Ty) -> int:
-    """The Bool leaves of a type: every web is a power of two."""
-    return web_size(ty).bit_length() - 1
+def _leaves(web: int) -> int:
+    """The Bool leaves of a type with this web: every web is a power of two."""
+    return web.bit_length() - 1
 
 
 class _Table(NamedTuple):
@@ -282,16 +280,16 @@ class _Reading:
     argument's (a union-find, `alias`) and is its result indices. No arrow is
     a web, and no `Var` a table.
 
-    A `Let` binds its binder's leaves to the bound's indices. Once its body
-    is read, an index of the bound that neither the body's value nor a
-    positive variable in scope carries (`uses`) is summed out: the factors
-    that mention it are contracted into one `_Table`, like a vef bucket.
-    Arrow variables are linear, so only positive bindings are counted. The
-    indices of a variable free in the group (`free`) and those summed
-    already are `fixed`: no `Let` sums them. The reading runs on
-    `syntax.walk`, so nesting depth is not bounded by Python's recursion
-    limit, and a node whose reading the context recorded is not walked
-    (`reuse`)."""
+    A `Let` binds each binder variable to its share of the bound's indices.
+    Once its body is read, each is one bucket, as in `eliminate`: its
+    indices that neither the body's value nor a positive variable in scope
+    carries (`uses`) are summed out of the factors mentioning them, which
+    become one `_Table`. Arrow variables are linear, so only positive
+    bindings are counted. The indices of a variable free in the group
+    (`free`) and those summed already are `fixed`: no `Let` sums them. The
+    reading runs on `syntax.walk`, so nesting depth is not bounded by
+    Python's recursion limit, and a node whose reading the context recorded
+    is not walked (`reuse`)."""
 
     def __init__(self, counter: CostCounter, cap: int, readings: dict):
         self.counter = counter
@@ -322,25 +320,23 @@ class _Reading:
     def lookup(self, v: Variable) -> tuple[Variable, ...]:
         got = self.env.get(v) or self.free.get(v)
         if got is None:
-            got = self.free[v] = self.atoms(_leaves(v.ty))
+            got = self.free[v] = self.atoms(_leaves(v.web))
             self.fixed.update(got)
         return got
 
-    def bind(self, p: Pattern, value: tuple[Variable, ...], undo: list) -> None:
-        if isinstance(p, PLeaf):
-            parts = [(p.var, value)]
-        else:
-            parts, at = [], 0
-            for v in pattern_vars(p):
-                n = _leaves(v.ty)
-                parts.append((v, value[at : at + n]))
-                at += n
-        for v, part in parts:
+    def bind(self, p: Pattern, value: tuple[Variable, ...], undo: list) -> list[tuple[Variable, ...]]:
+        """Each pattern variable's indices, bound to it, left to right."""
+        leaves, at = [], 0
+        for v in pattern_vars(p):
+            part = value[at : at + _leaves(v.web)]
+            at += len(part)
+            leaves.append(part)
             undo.append((v, self.env.get(v)))
             self.env[v] = part
             if not v.is_arrow:
                 for a in part:
                     self.uses[self.find(a)] += 1
+        return leaves
 
     def unbind(self, undo: list) -> None:
         while undo:
@@ -374,23 +370,20 @@ class _Reading:
         self.settled = len(self.factors)
         return self.factors
 
-    def sum_out(self, bound: tuple[Variable, ...], value: tuple[Variable, ...]) -> None:
-        kept = None
-        for a in map(self.find, bound):
-            if a in self.fixed or self.uses.get(a):
+    def sum_out(self, leaves: list[tuple[Variable, ...]], value: tuple[Variable, ...]) -> None:
+        """One bucket per binder variable (`bind`); an index in no factor spans ones."""
+        kept = set(map(self.find, value))
+        for part in leaves:
+            gone = {a: None for a in map(self.find, part) if not (a in self.fixed or a in kept or self.uses.get(a))}
+            if not gone:
                 continue
-            if kept is None:
-                kept = set(map(self.find, value))
-            if a in kept:
-                continue
-            self.fixed.add(a)
+            self.fixed.update(gone)
             hit, rest = [], []
             for f in self.resolved():
-                (hit if a in f.vars else rest).append(f)
-            if not hit:
-                hit = [_Table((a,), np.ones(2))]
+                (rest if gone.keys().isdisjoint(f.vars) else hit).append(f)
             keep = set(chain.from_iterable(f.vars for f in hit))
-            keep.discard(a)
+            hit += [_Table((a,), np.ones(2)) for a in gone if a not in keep]
+            keep.difference_update(gone)
             rest.append(_Table(*_contract(hit, keep, self.counter, self.cap)))
             self.factors, self.settled = rest, len(rest)
 
@@ -449,13 +442,12 @@ class _Reading:
             return (yield e.fst) + (yield e.snd)
         undo: list = []
         if isinstance(e, Let):
-            bound = yield e.bound
-            self.bind(e.binder, bound, undo)
+            leaves = self.bind(e.binder, (yield e.bound), undo)
             value = yield e.body
             self.unbind(undo)
-            self.sum_out(bound, value)
+            self.sum_out(leaves, value)
             return value
-        param = self.atoms(_leaves(pattern_type(e.param)))
+        param = self.atoms(_leaves(web_size(pattern_type(e.param))))
         self.bind(e.param, param, undo)
         value = param + (yield e.body)
         self.unbind(undo)
@@ -466,7 +458,7 @@ class _Reading:
             return self.lookup(e.var)
         if isinstance(e, MatApp):
             args = tuple(chain.from_iterable(map(self.lookup, e.args)))
-            out = self.atoms(_leaves(e.matrix.out))
+            out = self.atoms(_leaves(web_size(e.matrix.out)))
             atoms = args + out
             self.factors.append(_table(e.matrix.entries.reshape((2,) * len(atoms)), atoms))
             return out

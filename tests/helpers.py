@@ -305,3 +305,30 @@ def grid(rows: int, cols: int) -> dict:
         for j in range(cols)
     }
     return _flat_network(parents, [f"v{rows - 1}_{cols - 1}"])
+
+
+def tensor_network(seed: int) -> str:
+    """A seeded `.lve` program of 4 to 6 nodes, each typed Bool or Bool *
+    Bool, querying the last: a node has at most 2 parents, all earlier, and
+    every other node has a later child. Rows are Dirichlet draws."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 7))
+    tys = ["Bool * Bool" if rng.random() < 0.5 else "Bool" for _ in range(n)]
+    parents: list[set[int]] = [set() for _ in range(n)]
+    for i in range(n - 2, -1, -1):
+        parents[int(rng.choice([j for j in range(i + 1, n) if len(parents[j]) < 2]))].add(i)
+    for j in range(1, n):
+        if len(parents[j]) < 2 and rng.random() < 0.3:
+            parents[j].add(int(rng.integers(0, j)))
+    matrices, defs = [], []
+    for j, ty in enumerate(tys):
+        ps = sorted(parents[j])
+        ins = " * ".join(f"({tys[i]})" for i in ps)
+        n_rows = 2 ** sum(tys[i].count("Bool") for i in ps)
+        rows = rng.dirichlet(np.ones(2 ** ty.count("Bool")), size=n_rows)
+        entries = "; ".join(", ".join(map(repr, map(float, row))) for row in rows)
+        matrices.append(f"matrix M{j} : {ins} -> ({ty}) = [{entries}];")
+        args = ", ".join(f"n{i}" for i in ps)
+        defs.append(f"n{j} = M{j}({args});" if ps else f"n{j} = M{j};")
+    var_decls = [f"var n{j} : {ty};" for j, ty in enumerate(tys)]
+    return "\n".join(matrices + var_decls + defs + [f"in n{n - 1}"])

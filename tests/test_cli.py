@@ -227,6 +227,17 @@ def test_compare_json_reverse(run, sixnode_path):
         assert (payload[route]["muladds"], payload[route]["max_table"]) == (160, 32)
 
 
+@pytest.mark.parametrize("order, cost", [("w,x", (44, 16)), ("x,w", (48, 16))])
+def test_compare_json_tensor_typed_variable(run, samples_dir, order, cost):
+    # w ranges over Bool * Bool: vel's readout sums it out in one bucket, as vef does.
+    code, out, _ = run("compare", "--json", "--order", order, str(samples_dir / "tensor.lve"))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["agree"] is True
+    for route in ("vef", "vel"):
+        assert (payload[route]["muladds"], payload[route]["max_table"]) == cost
+
+
 @pytest.mark.parametrize(
     "net, web",
     [(grid_network(12, 12), "2^144"), (chain_network(2000), "2^2000")],

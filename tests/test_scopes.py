@@ -13,11 +13,12 @@ from lve.errors import NotCanonicalized
 from lve.factors import check_factor_vars, eliminate, factors_of, plan_elimination
 from lve.network import network_to_program
 from lve.orderings import min_degree_order
+from lve.parser import parse_program
 from lve.rewrite import ELIM, eliminate_seq
-from lve.syntax import LetTerm, MatApp, PLeaf, factor_scopes, free_vars, pattern_fv, web_size
-from lve.verify import _orders, random_network
+from lve.syntax import LetTerm, MatApp, PLeaf, factor_scopes, free_vars, pattern_fv, pattern_vars, web_size
+from lve.verify import ORDER_NAMES, SuiteReport, _orders, check_instance, random_network
 from lve.webs import sorted_vars
-from helpers import SIXNODE_ORDER_FWD, bvar, chain, coin_matrix, grid, order_by_name
+from helpers import SIXNODE_ORDER_FWD, bvar, chain, coin_matrix, grid, order_by_name, tensor_network
 
 
 def _web(vs) -> int:
@@ -116,6 +117,18 @@ def test_the_plan_on_scopes_costs_what_elimination_costs(sixnode_term):
     assert checked == 1216
 
 
+def _counter_gaps(term, orders) -> list:
+    """The orders under which reading vel's final term charges other
+    muladds or max_table than vef."""
+    gaps = []
+    for order in orders:
+        vef = eliminate(factors_of(term), order).counter
+        vel = factors_of(eliminate_seq(term, order)[0]).counter
+        if (vel.muladds, vel.max_table) != (vef.muladds, vef.max_table):
+            gaps.append(([v.name for v in order], vel.muladds, vel.max_table, vef.muladds, vef.max_table))
+    return gaps
+
+
 def test_evaluating_the_rewritten_term_costs_what_elimination_costs(sixnode_term):
     """The numeric half of the claim: reading vel's final term as factor
     contractions (`factors_of`) charges exactly vef's muladds and max_table
@@ -124,16 +137,48 @@ def test_evaluating_the_rewritten_term_costs_what_elimination_costs(sixnode_term
     them, so not even the pairwise folds differ. The readout through
     `denote` cost 3x vef's muladds and twice its peak on a chain, and 2^21
     against 2^9 on a 6x6 grid."""
-    gaps = []
     cases = _cases(sixnode_term)
-    for term, order in cases:
-        vef = eliminate(factors_of(term), order)
-        final, _ = eliminate_seq(term, order)
-        vel = factors_of(final).counter
-        if (vel.muladds, vel.max_table) != (vef.counter.muladds, vef.counter.max_table):
-            gaps.append((vel.muladds, vel.max_table, vef.counter.muladds, vef.counter.max_table))
     assert len(cases) == 272
+    assert [gap for term, order in cases for gap in _counter_gaps(term, [order])] == []
+
+
+# Two tensor-typed variables, one nested; counters depend on table shapes alone.
+NESTED_TENSORS = f"""
+matrix A : -> (Bool * Bool) = [0.1, 0.2, 0.3, 0.4];
+matrix B : (Bool * Bool) -> Bool * (Bool * Bool) = [{"; ".join([", ".join(["0.125"] * 8)] * 4)}];
+matrix C : (Bool * (Bool * Bool)) * (Bool * Bool) -> Bool = [{"; ".join(["0.5, 0.5"] * 32)}];
+matrix D : Bool -> Bool = [0.3, 0.7; 0.6, 0.4];
+var a : Bool * Bool;
+var b : Bool * (Bool * Bool);
+a = A;
+b = B(a);
+c = C(b, a);
+d = D(c);
+in d
+"""
+
+
+def test_tensor_typed_variables_cost_what_elimination_costs(samples_dir):
+    """A variable over Bool * Bool is one bucket on both routes: the reading
+    sums out all its indices in one contraction, as vef's step does, so
+    `samples/tensor.lve` charges 44 and 48 muladds on both, not 52 on vel."""
+    for text in ((samples_dir / "tensor.lve").read_text(), NESTED_TENSORS):
+        term = parse_program(text).term
+        hidden = [v for binder, _ in term.defs for v in pattern_vars(binder) if v not in pattern_fv(term.output)]
+        assert _counter_gaps(term, permutations(hidden)) == []
+
+
+def test_generated_tensor_networks_cost_what_elimination_costs():
+    """`tensor_network(seed)` for 30 seeds under `verify._orders`: 120
+    cases, every one with a hidden Bool * Bool variable, all equal, and the
+    verifier finds nothing."""
+    gaps, report = [], SuiteReport(30, ORDER_NAMES)
+    for seed in range(30):
+        term = parse_program(tensor_network(seed)).term
+        gaps += _counter_gaps(term, _orders(term, seed).values())
+        check_instance(term, seed, report, order_seed=seed)
     assert gaps == []
+    assert report.failures == [] and report.skipped == []
 
 
 def test_ordering_and_the_census_check_denote_nothing(sixnode_term, monkeypatch):
