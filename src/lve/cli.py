@@ -31,7 +31,6 @@ from .parser import SourceProgram, parse_program
 from .printer import program_str
 from .rewrite import RewriteStep, eliminate_seq, simplify
 from .syntax import (
-    TOL,
     LetTerm,
     Variable,
     collect_matrices,
@@ -242,8 +241,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     # The one command left is compare.
-    ran, skipped, diff = compare_routes(term, order, args.web_cap)
-    agree = diff <= TOL
+    ran, skipped, diff, agree = compare_routes(term, order, args.web_cap)
 
     if args.json:
         payload: dict = {

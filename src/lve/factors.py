@@ -9,6 +9,9 @@ out; `eliminate` works out every step on the variable sets first
 step. A let-term induces a factor set with one factor per definition plus a
 constant factor on the output variables, and the term's denotation is
 recovered by multiplying everything and summing the internal variables.
+Every readout lays a product out on its axes through `_onto`, which charges
+only the contraction: a repeated variable spans a diagonal, and one no
+factor holds spans ones.
 Which variables each factor spans, and which arrow definitions fold into
 their consumer, is decided from the types alone by `syntax.factor_scopes`;
 `factors_of` only fills in the tables.
@@ -18,7 +21,8 @@ contractions (`_Reading`), never through `denote`, which stays the
 independent reference: variables and arrows are identifications of indices,
 and each `let` sums out its binder's variables, one bucket each, as steps of
 `eliminate` would. Reading a term vel has rewritten therefore costs what
-`eliminate` costs for the same order.
+`eliminate` costs for the same order, or less where a value is copied: the
+copies are one index, with nothing to sum.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ from .syntax import (
     BOOL,
     ArrowApp,
     Expr,
-    FreshNames,
     Lam,
     Let,
     LetTerm,
@@ -160,10 +163,11 @@ def _layout(
     """A contraction worked out on the factors' scopes alone: the result's
     variables, the einsum labels of the operands and the result (the union
     numbered by first occurrence), and the product's web. Raises what
-    `contract` raises (`bucket` as there); a cap of None checks no web and
-    no label limit. The counter is charged each pairwise fold, in list
-    order, the union's web so far, as multiply-adds and as a table; and the
-    sum the product's web as multiply-adds and the result's web as a table."""
+    `contract` raises; with `bucket` the cap also bounds the product of more
+    than one factor, and a cap of None checks no web and no label limit. The
+    counter is charged each pairwise fold, in list order, the union's web so
+    far, as multiply-adds and as a table; and the sum the product's web as
+    multiply-adds and the result's web as a table."""
     label: dict[Variable, int] = {}
     labels: list[list[int]] = []
     webs: list[int] = []
@@ -214,24 +218,45 @@ def _einsum(operands: list[tuple[np.ndarray, list[int]]], out_labels: list[int])
 
 
 def contract(
-    factors: Sequence[Factor],
-    keep: Iterable[Variable],
-    counter: CostCounter | None = None,
-    cap: int = DEFAULT_WEB_CAP,
-    bucket: bool = False,
+    factors: Sequence[Factor], keep: Iterable[Variable], counter: CostCounter | None = None, cap: int = DEFAULT_WEB_CAP
 ) -> Factor:
     """The product of the factors with every variable outside `keep` summed
     out, by np.einsum without materializing the product; the empty product is
     the scalar 1. Every kept variable must occur in some factor. The cap
-    applies to the result only, and with `bucket` also to the product of
-    more than one factor; the counter is charged as `_layout` says."""
-    return Factor(*_contract(factors, keep, counter, cap, bucket))
+    applies to the result only; the counter is charged as `_layout` says."""
+    return Factor(*_contract(factors, keep, counter, cap))
 
 
-def _contract(factors: Sequence, keep: Iterable[Variable], counter: CostCounter | None, cap: int, bucket=False) -> tuple:
+def _contract(factors: Sequence, keep: Iterable[Variable], counter: CostCounter | None, cap: int) -> tuple:
     """`contract`'s variables and table, unchecked and uncopied."""
-    out, labels, out_labels, _ = _layout([f.vars for f in factors], set(keep), counter, cap, bucket)
+    out, labels, out_labels, _ = _layout([f.vars for f in factors], set(keep), counter, cap, False)
     return out, _einsum([(f.table, ls) for f, ls in zip(factors, labels)], out_labels)
+
+
+def _onto(factors: Sequence, axes: Sequence, counter: CostCounter | None, cap: int, bucket: bool) -> np.ndarray:
+    """The product of the factors as a table with one axis per entry of
+    `axes`, in order, every other variable summed out: the one readout. The
+    contraction is checked and charged as `_layout` says, and one factor with
+    nothing to sum is transposed instead. Two kinds of axis take no
+    contraction and no charge: one that repeats a variable is the diagonal,
+    zero off it, and one that no factor holds spans ones; the cap then
+    bounds the whole table."""
+    held = set(chain.from_iterable(f.vars for f in factors))
+    distinct = list(dict.fromkeys(axes))
+    kept = [v for v in distinct if v in held]
+    out, labels, out_labels, _ = _layout([f.vars for f in factors], set(kept), counter, cap, bucket)
+    if len(factors) == 1 and len(labels[0]) == len(kept):
+        table = factors[0].table.transpose([factors[0].vars.index(v) for v in kept])
+    else:
+        at = dict(zip(out, out_labels))
+        table = _einsum([(f.table, ls) for f, ls in zip(factors, labels)], [at[v] for v in kept])
+    if len(kept) == len(axes):
+        return table
+    check_web_cap(_web(axes), cap)
+    full = np.zeros([v.web for v in axes])
+    diagonal = np.einsum(full, [distinct.index(v) for v in axes], list(range(len(distinct))))
+    diagonal[...] = table.reshape([v.web if v in held else 1 for v in distinct])
+    return full
 
 
 # ---------------------------------------------------------------- reading definitions
@@ -287,9 +312,10 @@ class _Reading:
     become one `_Table`. Arrow variables are linear, so only positive
     bindings are counted. The indices of a variable free in the group
     (`free`) and those summed already are `fixed`: no `Let` sums them. The
-    reading runs on `syntax.walk`, so nesting depth is not bounded by
-    Python's recursion limit, and a node whose reading the context recorded
-    is not walked (`reuse`)."""
+    group's factor is one readout (`_onto`), where indices that two
+    variables share span a diagonal. The reading runs on `syntax.walk`, so
+    nesting depth is not bounded by Python's recursion limit, and a node
+    whose reading the context recorded is not walked (`reuse`)."""
 
     def __init__(self, counter: CostCounter, cap: int, readings: dict):
         self.counter = counter
@@ -472,30 +498,12 @@ class _Reading:
 
     def factor(self, scope: Iterable[Variable]) -> Factor:
         """The product of the factors over the scope's variables, every other
-        index summed out. A variable's axis spans its indices, left-major; an
-        index two axes share is tied to a copy by an identity factor, and one
-        in no factor spans ones."""
+        index summed out (`_onto`). A variable's axis spans its indices,
+        left-major."""
         axes = sorted_vars(scope)
-        cols: list[Variable] = []
-        extra: list[_Table] = []
-        for v in axes:
-            for a in map(self.find, self.lookup(v)):
-                if a in cols:
-                    copy = self.atoms(1)[0]
-                    extra.append(_Table((a, copy), np.eye(2)))
-                    a = copy
-                cols.append(a)
-        factors = self.resolved() + extra
-        held = set(chain.from_iterable(f.vars for f in factors))
-        missing = [a for a in cols if a not in held]
-        if missing:
-            factors.append(constant_factor(missing))
-        if len(factors) == 1 and len(factors[0].vars) == len(cols):
-            g = factors[0]
-        else:
-            g = contract(factors, cols, self.counter, self.cap)
-        table = g.table.transpose([g.vars.index(a) for a in cols])
-        return Factor(axes, table.reshape([web_size(v.ty) for v in axes]))
+        cols = [self.find(a) for v in axes for a in self.lookup(v)]
+        table = _onto(self.resolved(), cols, self.counter, self.cap, False)
+        return Factor(axes, table.reshape([v.web for v in axes]))
 
 
 def _read_definitions(
@@ -582,36 +590,27 @@ def check_factor_vars(term: LetTerm) -> bool:
 
 
 def relation_from_factors(term: LetTerm, ctx: DenoteContext | None = None) -> Relation:
-    """Rebuild a let-term's denotation from its factor set alone; the
-    context's counter is charged the factor set's counters and the readout.
-
-    Rows where a variable shared between the free variables and the output
-    disagrees are zero; all other entries come from the factor product with
-    the internal variables summed out.
-    """
+    """Rebuild a let-term's denotation from its factor set alone (`_readout`):
+    rows where a variable both free and in the output disagrees are zero. The
+    context's counter is charged the factor set's counters and the readout."""
     if ctx is None:
         ctx = DenoteContext()
     fs = factors_of(term, ctx)
     rows = sorted_vars(free_vars(term))
-    matrix = _readout(fs, rows, term.output, ctx.web_cap)
+    matrix = _readout(fs.factors, rows, term.output, fs.counter, ctx.web_cap)
     fs.counter.count(table=matrix.size)
     ctx.counter.merge(fs.counter)
     return Relation(rows, pattern_type(term.output), matrix)
 
 
-def _readout(fs: FactorSet, rows: tuple[Variable, ...], output: Pattern, cap: int) -> np.ndarray:
+def _readout(factors: Sequence, rows: tuple, output: Pattern, counter: CostCounter | None, cap: int) -> np.ndarray:
     """The factor product as a matrix from the rows' web to the output's web,
-    every other variable summed out, charged to fs.counter. A row variable
-    that is also in the output spans the diagonal: its output axis is a fresh
-    copy tied to it by an identity factor."""
-    cols = pattern_vars(output)
-    g = contract(fs.factors, set(rows + cols), fs.counter, cap, bucket=True)
-    names = FreshNames(v.name for v in g.vars)
-    copies = {v: Variable(names.fresh(v.name), v.ty) for v in cols if v in rows}
-    eyes = [Factor((v, w), np.eye(web_size(v.ty))) for v, w in copies.items()]
-    axes = rows + tuple(copies.get(v, v) for v in cols)
-    h = contract([g] + eyes, axes, None, cap)
-    return h.table.transpose([h.vars.index(v) for v in axes]).reshape(_web(rows), -1)
+    every other variable summed out (`_onto`), charged to the counter given.
+    A row variable that is also in the output spans the diagonal."""
+    axes = rows + pattern_vars(output)
+    if missing := set(axes).difference(*(f.vars for f in factors)):
+        raise UnknownVariable(f"kept variables {sorted(v.name for v in missing)} are in no factor")
+    return _onto(factors, axes, counter, cap, True).reshape(_web(rows), -1)
 
 
 # ---------------------------------------------------------------- elimination
@@ -664,15 +663,11 @@ def eliminate(fs: FactorSet, order: Sequence[Variable], cap: int = DEFAULT_WEB_C
     return FactorSet(new + [f for k, f in enumerate(fs.factors) if k not in used], counter, steps)
 
 
-def marginal(
-    fs: FactorSet,
-    output: Pattern,
-    cap: int = DEFAULT_WEB_CAP,
-) -> np.ndarray:
-    """Distribution over the output pattern's web read off a factor set: the
-    factor product with every other variable summed out. A value that
-    overflowed to inf or NaN raises `NonFinite`."""
-    values = _readout(fs, (), output, cap).reshape(-1).copy()
+def marginal(fs: FactorSet, output: Pattern, cap: int = DEFAULT_WEB_CAP) -> np.ndarray:
+    """Distribution over the output pattern's web read off a factor set
+    (`_readout`), which charges no counter. A value that overflowed to inf
+    or NaN raises `NonFinite`."""
+    values = _readout(fs.factors, (), output, None, cap).reshape(-1).copy()
     if not np.isfinite(values).all():
         raise NonFinite(f"marginal is not finite: {values}")
     return values

@@ -319,13 +319,19 @@ def nest_vars(vs: Iterable[Variable]) -> Pattern:
 
 TOL = 1e-9
 """The one tolerance of every numeric comparison: a stochastic row's sum
-against one, and the routes' answers against each other."""
+against one, absolutely, and the routes' answers and tables against each
+other at their scale (`within_tol`)."""
 
 
 def within_tol(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two arrays have one shape and max |a - b| <= TOL, a NaN failing,
-    by the ufunc's reduction: `np.max`'s Python layer weighs on small tables."""
-    return a.shape == b.shape and bool(np.maximum.reduce(np.abs(a - b), axis=None, initial=0.0) <= TOL)
+    """Whether two arrays have one shape and max |a - b| <= TOL * max(1,
+    max |a|, max |b|), the scale worked out only when the absolute bound
+    fails; a NaN or inf fails. The ufunc's reductions: `np.max`'s Python
+    layer weighs on small tables."""
+    if a.shape != b.shape:
+        return False
+    diff = np.maximum.reduce(np.abs(a - b), axis=None, initial=0.0)
+    return bool(diff <= TOL or diff <= TOL * np.maximum.reduce(np.abs([a, b]), axis=None) < np.inf)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,11 +3,12 @@
 `ROUTES` is the one place the four routes to a closed let-term's marginal
 are defined (`denote`, `facts`, `vef`, `vel`); `lve compare` and
 `check_instance` both read it, and `compare_routes` holds compare's rule:
-skip a route over the web cap, require two routes, take the largest
-difference. `brute_force_joint` recomputes a relation by enumerating every
-total assignment; `random_network` draws a two-state Bayesian network whose
-every hidden node has a query descendant (so each stays eliminable);
-`run_suite` checks a batch of them and records every disagreement.
+skip a route over the web cap, require two routes, and agree where each
+cell's values are `within_tol`. `brute_force_joint` recomputes a relation
+by enumerating every total assignment; `random_network` draws a two-state
+Bayesian network whose every hidden node has a query descendant (so each
+stays eliminable); `run_suite` checks a batch of them and records every
+disagreement.
 """
 
 from __future__ import annotations
@@ -24,12 +25,10 @@ from .denote import DenoteContext, Relation, _regroup, _suffix, denote, joint_ve
 from .errors import LveError, WebCapExceeded
 from .factors import (
     FactorSet,
+    _onto,
     check_factor_vars,
-    constant_factor,
-    contract,
     eliminate,
     factor_sets_equal,
-    factors_allclose,
     factors_of,
     marginal,
     relation_from_factors,
@@ -188,8 +187,8 @@ def random_network(seed: int, config: GeneratorConfig = GeneratorConfig()) -> So
 
 @dataclass(frozen=True)
 class RouteRun:
-    """A route's marginal and its own cost: vef's and vel's counters are read
-    before `marginal`. vef keeps its factor set, vel its rewrite step count."""
+    """A route's marginal and its own cost, for vef and vel their factor set's
+    counters. vef keeps its factor set, vel its rewrite step count."""
 
     marginal: np.ndarray
     muladds: int
@@ -208,15 +207,14 @@ def _charged(ctx: DenoteContext, semantics, term: LetTerm) -> RouteRun:
 
 def _by_vef(term: LetTerm, order: list[Variable], ctx: DenoteContext) -> RouteRun:
     fs = eliminate(factors_of(term, ctx), order, ctx.web_cap)
-    muladds, max_table = fs.counter.muladds, fs.counter.max_table
-    return RouteRun(marginal(fs, term.output, ctx.web_cap), muladds, max_table, fs=fs)
+    return RouteRun(marginal(fs, term.output, ctx.web_cap), fs.counter.muladds, fs.counter.max_table, fs=fs)
 
 
 def _by_vel(term: LetTerm, order: list[Variable], ctx: DenoteContext) -> RouteRun:
     final, trace = eliminate_seq(term, order)
     fs = factors_of(final, ctx)
-    muladds, max_table = fs.counter.muladds, fs.counter.max_table
-    return RouteRun(marginal(fs, term.output, ctx.web_cap), muladds, max_table, steps=len(trace.steps))
+    values = marginal(fs, term.output, ctx.web_cap)
+    return RouteRun(values, fs.counter.muladds, fs.counter.max_table, steps=len(trace.steps))
 
 
 # name -> route(term, order, ctx); denote and facts ignore the order.
@@ -228,10 +226,11 @@ ROUTES = {
 }
 
 
-def compare_routes(term: LetTerm, order: list[Variable], cap: int) -> tuple[dict[str, RouteRun], dict, float]:
+def compare_routes(term: LetTerm, order: list[Variable], cap: int) -> tuple[dict[str, RouteRun], dict, float, bool]:
     """Every route on a fresh context, in `ROUTES` order: the runs, the error
-    of each route skipped for a table over the cap, and the largest difference
-    between two runs' values. Unless two routes run, the first error is raised."""
+    of each route skipped for a table over the cap, the largest difference
+    between two runs' values, and whether each cell's largest and smallest
+    are `within_tol`. Unless two routes run, the first error is raised."""
     ran, skipped = {}, {}
     for name, route in ROUTES.items():
         try:
@@ -241,7 +240,8 @@ def compare_routes(term: LetTerm, order: list[Variable], cap: int) -> tuple[dict
     if len(ran) < 2:
         raise next(iter(skipped.values()))
     values = np.array([run.marginal for run in ran.values()])
-    return ran, skipped, float(np.max(np.ptp(values, axis=0), initial=0.0))
+    hi, lo = values.max(axis=0), values.min(axis=0)
+    return ran, skipped, float(np.max(hi - lo, initial=0.0)), within_tol(hi, lo)
 
 
 # ---------------------------------------------------------------- the suite
@@ -300,9 +300,8 @@ def _same_factors(xs: FactorSet, ys: FactorSet, as_product: bool, cap: int) -> b
     if not (as_product and (left or right)):
         return not (left or right)
     # Both products as functions of every variable either side mentions.
-    ones = constant_factor(set().union(*(f.vars for f in left + right)))
-    left_product, right_product = (contract(fs + [ones], ones.vars, None, cap) for fs in (left, right))
-    return factors_allclose(left_product, right_product)
+    axes = list(set().union(*(f.vars for f in left + right)))
+    return within_tol(_onto(left, axes, None, cap, False), _onto(right, axes, None, cap, False))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import random
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import pytest
 import lve.cli
 import lve.factors
 import lve.orderings
+import lve.verify
 from lve.cli import main
 from lve.denote import denote, joint_vector
 from lve.errors import ParseError
@@ -518,6 +521,38 @@ def test_barren_node_keeps_its_mass_off_the_simplex(run, tmp_path):
         at = lines.index(f"{route}:")
         assert lines[at + 1 : at + 3] == ["t: 0.6", "f: 0.6"]
     assert lines[-1] == "agree: yes"
+
+
+def _scaled_chain(n: int = 30) -> str:
+    """x0 = A; xi = Mi(x(i-1)); in x(n-1), with 2x2 matrices drawn from
+    [1, 9]: the marginal grows to about 5e30 by 30 nodes."""
+    rng = random.Random(0)
+    lines = ["matrix A : -> Bool = [3.7, 5.1];"]
+    for i in range(1, n):
+        a, b, c, d = (round(rng.uniform(1, 9), 3) for _ in range(4))
+        lines.append(f"matrix M{i} : Bool -> Bool = [{a}, {b}; {c}, {d}];")
+    lines.append("x0 = A;")
+    lines += [f"x{i} = M{i}(x{i - 1});" for i in range(1, n)]
+    return "\n".join(lines + [f"in x{n - 1}"])
+
+
+def test_compare_agrees_at_the_answer_scale(run, tmp_path, monkeypatch):
+    # The routes differ by rounding, about 1e15 on answers about 5e30, so
+    # they agree relative to the answer; one route off by 1% does not.
+    path = tmp_path / "scaled_chain.lve"
+    path.write_text(_scaled_chain())
+    order = ",".join(f"x{i}" for i in range(28, -1, -1))
+    code, out, _ = run("compare", "--no-stochastic-check", "--order", order, str(path))
+    assert code == 0 and out.splitlines()[-1] == "agree: yes"
+    by_vel = lve.verify.ROUTES["vel"]
+
+    def off(term, order, ctx):
+        got = by_vel(term, order, ctx)
+        return dataclasses.replace(got, marginal=got.marginal * 1.01)
+
+    monkeypatch.setitem(lve.verify.ROUTES, "vel", off)
+    code, out, _ = run("compare", "--no-stochastic-check", "--order", order, str(path))
+    assert code == 1 and out.splitlines()[-1] == "agree: no"
 
 
 @pytest.mark.parametrize("command", ["vef", "cost"])

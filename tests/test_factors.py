@@ -19,6 +19,7 @@ from lve.errors import (
 )
 from lve.factors import (
     Factor,
+    FactorSet,
     check_factor_vars,
     constant_factor,
     contract,
@@ -34,8 +35,9 @@ from lve.factors import (
 )
 from lve.network import network_to_program
 from lve.orderings import min_degree_order, random_order
+from lve.parser import parse_program
 from lve.rewrite import eliminate_seq
-from lve.syntax import BOOL, Let, LetTerm, MatApp, PLeaf, PPair, Tensor, Var, Variable, web_size
+from lve.syntax import BOOL, Let, LetTerm, MatApp, PLeaf, PPair, Tensor, Var, Variable, web_size, within_tol
 from lve.verify import random_network
 from lve.webs import enumerate_assignments, sorted_vars
 from helpers import (
@@ -46,6 +48,7 @@ from helpers import (
     SIXNODE_ORDER_REV,
     assert_reading_agrees,
     bvar,
+    chain_network,
     coin_copy_term,
     matrix,
     order_by_name,
@@ -346,6 +349,76 @@ def test_marginal_of_sub_pattern(sixnode_term):
     x3_only = marginal(fs, out.left)
     joint = np.asarray(SIXNODE_JOINT).reshape(2, 2)
     assert np.allclose(x3_only, joint.sum(axis=1), atol=1e-9)
+
+
+def test_marginal_of_a_variable_in_no_factor_raises():
+    fs = FactorSet([Factor((A,), np.array([0.3, 0.7]))])
+    with pytest.raises(UnknownVariable):
+        marginal(fs, PPair(PLeaf(A), PLeaf(B)))
+
+
+def test_a_readout_leaves_the_factor_set_counter_alone():
+    # vel's readout and vef then cost what their factor sets say, whether or
+    # not a marginal was read off them.
+    term = network_to_program(chain_network(50)).term
+    order = min_degree_order(term)
+    vef = eliminate(factors_of(term), order)
+    final, _ = eliminate_seq(term, order)
+    vel = factors_of(final)
+    for fs in (vef, vel):
+        before = (fs.counter.muladds, fs.counter.max_table)
+        marginal(fs, term.output)
+        assert (fs.counter.muladds, fs.counter.max_table) == before
+    assert vel.counter.muladds == vef.counter.muladds == 392
+
+
+def test_onto_reads_diagonals_and_ones_without_contracting():
+    f = Factor((A, B), np.arange(1.0, 5.0).reshape(2, 2))
+    counter = CostCounter()
+    table = factors._onto([f], (B, A, B, C), counter, 16, False)
+    assert (counter.muladds, counter.max_table) == (0, 0)
+    assert table.shape == (2, 2, 2, 2)
+    with pytest.raises(WebCapExceeded):  # the whole table, not the product
+        factors._onto([f], (B, A, B, C), counter, 8, False)
+    for a, b, b2, c in np.ndindex(table.shape):
+        assert table[b, a, b2, c] == (f.table[a, b] if b == b2 else 0.0)
+    summed = factors._onto([f], (B,), counter, 16, False)
+    assert summed.tolist() == [4.0, 6.0] and (counter.muladds, counter.max_table) == (4, 2)
+
+
+COPY_PROGRAM = """matrix M : -> Bool = [0.3, 0.7];
+matrix C : Bool -> Bool = [0.9, 0.1; 0.2, 0.8];
+(a, b) = let x = M in (x, x);
+c = C(a);
+in (b, c)"""
+
+UNUSED_PARAMETER_PROGRAM = """matrix M : -> Bool = [0.3, 0.7];
+var f : Bool -o Bool;
+f = \\p. M;
+x = M;
+y = f(x);
+in y"""
+
+
+@pytest.mark.parametrize("text", [COPY_PROGRAM, UNUSED_PARAMETER_PROGRAM], ids=["copy", "unused-parameter"])
+def test_copies_and_unused_parameters_read_as_views(text):
+    # A value that repeats an index spans the diagonal, and a parameter no
+    # factor holds spans ones; neither is a contraction to charge.
+    term = parse_program(text).term
+    assert_reading_agrees(term)
+    fs = factors_of(term)
+    assert (fs.counter.muladds, fs.counter.max_table) == (0, 0)
+
+
+def test_relation_from_factors_output_repeats_a_free_variable():
+    # x is free and in the output: its output axis is the rows' diagonal.
+    m = matrix("M", 1, [[0.8, 0.2], [0.1, 0.9]])
+    x, y = bvar("x"), bvar("y")
+    term = LetTerm(((PLeaf(y), MatApp(m, (x,))),), PPair(PLeaf(x), PLeaf(y)))
+    rebuilt, direct = relation_from_factors(term), denote(term)
+    assert rebuilt.vars == direct.vars == (x,)
+    assert within_tol(rebuilt.matrix, direct.matrix)
+    assert rebuilt.matrix.tolist() == [[0.8, 0.2, 0.0, 0.0], [0.0, 0.0, 0.1, 0.9]]
 
 
 def test_factors_allclose():

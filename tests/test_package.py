@@ -95,6 +95,15 @@ def test_only_the_boundary_sorts_denote_rows():
     assert sorting == {"_sorted"}
 
 
+def test_factor_readouts_mint_no_copies():
+    # Every readout goes through `factors._onto`, which spans a repeated
+    # variable's diagonal as a view: no identity table, no fresh names.
+    tree = ast.parse((SRC / "factors.py").read_text())
+    eyes = [n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr in {"eye", "identity"}]
+    fresh = [a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names if a.name == "FreshNames"]
+    assert not eyes and not fresh
+
+
 def _lve_imports(module: str) -> set[str]:
     """The lve modules a module of the package imports from."""
     found = set()

@@ -60,6 +60,7 @@ from lve.syntax import (
     type_str,
     typecheck,
     web_size,
+    within_tol,
 )
 from helpers import bvar, chain_network, coin_copy_term, matrix
 
@@ -126,6 +127,19 @@ def test_stochastic_flag_is_the_largest_row_deviation_within_tol():
                 assert matrix("M", len(rows).bit_length() - 1, rows).stochastic is expected, rows
                 flags.add(expected)
     assert flags == {True, False}
+
+
+def test_within_tol_holds_answers_to_their_scale():
+    # TOL absolutely up to one and relatively above it; a NaN or inf fails,
+    # even against itself.
+    half, big = np.array([0.5]), np.array([5e30, 1.0])
+    assert within_tol(half, half + TOL / 2) and not within_tol(half, half + 2 * TOL)
+    assert within_tol(big, big * (1 + TOL / 2)) and not within_tol(big, big * (1 + 2 * TOL))
+    for bad in (np.inf, -np.inf, np.nan):
+        with np.errstate(invalid="ignore"):  # inf - inf
+            assert not within_tol(np.array([bad, 1.0]), np.array([bad, 1.0]))
+        assert not within_tol(np.array([bad, 1.0]), big)
+    assert not within_tol(half, big)
 
 
 def test_a_matrix_freezes_a_copy_of_the_callers_array():
