@@ -27,12 +27,20 @@ definition into it, and drops the variable from the merged binder. The factor
 set of the result equals one elimination step on the factor set of the input
 (for a barren variable, as a product), which is the bridge to classical
 variable elimination.
+
+A run (`eliminate_seq`) rewrites one `syntax.Definitions` array in place:
+each rule replaces its window there and types only the new definitions, and
+one let-term is built at the end. A `RewriteStep` records the windows it
+replaced, not the terms around it; those are rebuilt on demand by replaying
+the windows on the nearest term the trace holds, and carry the typings and
+census the run held, never typed whole (`Trace.term_at`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     InOutput,
@@ -45,6 +53,7 @@ from .errors import (
 from .syntax import (
     Arrow,
     ArrowApp,
+    Definitions,
     Expr,
     FreshNames,
     Lam,
@@ -63,7 +72,6 @@ from .syntax import (
     collect_names,
     free_vars,
     fresh_name,
-    let_typings,
     nest_vars,
     pattern_fv,
     pattern_remove,
@@ -85,83 +93,115 @@ ELIM = "elim"
 RULES = (SWAP1, SWAP2, SWAP3, MULT, ELIM)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class RewriteStep:
-    """One rule application: the rule, the definition index, and both terms."""
+    """One rule application: the rule, the definition index, the variable
+    elim drops, and `edits`, the windows it replaced in the run's array
+    (`syntax.Definitions`; one, unless the window replacement itself did
+    more), never a whole term. `before` and `after` are rebuilt on demand."""
 
     rule: str
     position: int
     var: Variable | None
-    before: LetTerm
-    after: LetTerm
+    edits: tuple[tuple, ...]
+    _terms: _Terms = field(repr=False)
+    _index: int = field(repr=False)
+
+    before = property(lambda self: self._terms.term_at(self._index))
+    after = property(lambda self: self._terms.term_at(self._index + 1))
+
+
+class _Terms:
+    """The terms of a run: the first, the last once the run has ended, and
+    the last two rebuilt, with each step's edits. Any other term is rebuilt
+    from the nearest one held before it by replaying the edits in between
+    (`Definitions.apply`, which types each window only), and carries the
+    typings and census the run held, so it is never typed whole; the term
+    after a step is the one before the next."""
+
+    def __init__(self, first: LetTerm):
+        self.edits: list[tuple[tuple, ...]] = []
+        self.held = {0: first}
+
+    def term_at(self, i: int) -> LetTerm:
+        held, last = self.held, len(self.edits)
+        t = held.get(i)
+        if t is None:
+            if not 0 <= i <= last:
+                raise IndexError(f"no term {i} in a run of {last} steps")
+            j = i - 1 if i - 1 in held else max(k for k in held if k < i)
+            run = Definitions(held[j])
+            for edit in chain.from_iterable(self.edits[j:i]):
+                run.apply(edit)
+            self.held = held = {k: t for k, t in held.items() if k in (0, j, last)}
+            t = held[i] = run.term()
+        return t
 
 
 @dataclass
 class Trace:
-    """A rewrite derivation: its rule applications in order."""
+    """A rewrite derivation: its rule applications in order, and `term_at(i)`,
+    the term before step i (the final term at i = len(steps)), rebuilt on
+    demand."""
 
-    steps: list[RewriteStep] = field(default_factory=list)
+    steps: list[RewriteStep]
+    term_at: Callable[[int], LetTerm] = field(repr=False)
 
 
-def apply_rule(
-    term: LetTerm,
-    rule: str,
-    position: int,
-    var: Variable | None = None,
-) -> LetTerm:
+def apply_rule(term: LetTerm | Definitions, rule: str, position: int, var: Variable | None = None) -> LetTerm | Definitions:
     """Apply one rule at a definition index; checks the side condition and
     that the rule preserves the type and free variables of the suffix from
-    that index (the definitions above it are untouched). The term is typed
-    once, on the first rule applied to it; after that, the check costs the
-    definitions the rule rewrites, not the length of the term (`_checked`).
-    swap2 names its arrow variable `g__k`, k the smallest free in the term's
-    census, and the result's census gains that one name."""
+    that index (the definitions above it are untouched). A let-term is typed
+    first and left as it is, and the result is a new let-term; a run's
+    `Definitions` array is rewritten in place and returned. Either way the
+    check costs the definitions the rule rewrites, not the length of the term
+    (`_checked`). swap2 names its arrow variable `g__k`, k the smallest free
+    in the census, which gains that one name."""
     n = len(term.defs)
     binary = rule in (SWAP1, SWAP2, SWAP3, MULT)
     if position < 0 or position >= n or (binary and position + 1 >= n):
         raise TooFewDefinitions(f"rule {rule} needs {'two definitions' if binary else 'a definition'} at index {position}")
 
-    typings = let_typings(term)
-    p1, e1 = term.defs[position]
+    run = Definitions(term) if isinstance(term, LetTerm) else term
+    p1, e1 = run.defs[position]
+    minted = None
 
     if rule == ELIM:
         if var is None:
             raise ValueError("elim needs the variable to drop")
         if var not in pattern_fv(p1):
             raise SideConditionViolated(f"{var.name} not bound at definition {position}")
-        if var in typings[n - position - 1][1]:
+        if var in run.typings[n - position - 1][1]:
             raise SideConditionViolated(f"{var.name} still used after definition {position}")
         residual = pattern_remove(p1, var)
         if residual is None:
             raise SideConditionViolated(
                 f"cannot drop {var.name}: the residual binder would be empty"
             )
-        new_def = (residual, Let(p1, e1, pattern_to_expr(residual)))
-        return _checked(term, position, 1, (new_def,), rule)
-
-    p2, e2 = term.defs[position + 1]
-    shared = pattern_fv(p1) & free_vars(e2)
+        mid: tuple[tuple[Pattern, Expr], ...] = ((residual, Let(p1, e1, pattern_to_expr(residual))),)
+    else:
+        p2, e2 = run.defs[position + 1]
+        shared = pattern_fv(p1) & free_vars(e2)
 
     if rule == SWAP1:
         if shared:
             raise SideConditionViolated(
                 f"definitions share {sorted(v.name for v in shared)}"
             )
-        mid: tuple[tuple[Pattern, Expr], ...] = ((p2, e2), (p1, e1))
+        mid = ((p2, e2), (p1, e1))
     elif rule == SWAP2:
         ordered = [v for v in pattern_vars(p1) if v in shared]
         if not ordered or any(v.is_arrow for v in ordered):
             raise SideConditionViolated("swap2 wants a nonempty positive shared set")
         param = nest_vars(ordered)
         # Every g__j up to the last one minted on the way here is taken.
-        name = fresh_name("g", term._names, term._minted + 1)
-        fn = Variable(name, Arrow(pattern_type(param), _check(e2)[0]))
+        minted = fresh_name("g", run.names, run.minted + 1)
+        fn = Variable(minted, Arrow(pattern_type(param), _check(e2)[0]))
         mid = (
             (PLeaf(fn), Lam(param, e2)),
             (p1, e1),
             (p2, ArrowApp(fn, param)),
         )
-        return _checked(term, position, 2, mid, rule, fn.name)
     elif rule == SWAP3:
         arrow, positive = pattern_split(p1)
         if arrow is None or arrow not in free_vars(e2):
@@ -174,31 +214,20 @@ def apply_rule(
         if any(v.is_arrow for v in pattern_vars(p1)):
             raise SideConditionViolated("mult wants a positive first binder")
         mid = ((PPair(p1, p2), Let(p1, e1, Pair(pattern_to_expr(p1), e2))),)
-    else:
+    elif rule != ELIM:
         raise ValueError(f"unknown rule {rule!r}")
 
-    return _checked(term, position, 2, mid, rule)
+    _checked(run, position, 2 if binary else 1, mid, rule, minted)
+    return run if run is term else run.term()
 
 
-def _checked(
-    term: LetTerm,
-    position: int,
-    width: int,
-    mid: tuple[tuple[Pattern, Expr], ...],
-    rule: str,
-    minted: str | None = None,
-) -> LetTerm:
-    """The term with the `width` definitions at `position` replaced by `mid`,
-    once the suffix from `position` passes the subject-reduction check: its
-    cached typing before and after. `replace_defs` types only `mid`, on top
-    of the cached typing of the tail, and the new term caches its typings
-    when that at `position` is unchanged; otherwise `let_typings` types the
-    new term whole, for the check to report. `minted` is the one name `mid`
-    introduces, fresh for the term's census."""
-    after = replace_defs(term, position, width, mid, minted)
-    before_typing = let_typings(term)[len(term.defs) - position]
-    _subject_reduction(before_typing, let_typings(after)[len(after.defs) - position], rule)
-    return after
+def _checked(run: Definitions, position: int, width: int, mid: tuple, rule: str, minted: str | None = None) -> None:
+    """Replace the `width` definitions at `position` by `mid` in place
+    (`replace_defs`, which types only `mid`), then check the suffix from
+    `position`: its typing before and after. `minted` is `mid`'s new name."""
+    before = run.typings[len(run.defs) - position]
+    replace_defs(run, position, width, mid, minted)
+    _subject_reduction(before, run.typings[len(run.defs) - position], rule)
 
 
 def _subject_reduction(before: Typing, after: Typing, rule: str) -> None:
@@ -225,34 +254,23 @@ Plan = list[tuple[int, str | None, Variable | None]]
 """Rule applications in order: (position, rule or None for the applicable swap, elim variable)."""
 
 
-def _apply_plan(term: LetTerm, plan: Plan) -> tuple[LetTerm, list[RewriteStep]]:
-    steps = []
-    for position, rule, var in plan:
-        rule = rule or _swap_rule(term, position)
-        after = apply_rule(term, rule, position, var)
-        steps.append(RewriteStep(rule, position, var, term, after))
-        term = after
-    return term, steps
-
-
-def _gather_plan(term: LetTerm, start: int, targets: frozenset[Variable], typings: list[Typing]) -> Plan:
+def _gather_plan(run: Definitions, start: int, targets: frozenset[Variable]) -> Plan:
     """The rules that gather the targets into definition `start`, bottom-up.
 
     Scanning down from `start`: a definition not using the targets is swapped
     past the gathered one; one using them is merged with it (mult, or swap3
     when it binds an arrow, which joins the targets) and the scan goes on
     with the targets still free below it; the last definition using them is
-    the bottom. `typings` are the term's `let_typings`, which give the free
-    variables of every suffix."""
+    the bottom. The array's typings give the free variables of every suffix."""
     plan: Plan = []
     i = start
     while targets:
-        binder, bound = term.defs[i]
+        binder, bound = run.defs[i]
         if targets.isdisjoint(free_vars(bound)):
             plan.append((i, None, None))
         else:
             arrow, _ = pattern_split(binder)
-            targets = targets & typings[len(term.defs) - i - 1][1]
+            targets = targets & run.typings[len(run.defs) - i - 1][1]
             if arrow is not None:
                 targets = targets | {arrow}
             elif not targets:
@@ -277,46 +295,52 @@ def eliminate_term(term: LetTerm, x: Variable) -> tuple[LetTerm, list[RewriteSte
     than x. The neighbour's factor absorbs the scalar that summing out x's
     factor gives, so the factor set matches one vef step as a product, not
     as a multiset."""
-    if not term.is_positive:
-        raise NotPositive("elimination is defined on positive terms")
-    if x.is_arrow:
-        raise SideConditionViolated("cannot eliminate an arrow variable directly")
-    k = next((i for i, (binder, _) in enumerate(term.defs) if x in pattern_fv(binder)), None)
-    if k is None:
-        raise NotDefined(f"{x.name} is not defined in the term")
-    if x in pattern_fv(term.output):
-        raise InOutput(f"{x.name} occurs in the output pattern")
-    typings = let_typings(term)
-    plan: Plan = []
-    if x in typings[len(term.defs) - k - 1][1]:
-        arrow, _ = pattern_split(term.defs[k][0])
-        targets = frozenset((x,)) if arrow is None else frozenset((x, arrow))
-        plan = _gather_plan(term, k + 1, targets, typings)
-        plan.append((k, MULT if arrow is None else SWAP3, None))
-    elif isinstance(term.defs[k][0], PLeaf):
-        if k + 1 < len(term.defs):
-            plan.append((k, MULT, None))
-        else:
-            for k in range(k - 1, -1, -1):
-                arrow, positive = pattern_split(term.defs[k][0])
-                plan.append((k, MULT if arrow is None else SWAP3, None))
-                if positive is not None:
-                    break
-    plan.append((k, ELIM, x))
-    plan.extend((j, None, None) for j in range(k - 1, -1, -1))
-    return _apply_plan(term, plan)
+    final, trace = eliminate_seq(term, (x,))
+    return final, trace.steps
 
 
 def eliminate_seq(term: LetTerm, order: Sequence[Variable]) -> tuple[LetTerm, Trace]:
-    """Eliminate several variables left to right. Each term of the run
-    carries its name census on from the one before, so swap2's names are
-    fresh for the whole run: `g__1`, `g__2`, ... in step order."""
-    trace = Trace()
-    cur = term
+    """Eliminate several variables left to right (`eliminate_term`), on one
+    `Definitions` array that every rule rewrites in place; the result is
+    the one let-term built at the end. swap2's names are fresh for the whole
+    run: `g__1`, `g__2`, ... in step order."""
+    terms, steps, run = _Terms(term), [], None
     for x in order:
-        cur, steps = eliminate_term(cur, x)
-        trace.steps.extend(steps)
-    return cur, trace
+        if not term.is_positive:
+            raise NotPositive("elimination is defined on positive terms")
+        if x.is_arrow:
+            raise SideConditionViolated("cannot eliminate an arrow variable directly")
+        k = next((i for i, (binder, _) in enumerate((run or term).defs) if x in pattern_fv(binder)), None)
+        if k is None:
+            raise NotDefined(f"{x.name} is not defined in the term")
+        if x in pattern_fv(term.output):
+            raise InOutput(f"{x.name} occurs in the output pattern")
+        run = run or Definitions(term)
+        plan: Plan = []
+        if x in run.typings[len(run.defs) - k - 1][1]:
+            arrow, _ = pattern_split(run.defs[k][0])
+            targets = frozenset((x,)) if arrow is None else frozenset((x, arrow))
+            plan = _gather_plan(run, k + 1, targets)
+            plan.append((k, MULT if arrow is None else SWAP3, None))
+        elif isinstance(run.defs[k][0], PLeaf):
+            if k + 1 < len(run.defs):
+                plan.append((k, MULT, None))
+            else:
+                for k in range(k - 1, -1, -1):
+                    arrow, positive = pattern_split(run.defs[k][0])
+                    plan.append((k, MULT if arrow is None else SWAP3, None))
+                    if positive is not None:
+                        break
+        plan.append((k, ELIM, x))
+        plan.extend((j, None, None) for j in range(k - 1, -1, -1))
+        for position, rule, var in plan:
+            rule = rule or _swap_rule(run, position)
+            apply_rule(run, rule, position, var)
+            terms.edits.append(tuple(run.edits))
+            steps.append(RewriteStep(rule, position, var, terms.edits[-1], terms, len(steps)))
+            run.edits.clear()
+    terms.held[len(steps)] = run.term() if run else term
+    return terms.held[len(steps)], Trace(steps, terms.term_at)
 
 
 # ---------------------------------------------------------------- bounds

@@ -323,6 +323,7 @@ against one, absolutely, and the routes' answers and tables against each
 other at their scale (`within_tol`)."""
 
 
+@np.errstate(invalid="ignore")  # inf - inf is NaN, which fails below
 def within_tol(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether two arrays have one shape and max |a - b| <= TOL * max(1,
     max |a|, max |b|), the scale worked out only when the absolute bound
@@ -695,42 +696,56 @@ def let_typings(t: LetTerm) -> list[Typing]:
     return typings
 
 
-def replace_defs(
-    t: LetTerm,
-    position: int,
-    width: int,
-    mid: tuple[tuple[Pattern, Expr], ...],
-    minted: str | None = None,
-) -> LetTerm:
-    """`t` with definitions position .. position + width - 1 replaced by `mid`,
-    typed at the cost of `mid`'s new nodes.
+class Definitions:
+    """A typed let-term's definitions as one mutable array, which
+    `replace_defs` rewrites in place: `defs`, the suffix typings as
+    `let_typings` lists them, the census `names` and `minted` as on
+    `LetTerm`, and `edits`, those made since its owner last cleared them,
+    each (position, old definitions, new ones, the name minted or None)."""
+
+    def __init__(self, t: LetTerm):
+        self.typings = list(let_typings(t))
+        self.defs, self.output, self.names, self.minted, self.edits = list(t.defs), t.output, t._names, t._minted, []
+
+    def apply(self, edit: tuple) -> None:
+        """Make an edit and log it, typing its new definitions by `_bind` on
+        the tail's typing. When the typing at its position changes, so do
+        those above it, and the whole array is typed again (`let_typings`)."""
+        position, old, new, minted = edit
+        at = len(self.defs) - position  # typings[at] is the suffix from `position`
+        typings = [self.typings[at - len(old)]]
+        for binder, bound in reversed(new):
+            typings.append(_bind(binder, _check(bound), typings[-1]))
+        same = typings[-1] == self.typings[at]
+        self.defs[position : position + len(old)] = new
+        self.typings[at - len(old) + 1 : at + 1] = typings[1:]
+        if minted is not None:
+            self.names, self.minted = self.names | {minted}, int(minted.rpartition("__")[2])
+        self.edits.append(edit)
+        if not same:
+            self.typings = let_typings(LetTerm(tuple(self.defs), self.output))
+
+    def term(self) -> LetTerm:
+        """The let-term the array holds, with its typings and census cached."""
+        t = LetTerm(tuple(self.defs), self.output)
+        vars(t).update(_typings=self.typings[:], _names=self.names, _minted=self.minted)
+        return t
+
+
+def replace_defs(d: Definitions | LetTerm, position: int, width: int, mid: tuple, minted: str | None = None):
+    """The definitions position .. position + width - 1 of the array `d`
+    replaced by `mid` in place and typed at the cost of `mid`'s new nodes
+    (`Definitions.apply`, which raises the typing errors of the new
+    definitions), and `d`; for a let-term `d`, a new let-term.
 
     Precondition: every name `mid` mentions is one the replaced definitions
-    mention, or `minted`, a name `base__k` from `fresh_name`, fresh for `t`'s
-    census. So the new term's names are `t`'s and `minted`, each still at one
-    type: it needs no second consistency pass, and its census is `t`'s plus
-    `minted`, with k as its `_minted`.
-
-    `_bind` folds over `mid` from the typing of the unchanged tail, raising
-    the typing errors of the new definitions. When the typing at `position`
-    comes out unchanged, so do those above it, which are functions of it, and
-    the new term caches all its typings; otherwise it caches none."""
-    typings = let_typings(t)
-    n = len(t.defs)
-    end = position + width
-    new = LetTerm(t.defs[:position] + mid + t.defs[end:], t.output)
-    kept = typings[: n - end + 1]
-    for binder, bound in reversed(mid):
-        kept.append(_bind(binder, _check(bound), kept[-1]))
-    if kept[-1] == typings[n - position]:
-        object.__setattr__(new, "_typings", kept + typings[n - position + 1 :])
-        if minted is None:
-            object.__setattr__(new, "_names", t._names)
-            object.__setattr__(new, "_minted", t._minted)
-        else:
-            object.__setattr__(new, "_names", t._names | {minted})
-            object.__setattr__(new, "_minted", int(minted.rpartition("__")[2]))
-    return new
+    mention, or `minted`, a name `base__k` from `fresh_name`, fresh for `d`'s
+    census. So each name is still at one type, with no second consistency
+    pass, and the census gains `minted`, with k as its `minted`."""
+    if isinstance(d, LetTerm):
+        return replace_defs(Definitions(d), position, width, mid, minted).term()
+    d.apply((position, tuple(d.defs[position : position + width]), mid, minted))
+    return d
 
 
 # ---------------------------------------------------------------- factor scopes

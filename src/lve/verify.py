@@ -325,15 +325,15 @@ def _same_denotation(s: RewriteStep, ctx: DenoteContext) -> bool:
     objects, compared by identity, which fold the same way: so the two terms'
     relations at that position are compared as the folds leave them, the
     after side's rows regrouped into the before side's order as a view."""
-    p = s.position
-    above, kept = s.before.defs[:p], s.after.defs[:p]
+    p, before, after = s.position, s.before, s.after
+    above, kept = before.defs[:p], after.defs[:p]
     if len(kept) != len(above) or not all(map(operator.is_, above, kept)):
         return False
-    da, db = _suffix(s.before, p, ctx), _suffix(s.after, p, ctx)
+    da, db = _suffix(before, p, ctx), _suffix(after, p, ctx)
     if da.matrix.shape != db.matrix.shape or set(da.vars) != set(db.vars):
         return False
-    after = _regroup(db.matrix, db.vars, da.vars)
-    return within_tol(da.matrix.reshape(after.shape), after)
+    regrouped = _regroup(db.matrix, db.vars, da.vars)
+    return within_tol(da.matrix.reshape(regrouped.shape), regrouped)
 
 
 def _check_step(cur: LetTerm, cur_fs: FactorSet, x: Variable, ctx: DenoteContext, instance: int) -> _Step:

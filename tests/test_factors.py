@@ -461,7 +461,6 @@ def _unmatched_by_scan(xs, ys):
     return left, right
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
 def test_unmatched_factors_pairs_as_the_scan_does():
     rng = np.random.default_rng(5)
     scopes = [(), (A,), (B,), (A, B)]

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -15,7 +17,7 @@ from lve.denote import DenoteContext, denote, joint_vector
 from lve.errors import PatternTypeMismatch
 from lve.factors import eliminate, factors_of, marginal
 from lve.network import load_network, network_to_program
-from lve.orderings import min_degree_order
+from lve.orderings import min_degree_order, random_order
 from lve.parser import parse_program
 from lve.printer import program_str
 from lve.rewrite import eliminate_seq, simplify
@@ -128,6 +130,32 @@ def test_swap2_mints_its_names_without_a_consistency_pass(monkeypatch, side):
     assert minted
     arrows = {v.name for v in occurrences(final) if isinstance(v, Variable) and v.is_arrow}
     assert arrows == set(minted)
+
+
+def _held_mb(term: LetTerm, order) -> float:
+    """Megabytes that `eliminate_seq`'s final term and trace hold (tracemalloc)."""
+    typecheck(term)  # the input's own typings are not the run's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = eliminate_seq(term, order)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_vel_trace_holds_windows_not_terms():
+    # A step records the windows it replaced, not two whole terms, so the
+    # memory a run holds grows with the chain, not with its square.
+    held = []
+    for n in (1000, 2000):
+        term = network_to_program(chain_network(n)).term
+        held.append(_held_mb(term, min_degree_order(term)))
+    assert held[1] <= 2.5 * held[0], held
+    # 16920 steps, mostly swaps under a random order.
+    term = network_to_program(chain_network(200)).term
+    assert _held_mb(term, random_order(term, 3)) < 20
 
 
 def test_vel_reads_out_a_long_chain(tmp_path, capsys):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import lve
-from lve import rewrite
+from lve import rewrite, syntax
 from lve.denote import denote, joint_vector
 from lve.errors import (
     InconsistentVariableTypes,
@@ -53,6 +53,8 @@ from lve.syntax import (
     Variable,
     collect_names,
     free_vars,
+    let_typings,
+    pattern_fv,
     typecheck,
 )
 from lve.verify import _orders, random_network
@@ -396,6 +398,42 @@ def test_steps_chain(sixnode_term):
         assert free_vars(s.before) == free_vars(s.after)
 
 
+def test_rebuilt_terms_are_the_terms_apply_rule_gives(monkeypatch, sixnode_term):
+    # A run rewrites one array in place and records windows; each step's
+    # rebuilt terms are those the public apply_rule gives one step at a time,
+    # with the typings a fresh check gives, and rebuilding runs no
+    # consistency pass. Every recorded step is one call of the module-level
+    # apply_rule, which the benchmark counts.
+    hidden = sixnode_term.defined_vars() - pattern_fv(sixnode_term.output)
+    cases = [(sixnode_term, list(order)) for order in itertools.permutations(hidden)]
+    for i in range(60):
+        term = random_network(i).term
+        cases += [(term, order) for order in _orders(term, i).values()]
+    real_apply = rewrite.apply_rule
+    for term, order in cases:
+        calls = []
+        monkeypatch.setattr(rewrite, "apply_rule", lambda *args: calls.append(args[1]) or real_apply(*args))
+        final, trace = eliminate_seq(term, order)
+        monkeypatch.undo()
+        assert calls == [s.rule for s in trace.steps]
+        prev = term
+        for s in trace.steps:
+            expected = apply_rule(prev, s.rule, s.position, s.var)
+            monkeypatch.setattr(syntax, "_collect_types", None)  # no consistency pass
+            before, after = s.before, s.after
+            monkeypatch.undo()
+            assert before == prev and after == expected
+            assert (after._names, after._minted) == (expected._names, expected._minted)
+            assert after._typings == let_typings(LetTerm(after.defs, after.output))
+            prev = expected
+        assert trace.term_at(len(trace.steps)) is final and final == prev
+    # Any term of a run, in any order: the rebuilt ones equal the walk's.
+    walked = [trace.term_at(i) for i in range(len(trace.steps) + 1)]
+    assert [trace.term_at(i) for i in reversed(range(len(walked)))] == walked[::-1]
+    with pytest.raises(IndexError):
+        trace.term_at(len(walked))
+
+
 def test_eliminate_seq_any_order_same_marginal(sixnode_term):
     for names in (("x5", "x4", "x2", "x1"), ("x2", "x5", "x1", "x4")):
         final, _ = eliminate_seq(sixnode_term, order_by_name(sixnode_term, names))
@@ -449,9 +487,15 @@ def test_window_check_rejects_a_changed_free_variable(monkeypatch, checked):
 def test_window_check_rejects_a_changed_type(monkeypatch, checked):
     term = _maybe_typecheck(chain_term(), checked)
     real = rewrite.replace_defs
-    monkeypatch.setattr(
-        rewrite, "replace_defs", lambda t, *window: LetTerm(real(t, *window).defs, PLeaf(Y))
-    )
+
+    def new_output(run, *window):
+        # The window is replaced, and with it the output: the array is typed again.
+        real(run, *window)
+        run.output = PLeaf(Y)
+        run.typings = let_typings(LetTerm(tuple(run.defs), run.output))
+        return run
+
+    monkeypatch.setattr(rewrite, "replace_defs", new_output)
     with pytest.raises(RewriteError, match=r"^mult changed the type$"):
         apply_rule(term, "mult", 0)
 

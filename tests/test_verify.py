@@ -278,8 +278,11 @@ def test_same_denotation_compares_suffixes_up_to_row_order():
     m, flipped = matrix("M", 2, rows), matrix("Mt", 2, rows.reshape(2, 2, 2).transpose(1, 0, 2).reshape(4, 2))
 
     def step(bound):
-        before = LetTerm(((PLeaf(y), MatApp(m, (a, b))),), PLeaf(y))
-        return rewrite.RewriteStep("swap1", 0, None, before, LetTerm(((PLeaf(y), bound),), PLeaf(y)))
+        # A step of a run from `before` whose last term is held as built.
+        terms = rewrite._Terms(LetTerm(((PLeaf(y), MatApp(m, (a, b))),), PLeaf(y)))
+        terms.edits.append(())
+        terms.held[1] = LetTerm(((PLeaf(y), bound),), PLeaf(y))
+        return rewrite.RewriteStep("swap1", 0, None, (), terms, 0)
 
     ctx = DenoteContext()
     same = step(MatApp(flipped, (b, a)))
