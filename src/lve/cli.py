@@ -24,7 +24,7 @@ import numpy as np
 from .cost import DEFAULT_WEB_CAP
 from .denote import DenoteContext, total_mass_check
 from .errors import InOutput, LveError, NonFinite, NotClosed, RepeatedInOrder, UnknownVariable
-from .factors import dump_factors, eliminate, factors_of, marginal, plan_elimination
+from .factors import FactorSet, dump_factors, eliminate, factors_of, marginal, plan_elimination
 from .network import load_network
 from .orderings import min_degree_order, random_order
 from .parser import SourceProgram, parse_program
@@ -94,6 +94,12 @@ def _print_marginal(term: LetTerm, values) -> None:
         print(f"{elem}: {_fmt(v)}")
 
 
+def _print_factors(fs: FactorSet) -> None:
+    if not all(np.isfinite(f.table).all() for f in fs.factors):
+        raise NonFinite("a factor table is not finite")
+    print(dump_factors(fs))
+
+
 def _step_str(s: RewriteStep) -> str:
     if s.var is not None:
         return f"{s.rule}[{s.var.name}]@{s.position}"
@@ -142,7 +148,9 @@ def main(argv: list[str] | None = None) -> int:
 
     args = top.parse_args(argv)
     try:
-        return _dispatch(args)
+        # Every route raises `NonFinite` on an answer that overflowed; numpy's warnings would repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _dispatch(args)
     except (LveError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -191,7 +199,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "facts":
-        print(dump_factors(factors_of(term, ctx)))
+        _print_factors(factors_of(term, ctx))
         return 0
 
     if args.command == "orderings":
@@ -217,9 +225,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             _, counter = plan_elimination([sorted_vars(s) for s, _ in factor_scopes(term)], order, None)
         else:
             fs = eliminate(factors_of(term, ctx), order, args.web_cap)
-            if not all(np.isfinite(f.table).all() for f in fs.factors):
-                raise NonFinite("a factor table is not finite")
-            print(dump_factors(fs))
+            _print_factors(fs)
             counter = fs.counter
         print(f"muladds: {counter.muladds}")
         print(f"max_table: {_size_str(counter.max_table)}")

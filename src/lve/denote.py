@@ -78,9 +78,9 @@ from .syntax import (
 from .webs import check_web_cap, ht, sorted_vars
 
 _MAX_AXES = 52
-"""The most variables, leaves and columns a clause may span, einsum's label
-count: a wider clause raises `WebCapExceeded` before any table is built
-(numpy arrays take at most 64 axes)."""
+"""The most axes a clause's reshapes and transposes give one array (its row
+variables, binder leaves and a column axis; `_regroup`): a wider clause raises
+`WebCapExceeded` before any table is built, under numpy 2's 64 dimensions."""
 
 
 @dataclass

@@ -277,20 +277,11 @@ def _leaves(web: int) -> int:
 
 class _Table(NamedTuple):
     """A factor inside a reading: one axis per index, in the order given and
-    unchecked. `contract` takes it as it takes a `Factor`."""
+    unchecked, an index named twice read as its diagonal (`_layout` gives it
+    one label). `contract` takes it as it takes a `Factor`."""
 
     vars: tuple[Variable, ...]
     table: np.ndarray
-
-
-def _table(table: np.ndarray, atoms: Sequence[Variable]) -> _Table:
-    """A table over the given indices; an index named twice keeps the
-    diagonal."""
-    if len(set(atoms)) < len(atoms):
-        distinct = list(dict.fromkeys(atoms))
-        table = np.einsum(table, [distinct.index(a) for a in atoms], list(range(len(distinct))))
-        atoms = distinct
-    return _Table(tuple(atoms), table)
 
 
 class _Reading:
@@ -392,7 +383,7 @@ class _Reading:
                 f = self.factors[k]
                 atoms = tuple(map(self.find, f.vars))
                 if atoms != f.vars:
-                    self.factors[k] = _table(f.table, atoms)
+                    self.factors[k] = _Table(atoms, f.table)
         self.settled = len(self.factors)
         return self.factors
 
@@ -486,7 +477,7 @@ class _Reading:
             args = tuple(chain.from_iterable(map(self.lookup, e.args)))
             out = self.atoms(_leaves(web_size(e.matrix.out)))
             atoms = args + out
-            self.factors.append(_table(e.matrix.entries.reshape((2,) * len(atoms)), atoms))
+            self.factors.append(_Table(atoms, e.matrix.entries.reshape((2,) * len(atoms))))
             return out
         if isinstance(e, ArrowApp):
             fn = self.lookup(e.fn)

@@ -39,8 +39,7 @@ census the run held, never typed whole (`Trace.term_at`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     InOutput,
@@ -98,54 +97,45 @@ class RewriteStep:
     """One rule application: the rule, the definition index, the variable
     elim drops, and `edits`, the windows it replaced in the run's array
     (`syntax.Definitions`; one, unless the window replacement itself did
-    more), never a whole term. `before` and `after` are rebuilt on demand."""
+    more), never a whole term: its trace rebuilds `before` and `after`."""
 
     rule: str
     position: int
     var: Variable | None
     edits: tuple[tuple, ...]
-    _terms: _Terms = field(repr=False)
+    _trace: Trace = field(repr=False)
     _index: int = field(repr=False)
 
-    before = property(lambda self: self._terms.term_at(self._index))
-    after = property(lambda self: self._terms.term_at(self._index + 1))
+    before = property(lambda self: self._trace.term_at(self._index))
+    after = property(lambda self: self._trace.term_at(self._index + 1))
 
 
-class _Terms:
-    """The terms of a run: the first, the last once the run has ended, and
-    the last two rebuilt, with each step's edits. Any other term is rebuilt
-    from the nearest one held before it by replaying the edits in between
-    (`Definitions.apply`, which types each window only), and carries the
-    typings and census the run held, so it is never typed whole; the term
-    after a step is the one before the next."""
+@dataclass(eq=False)
+class Trace:
+    """A rewrite derivation: its rule applications in order, and `term_at(i)`,
+    the term before step i (the final term at i = len(steps)). It holds the
+    first term, the last, and the last two rebuilt (`_held`); any other is
+    rebuilt from the nearest held before it by replaying the steps' edits in
+    between (`Definitions.apply`, which types each window only), so it
+    carries the typings and census the run held and is never typed whole."""
 
-    def __init__(self, first: LetTerm):
-        self.edits: list[tuple[tuple, ...]] = []
-        self.held = {0: first}
+    steps: list[RewriteStep]
+    _held: dict[int, LetTerm] = field(repr=False)
 
     def term_at(self, i: int) -> LetTerm:
-        held, last = self.held, len(self.edits)
+        held, last = self._held, len(self.steps)
         t = held.get(i)
         if t is None:
             if not 0 <= i <= last:
                 raise IndexError(f"no term {i} in a run of {last} steps")
             j = i - 1 if i - 1 in held else max(k for k in held if k < i)
             run = Definitions(held[j])
-            for edit in chain.from_iterable(self.edits[j:i]):
-                run.apply(edit)
-            self.held = held = {k: t for k, t in held.items() if k in (0, j, last)}
+            for step in self.steps[j:i]:
+                for edit in step.edits:
+                    run.apply(edit)
+            self._held = held = {k: t for k, t in held.items() if k in (0, j, last)}
             t = held[i] = run.term()
         return t
-
-
-@dataclass
-class Trace:
-    """A rewrite derivation: its rule applications in order, and `term_at(i)`,
-    the term before step i (the final term at i = len(steps)), rebuilt on
-    demand."""
-
-    steps: list[RewriteStep]
-    term_at: Callable[[int], LetTerm] = field(repr=False)
 
 
 def apply_rule(term: LetTerm | Definitions, rule: str, position: int, var: Variable | None = None) -> LetTerm | Definitions:
@@ -304,7 +294,7 @@ def eliminate_seq(term: LetTerm, order: Sequence[Variable]) -> tuple[LetTerm, Tr
     `Definitions` array that every rule rewrites in place; the result is
     the one let-term built at the end. swap2's names are fresh for the whole
     run: `g__1`, `g__2`, ... in step order."""
-    terms, steps, run = _Terms(term), [], None
+    trace, run = Trace([], {0: term}), None
     for x in order:
         if not term.is_positive:
             raise NotPositive("elimination is defined on positive terms")
@@ -336,11 +326,10 @@ def eliminate_seq(term: LetTerm, order: Sequence[Variable]) -> tuple[LetTerm, Tr
         for position, rule, var in plan:
             rule = rule or _swap_rule(run, position)
             apply_rule(run, rule, position, var)
-            terms.edits.append(tuple(run.edits))
-            steps.append(RewriteStep(rule, position, var, terms.edits[-1], terms, len(steps)))
+            trace.steps.append(RewriteStep(rule, position, var, tuple(run.edits), trace, len(trace.steps)))
             run.edits.clear()
-    terms.held[len(steps)] = run.term() if run else term
-    return terms.held[len(steps)], Trace(steps, terms.term_at)
+    final = trace._held[len(trace.steps)] = run.term() if run else term
+    return final, trace
 
 
 # ---------------------------------------------------------------- bounds

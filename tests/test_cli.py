@@ -361,20 +361,28 @@ def test_vel_simplify_survives_inner_shadowing(run, tmp_path):
     assert plain.splitlines()[-4:] == ["(t,t): 0.31", "(t,f): 0", "(f,t): 0", "(f,f): 0.69"]
 
 
+HUGE = "matrix M : -> Bool = [1e308, 1e308]; matrix N : Bool -> Bool = [1e308, 0; 0, 1e308];"
+
+
 @pytest.mark.parametrize("command", ["denote", "vef", "vel", "compare"])
 def test_overflowing_marginals_are_input_errors(run, tmp_path, command):
-    # The denotation overflows to inf and the factor routes to NaN; no route
-    # may print them, and compare may not count them as agreeing.
+    # The routes overflow to inf, and inf times zero gives NaN; no route may
+    # print either, compare may not count them as agreeing, and numpy's
+    # overflow warnings reach neither stream (the suite makes them errors).
     path = tmp_path / "huge.lve"
-    path.write_text(
-        "matrix M : -> Bool = [1e308, 1e308]; matrix N : Bool -> Bool = [1e308, 0; 0, 1e308];"
-        " x = M; y = N(x); z = N(y); in z"
-    )
-    with np.errstate(over="ignore"):
+    for body in (" x = M; y = N(x); z = N(y); in z", " z = let x = M in N(x); in z"):
+        path.write_text(HUGE + body)
         code, out, err = run(command, "--no-stochastic-check", str(path))
-    assert code == 2
-    assert "inf" not in out and "nan" not in out
-    assert err.startswith("error:") and "not finite" in err
+        assert code == 2
+        assert "inf" not in out and "nan" not in out
+        assert err.startswith("error:") and "not finite" in err and err.count("\n") == 1
+
+
+def test_facts_refuses_tables_that_are_not_finite(run, tmp_path):
+    path = tmp_path / "huge.lve"
+    path.write_text(HUGE + " z = let x = M in N(x); in z")
+    code, out, err = run("facts", "--no-stochastic-check", str(path))
+    assert (code, out, err) == (2, "", "error: a factor table is not finite\n")
 
 
 @pytest.mark.parametrize("cpt", ['[["x", 0.5]]', "[[NaN, 0.5]]"])

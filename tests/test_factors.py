@@ -570,13 +570,15 @@ def test_find_points_the_path_at_its_representative():
     assert reading.alias[a[0]] is reading.alias[a[1]] is a[3]
     # Resolved factors are read once, until the next identification.
     (f,) = reading.resolved()
-    assert f.vars == (a[3],) and f.table.tolist() == [0.0, 3.0]
+    assert f.vars == (a[3], a[3]) and f.table.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+    # The contraction reads the repeated index as the table's diagonal.
+    assert factors._onto([f], [a[3]], None, 2**20, False).tolist() == [0.0, 3.0]
     calls = []
     reading.find = lambda x: calls.append(x) or factors._Reading.find(reading, x)
     assert reading.resolved() == [f] and not calls
     b = reading.atoms(1)[0]
     reading.identify(a[3], b)
-    assert reading.resolved()[0].vars == (b,)
+    assert reading.resolved()[0].vars == (b, b)
 
 
 def test_a_recorded_reading_is_not_taken_where_its_variables_coincide():

@@ -279,10 +279,10 @@ def test_same_denotation_compares_suffixes_up_to_row_order():
 
     def step(bound):
         # A step of a run from `before` whose last term is held as built.
-        terms = rewrite._Terms(LetTerm(((PLeaf(y), MatApp(m, (a, b))),), PLeaf(y)))
-        terms.edits.append(())
-        terms.held[1] = LetTerm(((PLeaf(y), bound),), PLeaf(y))
-        return rewrite.RewriteStep("swap1", 0, None, (), terms, 0)
+        after = LetTerm(((PLeaf(y), bound),), PLeaf(y))
+        trace = rewrite.Trace([], {0: LetTerm(((PLeaf(y), MatApp(m, (a, b))),), PLeaf(y)), 1: after})
+        trace.steps.append(rewrite.RewriteStep("swap1", 0, None, (), trace, 0))
+        return trace.steps[0]
 
     ctx = DenoteContext()
     same = step(MatApp(flipped, (b, a)))
