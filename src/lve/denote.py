@@ -37,6 +37,8 @@ the relation it folds into: a rewritten term that shares its tail with one
 denoted before (`syntax.replace_defs`) folds only the definitions up to the
 end of the rewritten window again, and `denote_suffix` stops the fold at a
 given definition, so comparing two terms there folds no definition above it.
+The fold itself (`_suffix`) reads a sequence of typed definitions, so a
+rewrite run's array is folded as it stands, with no let-term built.
 A memo hit charges nothing. An expression is folded in one `syntax.walk`.
 The context also holds the factor reading's memo, which `denote` does not use.
 """
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -122,12 +125,13 @@ class DenoteContext:
     folded into (`denote` on a let-term) to the result, keeping both key
     objects alive, as `_cache` keeps its subterms, so that an identity is
     never reused while its entry stands. `definitions` and `readings` are the
-    factor reading's memos (`factors.factors_of`). `definitions` maps the
+    factor reading's memos (`factors.scope_factor`). `definitions` maps the
     identity of the bound of a scope's last definition to the scope's
     definitions, their factor and the charges reading them made, and a scope
     of no definition (a set of variables) to its constant factor; `readings`
     maps the identity of a definition's bound to its reading
-    (`factors._Reading.record`)."""
+    (`factors._Reading.record`). `webs` maps a set of variables to its web,
+    for reading a fold's table sizes off typings before folding."""
 
     def __init__(self, web_cap: int = DEFAULT_WEB_CAP):
         self.counter = CostCounter()
@@ -136,6 +140,7 @@ class DenoteContext:
         self._folds: dict[tuple[int, int], tuple[tuple, Relation, Relation]] = {}
         self.definitions: dict = {}
         self.readings: dict[int, tuple] = {}
+        self.webs: dict[frozenset[Variable], int] = {}
 
     def lookup(self, e: object) -> Relation | None:
         hit = self._cache.get(id(e))
@@ -156,33 +161,35 @@ def denote(t: Term, ctx: DenoteContext | None = None) -> Relation:
         ctx = DenoteContext()
     rel = ctx.lookup(t)
     if rel is None:
-        if isinstance(t, LetTerm):
-            rel = _suffix(t, 0, ctx)
-        else:
-            typecheck(t)
-            rel = _denote(t, ctx)
+        typecheck(t)
+        rel = _suffix(t.defs, t.output, ctx) if isinstance(t, LetTerm) else _denote(t, ctx)
     # An expression's memo entry may be the relation a clause built, whose
     # rows follow that clause; it gives way to the sorted one.
     return ctx.store(t, _sorted(rel))
 
 
 def denote_suffix(t: LetTerm, start: int, ctx: DenoteContext) -> Relation:
-    """`_suffix`, its rows in sorted-name order."""
-    return _sorted(_suffix(t, start, ctx))
-
-
-def _suffix(t: LetTerm, start: int, ctx: DenoteContext) -> Relation:
-    """Denotation of the let-term made of `t`'s definitions from `start` on
-    and its output, folded up through them one at a time; its rows, in the
-    order the last fold left them, are the variables the suffix uses and does
-    not bind. The whole term is the suffix at 0, and the definitions above
-    `start` fold into this relation, so two terms with the same definitions
-    above it and suffix relations equal up to row order denote the same."""
+    """`_suffix` of `t`'s definitions from `start` on, its rows in
+    sorted-name order."""
     typecheck(t)
-    rel = ctx.lookup(t.output)
+    return _sorted(_suffix(t.defs[start:], t.output, ctx))
+
+
+def _suffix(
+    defs: Sequence[tuple[Pattern, Expr]], output: Pattern, ctx: DenoteContext, onto: Relation | None = None
+) -> Relation:
+    """Denotation of the let-term made of the typed definitions `defs` (a
+    term's or a rewrite run's array from some index on) and `output`, folded
+    up through them one at a time, onto `onto`, when given, the suffix
+    relation of the definitions below them; its rows, in the order the last
+    fold left them, are the variables the suffix uses and does not bind. The
+    whole term is the suffix at 0, and the definitions above fold into this
+    relation, so two terms with the same definitions above and suffix
+    relations equal up to row order denote the same."""
+    rel = ctx.lookup(output) if onto is None else onto
     if rel is None:
-        rel = ctx.store(t.output, _denote(pattern_to_expr(t.output), ctx))
-    for d in reversed(t.defs[start:]):
+        rel = ctx.store(output, _denote(pattern_to_expr(output), ctx))
+    for d in reversed(defs):
         hit = ctx._folds.get((id(d), id(rel)))
         if hit is not None and hit[0] is d and hit[1] is rel:
             rel = hit[2]
@@ -216,7 +223,7 @@ def _table(ctx: DenoteContext, rows: int, cols: int) -> int:
 
 def _check_axes(n: int) -> None:
     if n > _MAX_AXES:
-        raise WebCapExceeded(f"clause over {n} axes, more than the {_MAX_AXES} of an einsum")
+        raise WebCapExceeded(f"clause over {n} axes, more than the {_MAX_AXES} its reshapes and transposes take")
 
 
 def _denote(e: Expr, ctx: DenoteContext) -> Relation:

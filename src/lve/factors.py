@@ -14,7 +14,9 @@ only the contraction: a repeated variable spans a diagonal, and one no
 factor holds spans ones.
 Which variables each factor spans, and which arrow definitions fold into
 their consumer, is decided from the types alone by `syntax.factor_scopes`;
-`factors_of` only fills in the tables.
+`factors_of` only fills in the tables. Through a rewrite run the factor set
+is kept by scope (`ScopeFactors`): a step folds again only the scopes that
+held a definition its window replaced.
 
 A definition's table is read off its bound expression as factor
 contractions (`_Reading`), never through `denote`, which stays the
@@ -32,7 +34,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -60,6 +62,7 @@ from .syntax import (
     Var,
     Variable,
     factor_scopes,
+    fold_scopes,
     free_vars,
     pattern_fv,
     pattern_type,
@@ -534,38 +537,134 @@ def definition_factor(binder: Pattern, bound: Expr) -> Factor:
 
 def factors_of(term: LetTerm, ctx: DenoteContext | None = None) -> FactorSet:
     """The factor multiset of a let-term: a table over each of its
-    `factor_scopes`, in their order, reading the definitions folded into a
-    scope together. The context keeps each scope's factor by the identity
-    of its definitions, with the charges reading them made, which a hit
-    charges again, and the output's constant factor by its variables; it
-    also keeps the readings of bound expressions that a later definition
-    may nest (`_Reading.record`). Either way a term's counters do not depend
-    on what the context has read before."""
+    `factor_scopes`, in their order (`scope_factor`), with the charges
+    reading them made. A term's counters do not depend on what the context
+    has read before."""
     if ctx is None:
         ctx = DenoteContext()
-    memo = ctx.definitions
     counter = CostCounter()
     facts: list[Factor] = []
     for scope, defs in factor_scopes(term):
-        if not defs:
-            ones = memo.get(scope)
-            if ones is None:
-                ones = memo[scope] = constant_factor(scope)
-            facts.append(ones)
-            continue
-        group = tuple(term.defs[i] for i in sorted(defs))
-        hit = memo.get(id(group[-1][1]))
-        if hit is None or len(hit[0]) != len(group) or not all(map(_same_definition, hit[0], group)):
-            own = CostCounter()
-            fac = _read_definitions(group, scope, own, ctx.web_cap, ctx.readings)
-            hit = memo[id(group[-1][1])] = (group, fac, own.muladds, own.max_table)
-        counter.count(hit[2], hit[3])
-        facts.append(hit[1])
+        fac, muladds, max_table = scope_factor(scope, tuple(term.defs[i] for i in sorted(defs)), ctx)
+        counter.count(muladds, max_table)
+        facts.append(fac)
     return FactorSet(facts, counter)
+
+
+def scope_factor(scope: frozenset[Variable], group: tuple, ctx: DenoteContext) -> tuple[Factor, int, int]:
+    """The factor over `scope` of the definitions `group`, read together in
+    term order, and the multiply-adds and largest table reading them took; a
+    scope of no definition (the output's) has the constant factor. The
+    context keeps each factor by the identity of its definitions, with those
+    charges, which a hit reports again, and the constant factor by its
+    variables; it also keeps the readings of bound expressions that a later
+    definition may nest (`_Reading.record`)."""
+    memo = ctx.definitions
+    if not group:
+        ones = memo.get(scope)
+        if ones is None:
+            ones = memo[scope] = constant_factor(scope)
+        return ones, 0, 0
+    hit = memo.get(id(group[-1][1]))
+    if hit is None or len(hit[0]) != len(group) or not all(map(_same_definition, hit[0], group)):
+        own = CostCounter()
+        fac = _read_definitions(group, scope, own, ctx.web_cap, ctx.readings)
+        hit = memo[id(group[-1][1])] = (group, fac, own.muladds, own.max_table)
+    return hit[1:]
 
 
 def _same_definition(a: tuple[Pattern, Expr], b: tuple[Pattern, Expr]) -> bool:
     return a[0] is b[0] and a[1] is b[1]
+
+
+class _Scope:
+    """One scope of a `ScopeFactors`: its definitions in term order, its
+    variables, and its factor once asked."""
+
+    __slots__ = ("defs", "vars", "factor")
+
+    def __init__(self, defs: tuple, vars: frozenset[Variable]):
+        self.defs, self.vars, self.factor = defs, vars, None
+
+
+class ScopeFactors:
+    """A let-term's factor set kept by scope through a rewrite run, so that
+    a step costs the scopes its window touches, not the term (`update`).
+
+    `at[i]` is the scope holding definition i. A scope's factor is read when
+    first asked (`factor`), as `factors_of` reads it and from the same memo,
+    and a scope no edit touches keeps it: the same `Factor` object.
+    `factors()` lists them in `factors_of`'s order."""
+
+    def __init__(self, term: LetTerm, ctx: DenoteContext):
+        self.ctx, self.out = ctx, pattern_fv(term.output)
+        self.at: list[_Scope] = [None] * len(term.defs)
+        for scope, defs in factor_scopes(term)[:-1]:  # the last is the output's
+            s = _Scope(tuple(term.defs[i] for i in sorted(defs)), scope)
+            for i in defs:
+                self.at[i] = s
+
+    def copy(self) -> ScopeFactors:
+        twin = object.__new__(ScopeFactors)
+        twin.ctx, twin.out, twin.at = self.ctx, self.out, self.at[:]
+        return twin
+
+    def factor(self, s: _Scope) -> Factor:
+        if s.factor is None:
+            s.factor = scope_factor(s.vars, s.defs, self.ctx)[0]
+        return s.factor
+
+    def holding(self, v: Variable) -> list[_Scope]:
+        """The scopes whose variables include `v`, in term order."""
+        return [s for s in dict.fromkeys(self.at) if v in s.vars]
+
+    def factors(self) -> list[Factor]:
+        """Every factor, in `factors_of`'s order: by first definition, the
+        output's constant factor last."""
+        return [*map(self.factor, dict.fromkeys(self.at)), scope_factor(self.out, (), self.ctx)[0]]
+
+    def update(self, edits: Iterable[tuple]) -> tuple[list[_Scope], list[_Scope]]:
+        """Make a rewrite step's edits (`syntax.Definitions.apply`'s): the
+        definitions `old` at `position` become `new`, and the scopes that
+        held an old one are folded again (`syntax.fold_scopes`) from their
+        definitions outside the window, an arrow's binder or consumer, and
+        the new ones. A scope folded again from the same definitions is kept
+        as it was. Returns the scopes dropped and those added."""
+        at, dropped, added = self.at, [], []
+        for position, old, new, _ in edits:
+            end, shift = position + len(old), len(new) - len(old)
+            window = at[position:end]
+            hit = list(dict.fromkeys(window))
+            if len(hit) == len(new) == 2 and _same_definition(old[0], new[1]) and _same_definition(old[1], new[0]):
+                at[position:end] = hit[::-1]  # two scopes' definitions swapped: both stay
+                continue
+            members = list(enumerate(new, position))
+            for s in hit:
+                if len(s.defs) > window.count(s):
+                    i = -1
+                    for d in s.defs:  # in term order, as s occurs in `at`
+                        i = at.index(s, i + 1)
+                        if not position <= i < end:
+                            members.append((i if i < position else i + shift, d))
+            if len(members) > len(new):
+                members.sort(key=_first)
+            at[position:end] = new  # placeholders, each replaced below
+            for scope, ks in fold_scopes([d for _, d in members], self.out)[:-1]:
+                defs = tuple([members[k][1] for k in sorted(ks)])
+                for s in hit:
+                    if len(s.defs) == len(defs) and all(map(_same_definition, s.defs, defs)):
+                        hit.remove(s)
+                        break
+                else:
+                    s = _Scope(defs, scope)
+                    added.append(s)
+                for k in ks:
+                    at[members[k][0]] = s
+            dropped += hit
+        return dropped, added
+
+
+_first = itemgetter(0)
 
 
 def check_factor_vars(term: LetTerm) -> bool:

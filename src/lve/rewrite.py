@@ -33,13 +33,16 @@ each rule replaces its window there and types only the new definitions, and
 one let-term is built at the end. A `RewriteStep` records the windows it
 replaced, not the terms around it; those are rebuilt on demand by replaying
 the windows on the nearest term the trace holds, and carry the typings and
-census the run held, never typed whole (`Trace.term_at`).
+census the run held, never typed whole (`Trace.term_at`). A checker sees
+each step as it is made, on the array the step left (`watching`), and so
+needs no term rebuilt.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     InOutput,
@@ -289,12 +292,29 @@ def eliminate_term(term: LetTerm, x: Variable) -> tuple[LetTerm, list[RewriteSte
     return final, trace.steps
 
 
+_watchers: list[Callable[[Definitions, RewriteStep], None]] = []
+
+
+@contextmanager
+def watching(see: Callable[[Definitions, RewriteStep], None]) -> Iterator[None]:
+    """Within the block, every run (`eliminate_seq`) calls `see(run, step)`
+    on each step as it is made, `run` the array the step has just rewritten:
+    a checker reads the step's window there, and the run builds no term for
+    it. The array is the run's own, valid only during the call."""
+    _watchers.append(see)
+    try:
+        yield
+    finally:
+        _watchers.pop()
+
+
 def eliminate_seq(term: LetTerm, order: Sequence[Variable]) -> tuple[LetTerm, Trace]:
     """Eliminate several variables left to right (`eliminate_term`), on one
     `Definitions` array that every rule rewrites in place; the result is
     the one let-term built at the end. swap2's names are fresh for the whole
-    run: `g__1`, `g__2`, ... in step order."""
-    trace, run = Trace([], {0: term}), None
+    run: `g__1`, `g__2`, ... in step order. Each step is shown to the
+    innermost `watching` block, if any."""
+    trace, run, see = Trace([], {0: term}), None, _watchers[-1] if _watchers else None
     for x in order:
         if not term.is_positive:
             raise NotPositive("elimination is defined on positive terms")
@@ -328,6 +348,8 @@ def eliminate_seq(term: LetTerm, order: Sequence[Variable]) -> tuple[LetTerm, Tr
             apply_rule(run, rule, position, var)
             trace.steps.append(RewriteStep(rule, position, var, tuple(run.edits), trace, len(trace.steps)))
             run.edits.clear()
+            if see is not None:
+                see(run, trace.steps[-1])
     final = trace._held[len(trace.steps)] = run.term() if run else term
     return final, trace
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass, field
 from itertools import islice
 from types import GeneratorType
-from typing import Callable, Container, Iterable, Iterator
+from typing import Callable, Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -773,21 +773,30 @@ def factor_scopes(t: LetTerm) -> list[tuple[frozenset[Variable], tuple[int, ...]
             if v.name in free:
                 raise NotCanonicalized(f"binder variable {v.name} shadows a free variable")
             seen.add(v.name)
-    out = pattern_fv(t.output)
+    object.__setattr__(t, "_scopes", fold_scopes(t.defs, pattern_fv(t.output)))
+    return t._scopes
+
+
+def fold_scopes(
+    defs: Sequence[tuple[Pattern, Expr]], out: frozenset[Variable]
+) -> list[tuple[frozenset[Variable], tuple[int, ...]]]:
+    """`factor_scopes` of the definitions `defs` in order, typed, with
+    output variables `out`, less the binder checks: also the scopes of a
+    run of definitions that holds every consumer of an arrow it binds."""
     scopes = [(out, ())]  # the front last
-    for i in range(len(t.defs) - 1, -1, -1):
-        pv = binders[i]
-        scope, defs = _check(t.defs[i][1])[1].union(pv), (i,)
+    for i in range(len(defs) - 1, -1, -1):
+        binder, bound = defs[i]
+        pv = pattern_vars(binder)
+        scope, folded = _check(bound)[1].union(pv), (i,)
         arrow = pv[-1]  # a binder's arrow is its last variable
         if arrow.is_arrow and arrow not in out:
             hit = [j for j, (held, _) in enumerate(scopes) if arrow in held]
             if len(hit) != 1:
                 raise NotCanonicalized(f"arrow variable {arrow.name} consumed by {len(hit)} factors")
-            held, folded = scopes.pop(hit[0])
-            scope, defs = (scope | held) - {arrow}, folded + defs
-        scopes.append((scope, defs))
-    object.__setattr__(t, "_scopes", scopes[::-1])
-    return t._scopes
+            held, more = scopes.pop(hit[0])
+            scope, folded = (scope | held) - {arrow}, more + folded
+        scopes.append((scope, folded))
+    return scopes[::-1]
 
 
 # ---------------------------------------------------------------- renaming

@@ -17,6 +17,8 @@ import math
 import operator
 import time
 from dataclasses import dataclass, field, replace
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +26,9 @@ from .cost import CostCounter
 from .denote import DenoteContext, Relation, _regroup, _suffix, denote, joint_vector, total_mass_check
 from .errors import LveError, WebCapExceeded
 from .factors import (
+    Factor,
     FactorSet,
+    ScopeFactors,
     _onto,
     check_factor_vars,
     eliminate,
@@ -37,8 +41,9 @@ from .factors import (
 from .network import network_to_program
 from .orderings import min_degree_order, random_order
 from .parser import SourceProgram
-from .rewrite import RewriteStep, eliminate_seq, eliminate_term, size_bound
+from .rewrite import RewriteStep, eliminate_seq, eliminate_term, size_bound, watching
 from .syntax import (
+    Definitions,
     Expr,
     LetTerm,
     MatApp,
@@ -47,6 +52,7 @@ from .syntax import (
     Ty,
     Var,
     Variable,
+    _check,
     free_vars,
     pattern_fv,
     pattern_type,
@@ -293,8 +299,8 @@ def _orders(term: LetTerm, seed: int) -> dict[str, list[Variable]]:
     }
 
 
-def _same_factors(xs: FactorSet, ys: FactorSet, as_product: bool, cap: int) -> bool:
-    """Multiset equality of two factor sets; with `as_product`, the factors
+def _same_factors(xs: Sequence[Factor], ys: Sequence[Factor], as_product: bool, cap: int) -> bool:
+    """Multiset equality of two factor lists; with `as_product`, the factors
     the two sides do not share need only agree as a product, within TOL."""
     left, right = unmatched_factors(xs, ys)
     if not (as_product and (left or right)):
@@ -307,39 +313,82 @@ def _same_factors(xs: FactorSet, ys: FactorSet, as_product: bool, cap: int) -> b
 @dataclass(frozen=True)
 class _Step:
     """One variable eliminated from the term an order prefix leaves, with the
-    checks on that step and those it skipped. `term` is None where the
-    rewrite raised; `after` holds the steps that extend this prefix by one
-    more variable."""
+    checks on that step and those it skipped. `term` and its factor set by
+    scope, `scopes`, are None where the rewrite raised; `after` holds the
+    steps that extend this prefix by one more variable."""
 
     term: LetTerm | None
-    fs: FactorSet | None
+    scopes: ScopeFactors | None
     barren: bool
     failures: tuple[CheckFailure, ...]
     skipped: tuple[CheckFailure, ...] = ()
     after: dict[Variable, _Step] = field(default_factory=dict)
 
 
-def _same_denotation(s: RewriteStep, ctx: DenoteContext) -> bool:
-    """Whether a rewrite step keeps the term's denotation. The rule replaces
-    definitions from `s.position` on and leaves those above as the same
-    objects, compared by identity, which fold the same way: so the two terms'
-    relations at that position are compared as the folds leave them, the
-    after side's rows regrouped into the before side's order as a view."""
-    p, before, after = s.position, s.before, s.after
-    above, kept = before.defs[:p], after.defs[:p]
-    if len(kept) != len(above) or not all(map(operator.is_, above, kept)):
-        return False
-    da, db = _suffix(before, p, ctx), _suffix(after, p, ctx)
+def _same_denotation(run: Definitions, s: RewriteStep, ctx: DenoteContext) -> bool:
+    """Whether a rewrite step keeps the term's denotation, read off the run's
+    array just after it. The rule replaces definitions from `s.position` on
+    and leaves those above alone: an edit above that puts other objects
+    there fails. Below, undoing the step's edits gives the definitions it
+    rewrote, and the two suffixes' relations at the position are compared as
+    the folds leave them, the after side's rows regrouped into the before
+    side's order as a view. The tail no edit reached is folded once for
+    both, or shared through the fold memo. After one edit, a suffix whose
+    web passes the cap, read off the typings, raises `WebCapExceeded` before
+    any fold (`_fold_webs`)."""
+    p, defs, out = s.position, run.defs, run.output
+    if len(s.edits) == 1 and s.edits[0][0] >= p:
+        # The two sides share the definitions below the window: fold them once.
+        at, old, new, _ = s.edits[0]
+        _fold_webs(run, p, at, old, new, ctx)
+        tail = _suffix(defs[at + len(new) :], out, ctx)
+        da, db = _suffix(defs[p:at] + list(old), out, ctx, tail), _suffix(defs[p : at + len(new)], out, ctx, tail)
+    else:
+        after = defs[p:]
+        before = after[:]
+        for at, old, new, _ in reversed(s.edits):
+            if at >= p:
+                before[at - p : at - p + len(new)] = old
+            elif len(old) != len(new) or not all(map(operator.is_, old, new)):
+                return False
+        da, db = _suffix(before, out, ctx), _suffix(after, out, ctx)
     if da.matrix.shape != db.matrix.shape or set(da.vars) != set(db.vars):
         return False
     regrouped = _regroup(db.matrix, db.vars, da.vars)
     return within_tol(da.matrix.reshape(regrouped.shape), regrouped)
 
 
-def _check_step(cur: LetTerm, cur_fs: FactorSet, x: Variable, ctx: DenoteContext, instance: int) -> _Step:
+def _fold_webs(run: Definitions, p: int, at: int, old: tuple, new: tuple, ctx: DenoteContext) -> None:
+    """Raise the `WebCapExceeded` that a let of `_same_denotation`'s folds
+    would raise first, read off the suffix typings at or below `p` of the
+    array after one edit (`old` replaced by `new` at `at`) and of the one
+    before it: a let's table is its suffix's free variables by the output's
+    web. In fold order: the tail below the edit, the before side's window
+    (typed as it stood only inside: a rule keeps the typing at `at`), the
+    definitions from `at` up to `p`, and the after side's window."""
+    n, webs, cap = len(run.defs), ctx.webs, ctx.web_cap
+    below = n - at - len(new)  # the typing of the suffix just below the window
+    fvs = [t[1] for t in run.typings[: n - p + 1]]
+    fv, inside = fvs[below], []
+    for binder, bound in reversed(old[1:]):
+        fv = _check(bound)[1] | (fv - pattern_fv(binder))
+        inside.append(fv)
+    cols = web_size(run.typings[0][0])
+    for fv in fvs[: below + 1] + inside + fvs[n - at :] + fvs[below + 1 : n - at]:
+        rows = webs.get(fv)
+        if rows is None:
+            rows = webs[fv] = math.prod([v.web for v in fv])
+        if rows * cols > cap:
+            check_web_cap(rows * cols, cap)
+
+
+def _check_step(cur: LetTerm, scopes: ScopeFactors, x: Variable, ctx: DenoteContext, instance: int) -> _Step:
     """Eliminate x from `cur` by rewriting and check the step: the size and
-    step bounds, each rewrite's denotation and, for a swap, its factors, and
-    the factors after the step against one vef step. Failures and skips
+    step bounds, each rewrite's denotation (on the run's array as the rule
+    leaves it, `rewrite.watching`) and, for a swap, its factors, and the
+    factors after the step against one vef step on x's bucket. The factor
+    set is carried by scope from `cur`'s (`ScopeFactors.update`), so each
+    comparison reads only the scopes the steps replaced. Failures and skips
     carry no order."""
     failures: list[CheckFailure] = []
     skipped: list[CheckFailure] = []
@@ -347,38 +396,55 @@ def _check_step(cur: LetTerm, cur_fs: FactorSet, x: Variable, ctx: DenoteContext
     def fail(check: str, detail: str) -> None:
         failures.append(CheckFailure(instance, None, check, detail))
 
+    denoted: list[bool | WebCapExceeded] = []
+
+    def see(run: Definitions, s: RewriteStep) -> None:
+        try:
+            denoted.append(_same_denotation(run, s, ctx))
+        except WebCapExceeded as err:
+            denoted.append(err)
+
     barren = not any(x in free_vars(bound) for _, bound in cur.defs)
     try:
-        nxt, steps = eliminate_term(cur, x)
+        with watching(see):
+            nxt, steps = eliminate_term(cur, x)
     except LveError as err:
         fail("rewrite", f"{x.name}: {err}")
         return _Step(None, None, barren, tuple(failures))
-    touched = [f.vars for f in cur_fs.factors if x in f.vars]
-    bound = size_bound(cur, touched, nxt, len(steps))
+    bucket = scopes.holding(x)
+    bound = size_bound(cur, [b.vars for b in bucket], nxt, len(steps))
     if not bound.steps_ok:
         fail("step-bound", f"{bound.steps} steps for {bound.step_limit} definitions")
     if not bound.size_ok:
         detail = f"{bound.size_before} grew to {bound.size_after} with {bound.allowance // 4} internal variables"
         fail("size-bound", detail)
-    # A step's term is the next one's input: extract its factors once.
-    last, last_fs = cur, cur_fs
-    for s in steps:
-        try:
-            if not _same_denotation(s, ctx):
-                fail("denote-step", f"{s.rule} changed the denotation")
-        except WebCapExceeded as err:
-            skipped.append(CheckFailure(instance, None, "denote-step", f"{s.rule}: {err}"))
-        if s.rule.startswith("swap"):
-            before_fs = last_fs if s.before is last else factors_of(s.before, ctx)
-            last, last_fs = s.after, factors_of(s.after, ctx)
-            if not factor_sets_equal(before_fs, last_fs):
+    scopes = scopes.copy()
+    gone: dict = {}  # scopes of `cur` the steps dropped
+    new: dict = {}  # scopes the steps added that stay
+    for s, same in zip(steps, denoted):
+        if isinstance(same, WebCapExceeded):
+            skipped.append(CheckFailure(instance, None, "denote-step", f"{s.rule}: {same}"))
+        elif not same:
+            fail("denote-step", f"{s.rule} changed the denotation")
+        dropped, added = scopes.update(s.edits)
+        if s.rule.startswith("swap") and (dropped or added):
+            if not factor_sets_equal([*map(scopes.factor, dropped)], [*map(scopes.factor, added)]):
                 fail("swap-facts", f"{s.rule} changed the factor multiset")
-    nxt_fs = last_fs if nxt is last else factors_of(nxt, ctx)
-    # vel merges a barren x (one no other definition uses) into a neighbour,
-    # so its factors match vef's step only as a product.
-    if not _same_factors(nxt_fs, eliminate(cur_fs, [x], ctx.web_cap), barren, ctx.web_cap):
+        for d in dropped:
+            if d in new:
+                del new[d]
+            else:
+                gone[d] = None
+        new.update(dict.fromkeys(added))
+    # The scopes no step touched are on both sides; vel merges a barren x
+    # (one no other definition uses) into a neighbour, so its factors match
+    # vef's step only as a product.
+    summed = eliminate(FactorSet([*map(scopes.factor, bucket)]), [x], ctx.web_cap)
+    vel = [scopes.factor(b) for b in chain(new, (b for b in bucket if b not in gone))]
+    vef = summed.factors + [scopes.factor(d) for d in gone if d not in bucket]
+    if not _same_factors(vel, vef, barren, ctx.web_cap):
         fail("facts-step", f"factors after dropping {x.name} are not one step")
-    return _Step(nxt, nxt_fs, barren, tuple(failures), tuple(skipped))
+    return _Step(nxt, scopes, barren, tuple(failures), tuple(skipped))
 
 
 def check_instance(
@@ -415,7 +481,7 @@ def check_instance(
     if not mass.ok:
         fail(CheckFailure(instance, None, "mass", f"mass {mass.mass!r}, expected {mass.expected}"))
 
-    fs0 = factors_of(term, ctx)
+    scopes0 = ScopeFactors(term, ctx)
     # The steps of every order checked so far, as a trie on the order prefix.
     checked: dict[Variable, _Step] = {}
 
@@ -428,23 +494,24 @@ def check_instance(
         if not within_tol(vef.marginal, ref):
             fail(CheckFailure(instance, order_name, "marginal", "classical elimination marginal is off"))
 
-        cur, cur_fs, merged, known = term, fs0, False, checked
+        cur, scopes, merged, known = term, scopes0, False, checked
         for x in order:
             step = known.get(x)
             if step is None:
-                step = known[x] = _check_step(cur, cur_fs, x, ctx, instance)
+                step = known[x] = _check_step(cur, scopes, x, ctx, instance)
             for f in step.failures:
                 fail(replace(f, order=order_name))
             report.skipped += (replace(f, order=order_name) for f in step.skipped)
             if step.term is None:
                 break
             merged = merged or step.barren
-            cur, cur_fs, known = step.term, step.fs, step.after
+            cur, scopes, known = step.term, step.scopes, step.after
         else:
-            if not _same_factors(cur_fs, vef.fs, merged, ctx.web_cap):
+            final = scopes.factors()
+            if not _same_factors(final, vef.fs.factors, merged, ctx.web_cap):
                 detail = "rewritten factors differ from classical elimination"
                 fail(CheckFailure(instance, order_name, "facts-seq", detail))
-            if not within_tol(marginal(cur_fs, term.output, ctx.web_cap), ref):
+            if not within_tol(marginal(FactorSet(final), term.output, ctx.web_cap), ref):
                 fail(CheckFailure(instance, order_name, "marginal", "rewriting marginal is off"))
 
 

@@ -320,9 +320,10 @@ def test_open_term_with_arrow_applications_and_wide_variables():
 
 
 def test_einsum_label_limit_is_a_web_cap_error():
-    # A lambda over 52 unused parameters needs 53 einsum labels; under a raised
-    # cap the limit is reported as an exceeded web before anything is built.
+    # A lambda over 52 unused parameters reshapes its body to 53 axes; under a
+    # raised cap the limit is reported as an exceeded web before anything is
+    # built.
     params = nest_vars(bvar(f"p{i}") for i in range(52))
     lam = Lam(params, MatApp(coin_matrix(), ()))
-    with pytest.raises(WebCapExceeded, match="einsum"):
+    with pytest.raises(WebCapExceeded, match=r"^clause over 53 axes, more than the 52 its reshapes and transposes take$"):
         denote(lam, DenoteContext(web_cap=2**62))

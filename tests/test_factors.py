@@ -20,6 +20,7 @@ from lve.errors import (
 from lve.factors import (
     Factor,
     FactorSet,
+    ScopeFactors,
     check_factor_vars,
     constant_factor,
     contract,
@@ -38,7 +39,7 @@ from lve.orderings import min_degree_order, random_order
 from lve.parser import parse_program
 from lve.rewrite import eliminate_seq
 from lve.syntax import BOOL, Let, LetTerm, MatApp, PLeaf, PPair, Tensor, Var, Variable, web_size, within_tol
-from lve.verify import random_network
+from lve.verify import _orders, random_network
 from lve.webs import enumerate_assignments, sorted_vars
 from helpers import (
     SIXNODE_JOINT,
@@ -283,6 +284,25 @@ def test_factors_of_rejects_shadowing():
     term = LetTerm(((PLeaf(x), MatApp(m, ())), (PLeaf(x), MatApp(m, ()))), PLeaf(x))
     with pytest.raises(NotCanonicalized):
         factors_of(term)
+
+
+def test_a_factor_set_carried_by_scope_equals_the_rewritten_terms():
+    # Along every vel step, the factor set carried by scope equals the factor
+    # multiset of the term the step leaves, read afresh; a scope the step
+    # does not add keeps its factor, the same object.
+    for i in range(60):
+        term = random_network(i).term
+        for order in _orders(term, i).values():
+            carried, ref = ScopeFactors(term, DenoteContext()), DenoteContext()
+            assert factor_sets_equal(carried.factors(), factors_of(term, ref))
+            for step in eliminate_seq(term, order)[1].steps:
+                before = {id(f) for f in carried.factors()}
+                dropped, added = carried.update(step.edits)
+                after = carried.factors()
+                assert factor_sets_equal(after, factors_of(step.after, ref)), (i, step.rule)
+                new = {id(carried.factor(s)) for s in added}
+                assert {id(f) for f in after} - new <= before
+                assert len(after) == len(before) - len(dropped) + len(added)
 
 
 def test_relation_from_factors_matches_denote(sixnode_term):

@@ -8,13 +8,14 @@ import sys
 import numpy as np
 import pytest
 
-from lve import rewrite, syntax, verify
+from lve import factors, rewrite, syntax, verify
 from lve.cli import main
 from lve.denote import DenoteContext, _suffix, denote, joint_vector, total_mass_check
 from lve.errors import LveError, RewriteError, WebCapExceeded
 from lve.factors import (
     Factor,
     FactorSet,
+    ScopeFactors,
     check_factor_vars,
     constant_factor,
     eliminate,
@@ -23,6 +24,7 @@ from lve.factors import (
     relation_from_factors,
 )
 from lve.network import network_to_program
+from lve.orderings import min_degree_order
 from lve.parser import parse_program
 from lve.printer import program_str
 from lve.syntax import (
@@ -276,20 +278,20 @@ def test_same_denotation_compares_suffixes_up_to_row_order():
     a, b, c, y = bvar("a"), bvar("b"), bvar("c"), bvar("y")
     rows = np.array([[0.9, 0.1], [0.6, 0.4], [0.3, 0.7], [0.2, 0.8]])
     m, flipped = matrix("M", 2, rows), matrix("Mt", 2, rows.reshape(2, 2, 2).transpose(1, 0, 2).reshape(4, 2))
+    before = LetTerm(((PLeaf(y), MatApp(m, (a, b))),), PLeaf(y))
 
     def step(bound):
-        # A step of a run from `before` whose last term is held as built.
-        after = LetTerm(((PLeaf(y), bound),), PLeaf(y))
-        trace = rewrite.Trace([], {0: LetTerm(((PLeaf(y), MatApp(m, (a, b))),), PLeaf(y)), 1: after})
-        trace.steps.append(rewrite.RewriteStep("swap1", 0, None, (), trace, 0))
-        return trace.steps[0]
+        # A run's array just after a step whose one edit replaced the definition.
+        run = syntax.replace_defs(syntax.Definitions(before), 0, 1, ((PLeaf(y), bound),))
+        return run, rewrite.RewriteStep("swap1", 0, None, tuple(run.edits), rewrite.Trace([], {0: before}), 0)
 
     ctx = DenoteContext()
-    same = step(MatApp(flipped, (b, a)))
-    assert (_suffix(same.before, 0, ctx).vars, _suffix(same.after, 0, ctx).vars) == ((a, b), (b, a))
-    assert _same_denotation(same, ctx)
-    assert not _same_denotation(step(MatApp(m, (b, a))), ctx)
-    assert not _same_denotation(step(MatApp(m, (a, c))), ctx)
+    run, same = step(MatApp(flipped, (b, a)))
+    assert _suffix(before.defs, before.output, ctx).vars == (a, b)
+    assert _suffix(run.defs, run.output, ctx).vars == (b, a)
+    assert _same_denotation(run, same, ctx)
+    assert not _same_denotation(*step(MatApp(m, (b, a))), ctx)
+    assert not _same_denotation(*step(MatApp(m, (a, c))), ctx)
 
 
 def test_check_instance_walks_each_let_term_once_for_its_size(monkeypatch):
@@ -426,6 +428,32 @@ def test_shared_prefixes_report_as_separate_runs(monkeypatch, i):
     check_instance(term, i, report, order_seed=i)
     assert report.failures == expected == []
     assert len(calls) == len(prefixes)
+
+
+def test_checked_steps_read_scopes_in_proportion_to_the_window(monkeypatch):
+    # Along min-degree on chains, each checked variable reads about two scopes
+    # (`scope_factor`, memo hits included), however long the chain: the
+    # factor set is carried by scope, never read whole.
+    readings = []
+    scope_factor = factors.scope_factor
+
+    def counted(*args):
+        readings.append(args[0])
+        return scope_factor(*args)
+
+    monkeypatch.setattr(factors, "scope_factor", counted)
+    per_variable = []
+    for n in (200, 400, 800):
+        term = network_to_program(chain_network(n)).term
+        ctx, order = DenoteContext(), min_degree_order(term)
+        cur, scopes = term, ScopeFactors(term, ctx)
+        readings.clear()
+        for x in order:
+            step = verify._check_step(cur, scopes, x, ctx, 0)
+            assert step.failures == step.skipped == ()
+            cur, scopes = step.term, step.scopes
+        per_variable.append(len(readings) / len(order))
+    assert max(per_variable) < 2.5
 
 
 # random_network(2): identity and min-degree both run x1, x2, ..., x7, so the
