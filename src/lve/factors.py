@@ -647,7 +647,7 @@ class ScopeFactors:
                         if not position <= i < end:
                             members.append((i if i < position else i + shift, d))
             if len(members) > len(new):
-                members.sort(key=_first)
+                members.sort(key=itemgetter(0))
             at[position:end] = new  # placeholders, each replaced below
             for scope, ks in fold_scopes([d for _, d in members], self.out)[:-1]:
                 defs = tuple([members[k][1] for k in sorted(ks)])
@@ -662,9 +662,6 @@ class ScopeFactors:
                     at[members[k][0]] = s
             dropped += hit
         return dropped, added
-
-
-_first = itemgetter(0)
 
 
 def check_factor_vars(term: LetTerm) -> bool:
