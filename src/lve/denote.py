@@ -20,12 +20,12 @@ the first side's rows and then the second side's own; a matrix application
 is its table, rows in application order; a lambda multiplies nothing and
 only transposes, broadcasting the parameter leaves its body does not use.
 A transpose whose permutation is the identity is skipped. Sorted-name row
-order holds only at the boundary: `denote` and `denote_suffix` return their
-relation with its rows sorted by name (`_sorted`, the one place that sorts
-them), and no clause restores it. This module keeps its own clauses and
-shares no code with the factor engine, which it serves as the reference
-for: the factor reading of a definition (`factors.definition_factor`) never
-calls it, and the tests check the two against each other.
+order holds only at the boundary: `denote` returns its relation with its
+rows sorted by name (`_sorted`, the one place that sorts them), and no
+clause restores it. This module keeps its own clauses and shares no code
+with the factor engine, which it serves as the reference for: the factor
+reading of a definition (`factors.definition_factor`) never calls it, and
+the tests check the two against each other.
 
 Denotations are memoized by subterm identity (not structure) in a
 DenoteContext, which also threads a multiply counter and the web-size cap; the
@@ -35,10 +35,9 @@ a table. A let-term is folded from its output up, one definition at a time,
 and each step is memoized on the identity of its `(binder, bound)` pair and of
 the relation it folds into: a rewritten term that shares its tail with one
 denoted before (`syntax.replace_defs`) folds only the definitions up to the
-end of the rewritten window again, and `denote_suffix` stops the fold at a
-given definition, so comparing two terms there folds no definition above it.
-The fold itself (`_suffix`) reads a sequence of typed definitions, so a
-rewrite run's array is folded as it stands, with no let-term built.
+end of the rewritten window again. The fold itself (`_suffix`) reads a
+sequence of typed definitions, so a rewrite run's array is folded as it
+stands, with no let-term built.
 A memo hit charges nothing. An expression is folded in one `syntax.walk`.
 The context also holds the factor reading's memo, which `denote` does not use.
 """
@@ -92,7 +91,7 @@ class Relation:
     table, its rows left-major over `vars` and C-ordered, so that it reshapes
     for free to one axis per variable (`_regroup`). `vars` are in whatever
     order the clause that made the table left them; only the relations
-    `denote` and `denote_suffix` return have them in sorted-name order."""
+    `denote` returns have them in sorted-name order."""
 
     vars: tuple[Variable, ...]
     ty: Ty
@@ -130,8 +129,7 @@ class DenoteContext:
     definitions, their factor and the charges reading them made, and a scope
     of no definition (a set of variables) to its constant factor; `readings`
     maps the identity of a definition's bound to its reading
-    (`factors._Reading.record`). `webs` maps a set of variables to its web,
-    for reading a fold's table sizes off typings before folding."""
+    (`factors._Reading.record`)."""
 
     def __init__(self, web_cap: int = DEFAULT_WEB_CAP):
         self.counter = CostCounter()
@@ -140,7 +138,6 @@ class DenoteContext:
         self._folds: dict[tuple[int, int], tuple[tuple, Relation, Relation]] = {}
         self.definitions: dict = {}
         self.readings: dict[int, tuple] = {}
-        self.webs: dict[frozenset[Variable], int] = {}
 
     def lookup(self, e: object) -> Relation | None:
         hit = self._cache.get(id(e))
@@ -168,25 +165,17 @@ def denote(t: Term, ctx: DenoteContext | None = None) -> Relation:
     return ctx.store(t, _sorted(rel))
 
 
-def denote_suffix(t: LetTerm, start: int, ctx: DenoteContext) -> Relation:
-    """`_suffix` of `t`'s definitions from `start` on, its rows in
-    sorted-name order."""
-    typecheck(t)
-    return _sorted(_suffix(t.defs[start:], t.output, ctx))
-
-
-def _suffix(
-    defs: Sequence[tuple[Pattern, Expr]], output: Pattern, ctx: DenoteContext, onto: Relation | None = None
-) -> Relation:
+def _suffix(defs: Sequence[tuple[Pattern, Expr]], output: Pattern, ctx: DenoteContext) -> Relation:
     """Denotation of the let-term made of the typed definitions `defs` (a
     term's or a rewrite run's array from some index on) and `output`, folded
-    up through them one at a time, onto `onto`, when given, the suffix
-    relation of the definitions below them; its rows, in the order the last
-    fold left them, are the variables the suffix uses and does not bind. The
-    whole term is the suffix at 0, and the definitions above fold into this
-    relation, so two terms with the same definitions above and suffix
-    relations equal up to row order denote the same."""
-    rel = ctx.lookup(output) if onto is None else onto
+    up through them one at a time from the output's relation; its rows, in
+    the order the last fold left them, are the variables the suffix uses and
+    does not bind. The whole term is the suffix at 0, and the definitions
+    above fold into this relation, so two terms with the same definitions
+    above and suffix relations equal up to row order denote the same. Two
+    suffixes that end in the same definition objects share the folds of
+    that tail through the memo."""
+    rel = ctx.lookup(output)
     if rel is None:
         rel = ctx.store(output, _denote(pattern_to_expr(output), ctx))
     for d in reversed(defs):
@@ -202,9 +191,9 @@ def _suffix(
 
 
 def _sorted(rel: Relation) -> Relation:
-    """`rel` with its rows in sorted-name order, the order `denote` and
-    `denote_suffix` return: `rel` itself when they are in it, else a
-    read-only copy. The one place where rows are sorted."""
+    """`rel` with its rows in sorted-name order, the order `denote` returns:
+    `rel` itself when they are in it, else a read-only copy. The one place
+    where rows are sorted."""
     rows = sorted_vars(rel.vars)
     if rows == rel.vars:
         return rel

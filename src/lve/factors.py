@@ -85,7 +85,6 @@ class Factor:
 
     vars: tuple[Variable, ...]
     table: np.ndarray
-    _finite = None  # whether every entry is finite, once `factors_allclose` asked
 
     def __post_init__(self) -> None:
         names = [v.name for v in self.vars]
@@ -629,15 +628,13 @@ class ScopeFactors:
         held an old one are folded again (`syntax.fold_scopes`) from their
         definitions outside the window, an arrow's binder or consumer, and
         the new ones. A scope folded again from the same definitions is kept
-        as it was. Returns the scopes dropped and those added."""
+        as it was, so a swap of two scopes' definitions keeps both. Returns
+        the scopes dropped and those added."""
         at, dropped, added = self.at, [], []
         for position, old, new, _ in edits:
             end, shift = position + len(old), len(new) - len(old)
             window = at[position:end]
             hit = list(dict.fromkeys(window))
-            if len(hit) == len(new) == 2 and _same_definition(old[0], new[1]) and _same_definition(old[1], new[0]):
-                at[position:end] = hit[::-1]  # two scopes' definitions swapped: both stay
-                continue
             members = list(enumerate(new, position))
             for s in hit:
                 if len(s.defs) > window.count(s):
@@ -764,12 +761,8 @@ def marginal(fs: FactorSet, output: Pattern, cap: int = DEFAULT_WEB_CAP) -> np.n
 
 
 def factors_allclose(a: Factor, b: Factor) -> bool:
-    """Whether two factors have the same variables and tables within TOL. A
-    factor compared with itself answers as the subtraction would, from its
-    finiteness, kept on it (`Factor._finite`): false for any inf or NaN entry."""
-    if a is b and a._finite is None:
-        object.__setattr__(a, "_finite", bool(np.isfinite(a.table).all()))
-    return a._finite if a is b else a.vars == b.vars and within_tol(a.table, b.table)
+    """Whether two factors have the same variables and tables within TOL."""
+    return a.vars == b.vars and within_tol(a.table, b.table)
 
 
 def unmatched_factors(

@@ -52,7 +52,6 @@ from .syntax import (
     Ty,
     Var,
     Variable,
-    _check,
     free_vars,
     pattern_fv,
     pattern_type,
@@ -332,54 +331,22 @@ def _same_denotation(run: Definitions, s: RewriteStep, ctx: DenoteContext) -> bo
     there fails. Below, undoing the step's edits gives the definitions it
     rewrote, and the two suffixes' relations at the position are compared as
     the folds leave them, the after side's rows regrouped into the before
-    side's order as a view. The tail no edit reached is folded once for
-    both, or shared through the fold memo. After one edit, a suffix whose
-    web passes the cap, read off the typings, raises `WebCapExceeded` before
-    any fold (`_fold_webs`)."""
-    p, defs, out = s.position, run.defs, run.output
-    if len(s.edits) == 1 and s.edits[0][0] >= p:
-        # The two sides share the definitions below the window: fold them once.
-        at, old, new, _ = s.edits[0]
-        _fold_webs(run, p, at, old, new, ctx)
-        tail = _suffix(defs[at + len(new) :], out, ctx)
-        da, db = _suffix(defs[p:at] + list(old), out, ctx, tail), _suffix(defs[p : at + len(new)], out, ctx, tail)
-    else:
-        after = defs[p:]
-        before = after[:]
-        for at, old, new, _ in reversed(s.edits):
-            if at >= p:
-                before[at - p : at - p + len(new)] = old
-            elif len(old) != len(new) or not all(map(operator.is_, old, new)):
-                return False
-        da, db = _suffix(before, out, ctx), _suffix(after, out, ctx)
+    side's order as a view. The fold memo shares the tail below the window
+    between the two sides. A fold over the cap raises its `WebCapExceeded`,
+    the before side's first."""
+    p = s.position
+    after = run.defs[p:]
+    before = after[:]
+    for at, old, new, _ in reversed(s.edits):
+        if at >= p:
+            before[at - p : at - p + len(new)] = old
+        elif len(old) != len(new) or not all(map(operator.is_, old, new)):
+            return False
+    da, db = _suffix(before, run.output, ctx), _suffix(after, run.output, ctx)
     if da.matrix.shape != db.matrix.shape or set(da.vars) != set(db.vars):
         return False
     regrouped = _regroup(db.matrix, db.vars, da.vars)
     return within_tol(da.matrix.reshape(regrouped.shape), regrouped)
-
-
-def _fold_webs(run: Definitions, p: int, at: int, old: tuple, new: tuple, ctx: DenoteContext) -> None:
-    """Raise the `WebCapExceeded` that a let of `_same_denotation`'s folds
-    would raise first, read off the suffix typings at or below `p` of the
-    array after one edit (`old` replaced by `new` at `at`) and of the one
-    before it: a let's table is its suffix's free variables by the output's
-    web. In fold order: the tail below the edit, the before side's window
-    (typed as it stood only inside: a rule keeps the typing at `at`), the
-    definitions from `at` up to `p`, and the after side's window."""
-    n, webs, cap = len(run.defs), ctx.webs, ctx.web_cap
-    below = n - at - len(new)  # the typing of the suffix just below the window
-    fvs = [t[1] for t in run.typings[: n - p + 1]]
-    fv, inside = fvs[below], []
-    for binder, bound in reversed(old[1:]):
-        fv = _check(bound)[1] | (fv - pattern_fv(binder))
-        inside.append(fv)
-    cols = web_size(run.typings[0][0])
-    for fv in fvs[: below + 1] + inside + fvs[n - at :] + fvs[below + 1 : n - at]:
-        rows = webs.get(fv)
-        if rows is None:
-            rows = webs[fv] = math.prod([v.web for v in fv])
-        if rows * cols > cap:
-            check_web_cap(rows * cols, cap)
 
 
 def _check_step(cur: LetTerm, scopes: ScopeFactors, x: Variable, ctx: DenoteContext, instance: int) -> _Step:

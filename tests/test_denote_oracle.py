@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from lve.denote import DenoteContext, Relation, denote, denote_suffix
+from lve.denote import DenoteContext, Relation, denote
 from lve.errors import WebCapExceeded
 from lve.network import network_to_program
 from lve.orderings import random_order
@@ -203,8 +203,8 @@ def assert_matches_oracle(t: Term) -> None:
 
 
 def assert_sorted_as_oracle(rel: Relation, t: Term) -> None:
-    """A relation `denote` or `denote_suffix` returned: rows in sorted-name
-    order and, within 1e-12, the oracle's denotation of `t`."""
+    """A relation `denote` returned: rows in sorted-name order and, within
+    1e-12, the oracle's denotation of `t`."""
     assert rel.vars == sorted_vars(rel.vars)
     old = oracle_denote(t, DenoteContext())
     assert rel.vars == old.vars
@@ -213,7 +213,7 @@ def assert_sorted_as_oracle(rel: Relation, t: Term) -> None:
 
 def test_the_entry_points_return_rows_in_name_order():
     # Inside, a relation's rows follow the product that made it; `denote`
-    # and `denote_suffix` put them in name order on the way out.
+    # puts them in name order on the way out.
     z, a, y = bvar("z"), bvar("a"), bvar("y")
     ctx = DenoteContext()
     # An open term whose clauses make rows out of name order: Paired(z, a)
@@ -236,7 +236,8 @@ def test_the_entry_points_return_rows_in_name_order():
         for step in trace.steps:
             for t in (step.before, step.after):
                 for p in range(len(t.defs) + 1):
-                    assert_sorted_as_oracle(denote_suffix(t, p, ctx), LetTerm(t.defs[p:], t.output))
+                    suffix = LetTerm(t.defs[p:], t.output)
+                    assert_sorted_as_oracle(denote(suffix, ctx), suffix)
 
 
 def test_random_networks_and_their_rewrite_steps_match_the_oracle():

@@ -459,7 +459,6 @@ def test_a_factor_compared_with_itself_answers_as_the_subtraction(entry):
         expected = factors_allclose(f, copy)
     assert expected is bool(np.isfinite(entry))
     assert factors_allclose(f, f) is expected
-    assert factors_allclose(f, f) is expected  # the kept answer
 
 
 def test_factor_sets_equal_is_multiset_equality():

@@ -56,6 +56,29 @@ def test_no_module_imports_a_name_it_never_uses():
         assert imported <= used, f"{path.name} never uses {sorted(imported - used)}"
 
 
+def test_no_private_helper_is_left_unused():
+    # A module-level `_name` function or class that no code of the package
+    # names again is dead: a helper a deletion left behind. Only the
+    # package's own uses count, not the tests'.
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(a.name for a in node.names)
+    unused = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_") and node.name not in used
+    ]
+    assert unused == []
+
+
 def test_only_syntax_drives_generators():
     # Deep terms are walked by one trampoline, syntax.walk; a module that
     # sends to a generator itself has grown a second one.
@@ -84,7 +107,7 @@ def test_only_walk_and_occurrences_keep_a_stack():
 
 def test_only_the_boundary_sorts_denote_rows():
     # A relation's rows follow the product that made it; only `_sorted`, on
-    # the way out of `denote` and `denote_suffix`, puts them in name order.
+    # the way out of `denote`, puts them in name order.
     sorting = set()
     for top in ast.parse((SRC / "denote.py").read_text()).body:
         for node in ast.walk(top):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 import pathlib
 import subprocess
@@ -396,6 +397,47 @@ def test_steps_chain(sixnode_term):
     for s in trace.steps:
         assert typecheck(s.before) == typecheck(s.after)
         assert free_vars(s.before) == free_vars(s.after)
+
+
+def test_watching_shows_each_step_to_the_innermost_block(monkeypatch, sixnode_term):
+    order = order_by_name(sixnode_term, ("x1", "x2", "x4", "x5"))
+
+    def watcher(seen):
+        # Each step, with whether the run holds its last edit's objects.
+        def see(run, step):
+            at, _, new, _ = step.edits[-1]
+            seen.append((step, all(map(operator.is_, run.defs[at : at + len(new)], new))))
+        return see
+
+    outer, inner = [], []
+    with rewrite.watching(watcher(outer)):
+        with rewrite.watching(watcher(inner)):
+            _, trace = eliminate_seq(sixnode_term, order)
+        assert outer == []
+        assert inner == [(s, True) for s in trace.steps]
+        _, trace = eliminate_seq(sixnode_term, order)
+    assert outer == [(s, True) for s in trace.steps]
+    eliminate_seq(sixnode_term, order)
+    assert len(outer) == len(inner) == len(trace.steps)
+
+    # A block left through a rule that raised shows no later run.
+    real_apply, calls = rewrite.apply_rule, []
+
+    def apply_twice(*args):
+        if len(calls) == 2:
+            raise SideConditionViolated("third rule")
+        calls.append(args[1])
+        return real_apply(*args)
+
+    monkeypatch.setattr(rewrite, "apply_rule", apply_twice)
+    seen = []
+    with pytest.raises(SideConditionViolated, match="third rule"):
+        with rewrite.watching(watcher(seen)):
+            eliminate_seq(sixnode_term, order)
+    monkeypatch.undo()
+    assert [s.rule for s, _ in seen] == calls
+    eliminate_seq(sixnode_term, order)
+    assert len(seen) == 2
 
 
 def test_rebuilt_terms_are_the_terms_apply_rule_gives(monkeypatch, sixnode_term):
