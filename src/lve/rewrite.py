@@ -31,17 +31,16 @@ variable elimination.
 A run (`eliminate_seq`) rewrites one `syntax.Definitions` array in place:
 each rule replaces its window there and types only the new definitions, and
 one let-term is built at the end. A `RewriteStep` records the windows it
-replaced, not the terms around it; those are rebuilt on demand by replaying
-the windows on the nearest term the trace holds, and carry the typings and
-census the run held, never typed whole (`Trace.term_at`). A checker sees
-each step as it is made, on the array the step left (`watching`), and so
-needs no term rebuilt.
+replaced, not the terms around it, and points at nothing else, so a trace
+is freed as soon as its caller drops it. A checker sees each step as it is
+made, on the array the step left (`watching`), and so needs no term
+rebuilt.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -100,45 +99,20 @@ class RewriteStep:
     """One rule application: the rule, the definition index, the variable
     elim drops, and `edits`, the windows it replaced in the run's array
     (`syntax.Definitions`; one, unless the window replacement itself did
-    more), never a whole term: its trace rebuilds `before` and `after`."""
+    more), never a whole term. Replaying the edits on the term before the
+    step (`Definitions.apply`) gives the term after it."""
 
     rule: str
     position: int
     var: Variable | None
     edits: tuple[tuple, ...]
-    _trace: Trace = field(repr=False)
-    _index: int = field(repr=False)
-
-    before = property(lambda self: self._trace.term_at(self._index))
-    after = property(lambda self: self._trace.term_at(self._index + 1))
 
 
 @dataclass(eq=False)
 class Trace:
-    """A rewrite derivation: its rule applications in order, and `term_at(i)`,
-    the term before step i (the final term at i = len(steps)). It holds the
-    first term, the last, and the last two rebuilt (`_held`); any other is
-    rebuilt from the nearest held before it by replaying the steps' edits in
-    between (`Definitions.apply`, which types each window only), so it
-    carries the typings and census the run held and is never typed whole."""
+    """A rewrite derivation: its rule applications in order."""
 
     steps: list[RewriteStep]
-    _held: dict[int, LetTerm] = field(repr=False)
-
-    def term_at(self, i: int) -> LetTerm:
-        held, last = self._held, len(self.steps)
-        t = held.get(i)
-        if t is None:
-            if not 0 <= i <= last:
-                raise IndexError(f"no term {i} in a run of {last} steps")
-            j = i - 1 if i - 1 in held else max(k for k in held if k < i)
-            run = Definitions(held[j])
-            for step in self.steps[j:i]:
-                for edit in step.edits:
-                    run.apply(edit)
-            self._held = held = {k: t for k, t in held.items() if k in (0, j, last)}
-            t = held[i] = run.term()
-        return t
 
 
 def apply_rule(term: LetTerm | Definitions, rule: str, position: int, var: Variable | None = None) -> LetTerm | Definitions:
@@ -314,7 +288,7 @@ def eliminate_seq(term: LetTerm, order: Sequence[Variable]) -> tuple[LetTerm, Tr
     the one let-term built at the end. swap2's names are fresh for the whole
     run: `g__1`, `g__2`, ... in step order. Each step is shown to the
     innermost `watching` block, if any."""
-    trace, run, see = Trace([], {0: term}), None, _watchers[-1] if _watchers else None
+    trace, run, see = Trace([]), None, _watchers[-1] if _watchers else None
     for x in order:
         if not term.is_positive:
             raise NotPositive("elimination is defined on positive terms")
@@ -346,12 +320,11 @@ def eliminate_seq(term: LetTerm, order: Sequence[Variable]) -> tuple[LetTerm, Tr
         for position, rule, var in plan:
             rule = rule or _swap_rule(run, position)
             apply_rule(run, rule, position, var)
-            trace.steps.append(RewriteStep(rule, position, var, tuple(run.edits), trace, len(trace.steps)))
+            trace.steps.append(RewriteStep(rule, position, var, tuple(run.edits)))
             run.edits.clear()
             if see is not None:
                 see(run, trace.steps[-1])
-    final = trace._held[len(trace.steps)] = run.term() if run else term
-    return final, trace
+    return run.term() if run else term, trace
 
 
 # ---------------------------------------------------------------- bounds

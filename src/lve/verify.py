@@ -369,7 +369,9 @@ def _check_step(cur: LetTerm, scopes: ScopeFactors, x: Variable, ctx: DenoteCont
         try:
             denoted.append(_same_denotation(run, s, ctx))
         except WebCapExceeded as err:
-            denoted.append(err)
+            # Without its traceback: the frames would hold this closure, and
+            # with it the run's array, until a full collection.
+            denoted.append(err.with_traceback(None))
 
     barren = not any(x in free_vars(bound) for _, bound in cur.defs)
     try:

@@ -11,15 +11,17 @@ import dataclasses
 import importlib.util
 import pathlib
 import types
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from lve.denote import Relation, denote
 from lve.factors import Factor, definition_factor, factors_allclose, relation_from_factors
-from lve.rewrite import eliminate_term
+from lve.rewrite import RewriteStep, eliminate_term
 from lve.syntax import (
     BOOL,
     TOL,
+    Definitions,
     Expr,
     Lam,
     Let,
@@ -202,6 +204,19 @@ def eliminations(term: LetTerm, order) -> list[tuple[Variable, LetTerm]]:
         term, _ = eliminate_term(term, x)
         reached.append((x, term))
     return reached
+
+
+def replayed(term: LetTerm, steps: Iterable[RewriteStep]) -> Iterator[LetTerm]:
+    """The terms of a rewrite derivation from `term`: `term`, then the term
+    each step leaves, rebuilt by replaying the steps' windows on one array
+    (`Definitions.apply`, which types each window only). So each carries the
+    typings and name census the run held."""
+    run = Definitions(term)
+    yield term
+    for step in steps:
+        for edit in step.edits:
+            run.apply(edit)
+        yield run.term()
 
 
 def is_normal_form(term: LetTerm) -> bool:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import time
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from helpers import (
     coin_pair_expr,
     eliminations,
     order_by_name,
+    replayed,
 )
 
 SUITE_SEED = 20260823
@@ -93,10 +95,10 @@ def test_criterion_2_golden_elimination_matches_recorded_terms(golden_run):
 
 
 def test_criterion_2_each_step_preserves_type_and_denotation(golden_run):
-    _, _, _, trace, _ = golden_run
-    for s in trace.steps:
-        assert typecheck(s.before) == typecheck(s.after), s.rule
-        da, db = denote(s.before), denote(s.after)
+    _, term, _, trace, _ = golden_run
+    for s, (before, after) in zip(trace.steps, pairwise(replayed(term, trace.steps))):
+        assert typecheck(before) == typecheck(after), s.rule
+        da, db = denote(before), denote(after)
         assert da.vars == db.vars, s.rule
         assert np.max(np.abs(da.matrix - db.matrix)) <= 1e-9, s.rule
 

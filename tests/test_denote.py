@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import pairwise
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,7 @@ from helpers import (
     grid_network,
     matrix,
     order_by_name,
+    replayed,
 )
 
 
@@ -226,16 +229,16 @@ def _shared_tail(before: LetTerm, after: LetTerm) -> int:
 def test_one_context_denotes_a_vel_run_as_fresh_contexts_do(sixnode_term, names):
     _, trace = eliminate_seq(sixnode_term, order_by_name(sixnode_term, names))
     ctx, fresh = DenoteContext(), CostCounter()
-    for step in trace.steps:
-        for t in (step.before, step.after):
+    for before, after in pairwise(replayed(sixnode_term, trace.steps)):
+        for t in (before, after):
             one = DenoteContext()
             assert _same(denote(t, ctx), denote(t, one))
             fresh.merge(one.counter)
         # A step's term folds again only the definitions above the tail it
         # shares with the term before it, whose output it shares too.
-        assert step.after.output is step.before.output
+        assert after.output is before.output
         folds = len(ctx._folds)
-        denote(replace_defs(step.after, 0, 0, ()), ctx)
+        denote(replace_defs(after, 0, 0, ()), ctx)
         assert len(ctx._folds) == folds
     # A hit charges nothing, so the shared context charged less.
     assert ctx.counter.muladds < fresh.muladds
@@ -259,12 +262,12 @@ def test_a_replaced_window_folds_again_up_to_its_end(sixnode_term):
 
 def test_a_vel_step_folds_again_up_to_the_end_of_its_window(sixnode_term):
     _, trace = eliminate_seq(sixnode_term, order_by_name(sixnode_term, SIXNODE_ORDER_REV))
-    for step in trace.steps:
+    for before, after in pairwise(replayed(sixnode_term, trace.steps)):
         ctx = DenoteContext()
-        denote(step.before, ctx)
+        denote(before, ctx)
         folds = len(ctx._folds)
-        denote(step.after, ctx)
-        assert len(ctx._folds) - folds == len(step.after.defs) - _shared_tail(step.before, step.after)
+        denote(after, ctx)
+        assert len(ctx._folds) - folds == len(after.defs) - _shared_tail(before, after)
 
 
 def test_dropped_terms_never_leave_a_stale_fold():

@@ -13,6 +13,7 @@ factor its denotation gives (`helpers.assert_reading_agrees`).
 from __future__ import annotations
 
 import math
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ from lve.syntax import (
 )
 from lve.verify import random_network
 from lve.webs import check_web_cap, sorted_vars
-from helpers import assert_reading_agrees, bvar, coin_matrix, grid_network, matrix
+from helpers import assert_reading_agrees, bvar, coin_matrix, grid_network, matrix, replayed
 
 # ---------------------------------------------------------------- the oracle
 
@@ -233,8 +234,8 @@ def test_the_entry_points_return_rows_in_name_order():
         term = random_network(seed).term
         ctx = DenoteContext()
         _, trace = eliminate_seq(term, random_order(term, seed))
-        for step in trace.steps:
-            for t in (step.before, step.after):
+        for step in pairwise(replayed(term, trace.steps)):
+            for t in step:
                 for p in range(len(t.defs) + 1):
                     suffix = LetTerm(t.defs[p:], t.output)
                     assert_sorted_as_oracle(denote(suffix, ctx), suffix)
@@ -244,12 +245,10 @@ def test_random_networks_and_their_rewrite_steps_match_the_oracle():
     rules: set[str] = set()
     for seed in range(40):
         term = random_network(seed).term
-        assert_matches_oracle(term)
         _, trace = eliminate_seq(term, random_order(term, seed))
-        for step in trace.steps:
-            rules.add(step.rule)
-            assert_matches_oracle(step.before)
-            assert_matches_oracle(step.after)
+        rules.update(step.rule for step in trace.steps)
+        for t in replayed(term, trace.steps):
+            assert_matches_oracle(t)
     # swap2 mints the lambdas and arrow applications, mult the pairs.
     assert {"swap2", "mult", "elim"} <= rules
 

@@ -53,6 +53,7 @@ from helpers import (
     coin_copy_term,
     matrix,
     order_by_name,
+    replayed,
 )
 
 A, B, C = bvar("a"), bvar("b"), bvar("c")
@@ -295,11 +296,12 @@ def test_a_factor_set_carried_by_scope_equals_the_rewritten_terms():
         for order in _orders(term, i).values():
             carried, ref = ScopeFactors(term, DenoteContext()), DenoteContext()
             assert factor_sets_equal(carried.factors(), factors_of(term, ref))
-            for step in eliminate_seq(term, order)[1].steps:
+            steps = eliminate_seq(term, order)[1].steps
+            for step, rewritten in zip(steps, list(replayed(term, steps))[1:]):
                 before = {id(f) for f in carried.factors()}
                 dropped, added = carried.update(step.edits)
                 after = carried.factors()
-                assert factor_sets_equal(after, factors_of(step.after, ref)), (i, step.rule)
+                assert factor_sets_equal(after, factors_of(rewritten, ref)), (i, step.rule)
                 new = {id(carried.factor(s)) for s in added}
                 assert {id(f) for f in after} - new <= before
                 assert len(after) == len(before) - len(dropped) + len(added)
@@ -522,7 +524,7 @@ def test_reading_agrees_with_denote_on_a_vel_run(sixnode_term):
     # and mult's nested lets, and the arrow folds between definitions.
     _, trace = eliminate_seq(sixnode_term, order_by_name(sixnode_term, SIXNODE_ORDER_FWD))
     assert {s.rule for s in trace.steps} == {"swap1", "swap2", "swap3", "mult", "elim"}
-    for term in [sixnode_term] + [s.after for s in trace.steps]:
+    for term in replayed(sixnode_term, trace.steps):
         assert_reading_agrees(term)
 
 
@@ -539,7 +541,7 @@ def test_a_context_that_read_before_gives_the_same_factors_and_charges(sixnode_t
     for term, order in cases:
         _, trace = eliminate_seq(term, order)
         ctx = DenoteContext()
-        for t in [term] + [s.after for s in trace.steps]:
+        for t in replayed(term, trace.steps):
             warm, fresh = factors_of(t, ctx), factors_of(t)
             assert (warm.counter.muladds, warm.counter.max_table) == (fresh.counter.muladds, fresh.counter.max_table)
             assert factor_sets_equal(warm, fresh)
@@ -573,7 +575,7 @@ def test_sum_outs_build_no_factor(monkeypatch, sixnode_term):
     monkeypatch.setattr(Factor, "__post_init__", watched_post_init)
     monkeypatch.setattr(factors, "_contract", watched_contract)
     _, trace = eliminate_seq(sixnode_term, order_by_name(sixnode_term, SIXNODE_ORDER_FWD))
-    for term in [sixnode_term] + [s.after for s in trace.steps]:
+    for term in replayed(sixnode_term, trace.steps):
         factors_of(term)
     assert any(contractions) and built
     assert not any(built)

@@ -6,7 +6,9 @@ import gc
 import json
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from lve.network import load_network, network_to_program
 from lve.orderings import min_degree_order, random_order
 from lve.parser import parse_program
 from lve.printer import program_str
-from lve.rewrite import eliminate_seq, simplify
+from lve.rewrite import eliminate_seq, eliminate_term, simplify
 from lve.syntax import (
     BOOL,
     Let,
@@ -37,7 +39,8 @@ from lve.syntax import (
     size,
     typecheck,
 )
-from helpers import chain_network, grid_network, rename
+from lve.verify import ORDER_NAMES, SuiteReport, check_instance
+from helpers import chain_network, grid_network, rename, replayed
 
 LENGTH = 2000
 VEL_LENGTH = 1000
@@ -125,7 +128,8 @@ def test_swap2_mints_its_names_without_a_consistency_pass(monkeypatch, side):
     final, trace = eliminate_seq(term, order)
     monkeypatch.undo()
     assert passes == []
-    minted = [s.after.defs[s.position][0].var.name for s in trace.steps if s.rule == "swap2"]
+    terms = islice(replayed(term, trace.steps), 1, None)
+    minted = [after.defs[s.position][0].var.name for s, after in zip(trace.steps, terms) if s.rule == "swap2"]
     assert minted == [f"g__{k}" for k in range(1, len(minted) + 1)]
     assert minted
     arrows = {v.name for v in occurrences(final) if isinstance(v, Variable) and v.is_arrow}
@@ -156,6 +160,29 @@ def test_a_vel_trace_holds_windows_not_terms():
     # 16920 steps, mostly swaps under a random order.
     term = network_to_program(chain_network(200)).term
     assert _held_mb(term, random_order(term, 3)) < 20
+
+
+def test_a_run_and_a_check_leave_no_cyclic_garbage():
+    # A step holds its windows and nothing that points back at it, and a
+    # skipped check keeps its error without the traceback, so reference
+    # counting alone frees what a run or a check drops.
+    chain_term = network_to_program(chain_network(100)).term
+    order = min_degree_order(chain_term)
+    grid_term = network_to_program(grid_network(5, 5)).term
+    gc.collect()
+    gc.disable()
+    try:
+        _, trace = eliminate_seq(chain_term, order)
+        held = weakref.ref(trace)
+        del trace
+        assert held() is None
+        result = eliminate_term(chain_term, order[0])
+        del result
+        assert gc.collect() == 0
+        check_instance(grid_term, 0, SuiteReport(1, ORDER_NAMES))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_vel_reads_out_a_long_chain(tmp_path, capsys):

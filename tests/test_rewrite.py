@@ -69,6 +69,7 @@ from helpers import (
     matrix,
     order_by_name,
     rename,
+    replayed,
 )
 
 M1 = coin_matrix(0.3, name="M1")
@@ -294,10 +295,11 @@ def test_eliminate_term_swaps_a_deep_consumer_up():
         ((PLeaf(X), MatApp(M1, ())), (PLeaf(Y), MatApp(M4, ())), (PLeaf(Z), MatApp(M2, (X,)))),
         PPair(PLeaf(Y), PLeaf(Z)),
     )
-    after, steps = eliminate_term(term, X)
-    assert [(s.rule, s.position) for s in steps] == [("swap1", 1), ("mult", 0), ("elim", 0)]
+    after, trace = eliminate_seq(term, (X,))
+    assert [(s.rule, s.position) for s in trace.steps] == [("swap1", 1), ("mult", 0), ("elim", 0)]
     # Pure swaps preserve the factor multiset exactly.
-    assert factor_sets_equal(factors_of(steps[0].before), factors_of(steps[0].after))
+    _, swapped = itertools.islice(replayed(term, trace.steps), 2)
+    assert factor_sets_equal(factors_of(term), factors_of(swapped))
     assert factor_sets_equal(factors_of(after), eliminate(factors_of(term), [X]))
     assert_same_denotation(term, after)
 
@@ -380,8 +382,7 @@ def test_eliminate_seq_golden_step_list(sixnode_term):
         (s.rule, s.position, s.var.name if s.var else None) for s in trace.steps
     )
     assert got == SIXNODE_GOLDEN_STEPS
-    assert trace.steps[0].before == sixnode_term
-    assert trace.steps[-1].after == final
+    assert list(replayed(sixnode_term, trace.steps))[-1] == final
     reached = eliminations(sixnode_term, order)
     assert [v.name for v, _ in reached] == ["x1", "x2", "x4", "x5"]
     assert reached[-1][1] == final
@@ -391,12 +392,9 @@ def test_eliminate_seq_golden_step_list(sixnode_term):
 def test_steps_chain(sixnode_term):
     order = order_by_name(sixnode_term, ("x1", "x2", "x4", "x5"))
     _, trace = eliminate_seq(sixnode_term, order)
-    assert trace.steps[0].before == sixnode_term
-    for prev, nxt in zip(trace.steps, trace.steps[1:]):
-        assert prev.after == nxt.before
-    for s in trace.steps:
-        assert typecheck(s.before) == typecheck(s.after)
-        assert free_vars(s.before) == free_vars(s.after)
+    for before, after in itertools.pairwise(replayed(sixnode_term, trace.steps)):
+        assert typecheck(before) == typecheck(after)
+        assert free_vars(before) == free_vars(after)
 
 
 def test_watching_shows_each_step_to_the_innermost_block(monkeypatch, sixnode_term):
@@ -441,11 +439,11 @@ def test_watching_shows_each_step_to_the_innermost_block(monkeypatch, sixnode_te
 
 
 def test_rebuilt_terms_are_the_terms_apply_rule_gives(monkeypatch, sixnode_term):
-    # A run rewrites one array in place and records windows; each step's
-    # rebuilt terms are those the public apply_rule gives one step at a time,
-    # with the typings a fresh check gives, and rebuilding runs no
-    # consistency pass. Every recorded step is one call of the module-level
-    # apply_rule, which the benchmark counts.
+    # A run rewrites one array in place and records windows; replaying them
+    # rebuilds the terms the public apply_rule gives one step at a time,
+    # with the typings a fresh check gives, and runs no consistency pass.
+    # Every recorded step is one call of the module-level apply_rule, which
+    # the benchmark counts.
     hidden = sixnode_term.defined_vars() - pattern_fv(sixnode_term.output)
     cases = [(sixnode_term, list(order)) for order in itertools.permutations(hidden)]
     for i in range(60):
@@ -458,22 +456,17 @@ def test_rebuilt_terms_are_the_terms_apply_rule_gives(monkeypatch, sixnode_term)
         final, trace = eliminate_seq(term, order)
         monkeypatch.undo()
         assert calls == [s.rule for s in trace.steps]
+        monkeypatch.setattr(syntax, "_collect_types", None)  # no consistency pass
+        terms = list(replayed(term, trace.steps))
+        monkeypatch.undo()
         prev = term
-        for s in trace.steps:
+        for s, after in zip(trace.steps, terms[1:]):
             expected = apply_rule(prev, s.rule, s.position, s.var)
-            monkeypatch.setattr(syntax, "_collect_types", None)  # no consistency pass
-            before, after = s.before, s.after
-            monkeypatch.undo()
-            assert before == prev and after == expected
+            assert after == expected
             assert (after._names, after._minted) == (expected._names, expected._minted)
             assert after._typings == let_typings(LetTerm(after.defs, after.output))
             prev = expected
-        assert trace.term_at(len(trace.steps)) is final and final == prev
-    # Any term of a run, in any order: the rebuilt ones equal the walk's.
-    walked = [trace.term_at(i) for i in range(len(trace.steps) + 1)]
-    assert [trace.term_at(i) for i in reversed(range(len(walked)))] == walked[::-1]
-    with pytest.raises(IndexError):
-        trace.term_at(len(walked))
+        assert final == prev
 
 
 def test_eliminate_seq_any_order_same_marginal(sixnode_term):
@@ -597,13 +590,14 @@ def test_swap2_mints_the_smallest_free_name_of_a_whole_trace(taken):
     minted = []
     for seed in range(6):
         _, trace = eliminate_seq(term, random_order(term, seed))
-        for step in trace.steps:
+        terms = itertools.pairwise(replayed(term, trace.steps))
+        for step, (before, after) in zip(trace.steps, terms):
             if step.rule == "swap2":
-                names = collect_names(step.before)
+                names = collect_names(before)
                 k = 1
                 while f"g__{k}" in names:
                     k += 1
-                minted.append(step.after.defs[step.position][0].var.name)
+                minted.append(after.defs[step.position][0].var.name)
                 assert minted[-1] == f"g__{k}"
     assert len(minted) > 20 and len(set(minted)) > 3
     assert set(taken.values()).isdisjoint(minted)
@@ -618,8 +612,7 @@ def test_cached_typings_match_a_reparsed_copy():
         typecheck(term)
         for order in (min_degree_order(term), elimination_candidates(term)[::-1]):
             _, trace = eliminate_seq(term, order)
-            for step in trace.steps:
-                after = step.after
+            for after in itertools.islice(replayed(term, trace.steps), 1, None):
                 assert len(after._typings) == len(after.defs) + 1
                 copy = parse_program(program_str(after)).term
                 typecheck(copy)

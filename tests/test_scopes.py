@@ -18,7 +18,7 @@ from lve.rewrite import ELIM, eliminate_seq
 from lve.syntax import LetTerm, MatApp, PLeaf, factor_scopes, free_vars, pattern_fv, pattern_vars, web_size
 from lve.verify import ORDER_NAMES, SuiteReport, _orders, check_instance, random_network
 from lve.webs import sorted_vars
-from helpers import SIXNODE_ORDER_FWD, bvar, chain, coin_matrix, grid, order_by_name, tensor_network
+from helpers import SIXNODE_ORDER_FWD, bvar, chain, coin_matrix, grid, order_by_name, replayed, tensor_network
 
 
 def _web(vs) -> int:
@@ -28,9 +28,8 @@ def _web(vs) -> int:
 def test_scopes_are_the_variable_sets_of_the_factors(sixnode_term):
     # Every term a rewrite passes through, swap2's arrows and their folds included.
     _, trace = eliminate_seq(sixnode_term, order_by_name(sixnode_term, SIXNODE_ORDER_FWD))
-    terms = [sixnode_term] + [s.after for s in trace.steps]
     folds = 0
-    for term in terms:
+    for term in replayed(sixnode_term, trace.steps):
         scopes = factor_scopes(term)
         assert [frozenset(f.vars) for f in factors_of(term).factors] == [s for s, _ in scopes]
         assert scopes[-1] == (pattern_fv(term.output), ())
@@ -88,14 +87,14 @@ def test_rewriting_costs_what_elimination_costs(sixnode_term):
     for term, order in _cases(sixnode_term):
         vef = eliminate(factors_of(term), order)
         _, trace = eliminate_seq(term, order)
-        elims = [s for s in trace.steps if s.rule == ELIM]
-        assert [s.var for s in elims] == list(order)
-        for s, st in zip(elims, vef.steps):
-            (scope,) = [scope for scope, _ in factor_scopes(s.before) if s.var in scope]
+        elims = [(s, t) for s, t in zip(trace.steps, replayed(term, trace.steps)) if s.rule == ELIM]
+        assert [s.var for s, _ in elims] == list(order)
+        for (s, before), st in zip(elims, vef.steps):
+            (scope,) = [scope for scope, _ in factor_scopes(before) if s.var in scope]
             checked += 1
             if _web(scope) != st.product_table:
                 mismatches.append((s.var.name, _web(scope), st.product_table))
-            binder, bound = s.before.defs[s.position]
+            binder, bound = before.defs[s.position]
             alone = _web(free_vars(bound) | pattern_fv(binder))
             unfolded[(alone > st.product_table) - (alone < st.product_table)] += 1
     assert checked == 1216
@@ -191,7 +190,7 @@ def test_ordering_and_the_census_check_denote_nothing(sixnode_term, monkeypatch)
     monkeypatch.setattr(denote_module, "denote", no_denote)
     monkeypatch.setattr(denote_module, "_clause", no_denote)
     _, trace = eliminate_seq(sixnode_term, order_by_name(sixnode_term, SIXNODE_ORDER_FWD))
-    for term in [sixnode_term] + [s.after for s in trace.steps]:
+    for term in replayed(sixnode_term, trace.steps):
         assert check_factor_vars(term)
         min_degree_order(term)
         factors_of(term)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import sys
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -69,6 +70,7 @@ from helpers import (
     coin_matrix,
     grid_network,
     matrix,
+    replayed,
     scalar_brute_force_joint,
 )
 
@@ -192,8 +194,8 @@ def test_a_skipped_step_names_the_fold_that_passed_the_cap():
     skipped = [f.detail for f in report.skipped if f.check == "denote-step" and f.order == "random"]
     expected, ctx = [], DenoteContext()
     _, trace = eliminate_seq(term, random_order(term, 0))
-    for s in trace.steps:
-        for t in (s.before, s.after):
+    for s, terms in zip(trace.steps, pairwise(replayed(term, trace.steps))):
+        for t in terms:
             try:
                 denote(LetTerm(t.defs[s.position :], t.output), ctx)
             except WebCapExceeded as err:
@@ -307,7 +309,7 @@ def test_same_denotation_compares_suffixes_up_to_row_order():
     def step(bound):
         # A run's array just after a step whose one edit replaced the definition.
         run = syntax.replace_defs(syntax.Definitions(before), 0, 1, ((PLeaf(y), bound),))
-        return run, rewrite.RewriteStep("swap1", 0, None, tuple(run.edits), rewrite.Trace([], {0: before}), 0)
+        return run, rewrite.RewriteStep("swap1", 0, None, tuple(run.edits))
 
     ctx = DenoteContext()
     run, same = step(MatApp(flipped, (b, a)))
@@ -409,12 +411,12 @@ def _reference_check_instance(term, instance, order_seed=0):
                     f"{bound.size_before} grew to {bound.size_after} with {bound.allowance // 4} internal variables"
                 )
                 fail(CheckFailure(instance, name, "size-bound", detail))
-            for s in steps:
-                da, db = verify.denote(s.before, ctx), verify.denote(s.after, ctx)
+            for s, (before, after) in zip(steps, pairwise(replayed(cur, steps))):
+                da, db = verify.denote(before, ctx), verify.denote(after, ctx)
                 if not (da.vars == db.vars and within_tol(da.matrix, db.matrix)):
                     fail(CheckFailure(instance, name, "denote-step", f"{s.rule} changed the denotation"))
                 if s.rule.startswith("swap") and not factor_sets_equal(
-                    verify.factors_of(s.before, ctx), verify.factors_of(s.after, ctx)
+                    verify.factors_of(before, ctx), verify.factors_of(after, ctx)
                 ):
                     fail(CheckFailure(instance, name, "swap-facts", f"{s.rule} changed the factor multiset"))
             nxt_fs = verify.factors_of(nxt, ctx)
